@@ -31,6 +31,12 @@ nests its quantities under "relation".  Passing --emit-disk to verify
 or classify re-renders every object and witness in the report in
 ball-model coordinates.  Exit status: 0 when the tested family is
 degenerate, 1 when it is not, 2 on any error.
+
+Each theorem is one row of the THEOREMS table: the record type its
+objects carry, its object count at dimension n, and a runner that calls
+the theorem test and returns the verdict with the theorem's report
+fields.  Scene parsing, the --theorem choices, verify, classify and the
+theorem that generate writes into a scene all read that table.
 """
 
 from __future__ import annotations
@@ -41,13 +47,13 @@ import json
 import math
 import sys
 from pathlib import Path
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
 from .errors import GeometryError, SchemaViolation
-from .generators import Configuration, GenKind, GenSpec, default_count, generate
-from .lorentz import DEFAULT_TOL, DegeneracyVerdict
+from .generators import Configuration, GenKind, GenSpec, generate
+from .lorentz import DEFAULT_TOL, DegeneracyVerdict, degeneracy
 from .models import ball_to_hyperboloid, hyperboloid_to_ball, sphere_lift
 from .objects import (
     CoHyperplane,
@@ -60,7 +66,6 @@ from .objects import (
 )
 from .theorems import (
     CaseyCase,
-    CaseyCaseKind,
     casey_test,
     casey_witness_check,
     corollary_d_test,
@@ -75,8 +80,6 @@ from .theorems import (
 )
 
 SCHEMA = "lorentz-gram/1"
-
-THEOREMS = ("penner", "ptolemy1", "ptolemy2", "casey", "casey_e", "relation")
 
 
 # ---------------------------------------------------------------------------
@@ -223,15 +226,6 @@ def object_to_record(obj, disk: bool = False) -> dict:
     raise GeometryError(f"cannot emit {type(obj).__name__}")
 
 
-_EXPECTED = {
-    "penner": ("horosphere", lambda n: n + 1),
-    "ptolemy1": ("point", lambda n: n + 1),
-    "ptolemy2": ("point", lambda n: n + 2),
-    "casey": ("hyperplane", lambda n: n + 1),
-    "casey_e": ("sphere_e", lambda n: n + 2),
-}
-
-
 class Scene:
     def __init__(self, n: int, theorem: str, objects: list, surface, meta=None):
         self.n = n
@@ -252,8 +246,9 @@ def parse_scene(doc, theorem: Optional[str] = None) -> Scene:
     # a --theorem flag overrides whatever the scene says about itself
     if theorem is None:
         theorem = doc.get("theorem")
-    if theorem not in THEOREMS:
-        raise SchemaViolation(f"theorem must be one of {', '.join(THEOREMS)}")
+    names = (*THEOREMS, "relation")
+    if theorem not in names:
+        raise SchemaViolation(f"theorem must be one of {', '.join(names)}")
     meta = doc.get("meta")
     if meta is not None and not isinstance(meta, dict):
         raise SchemaViolation("meta must be a JSON object")
@@ -272,14 +267,12 @@ def parse_scene(doc, theorem: Optional[str] = None) -> Scene:
                 "relation objects must be all points, all horospheres or all sphere_e"
             )
     else:
-        want_type, want_count = _EXPECTED[theorem]
-        got_types = {rec.get("type") for rec in records}
-        allowed = {want_type, "point"} if want_type == "point" else {want_type}
-        if not got_types <= allowed:
-            raise SchemaViolation(f"{theorem} scenes hold {want_type} records only")
-        if len(objects) != want_count(n):
+        row = THEOREMS[theorem]
+        if any(rec["type"] != row.record for rec in records):
+            raise SchemaViolation(f"{theorem} scenes hold {row.record} records only")
+        if len(objects) != row.count(n):
             raise SchemaViolation(
-                f"{theorem} at n={n} needs {want_count(n)} objects, got {len(objects)}"
+                f"{theorem} at n={n} needs {row.count(n)} objects, got {len(objects)}"
             )
     surface = None
     if theorem == "ptolemy1":
@@ -317,7 +310,7 @@ def _verdict_doc(verdict: DegeneracyVerdict) -> dict:
             "sigma_min": verdict.sigma_min,
             "sigma_max": verdict.sigma_max,
         },
-        "kernel": None if verdict.kernel is None else verdict.kernel,
+        "kernel": verdict.kernel,
     }
 
 
@@ -386,123 +379,133 @@ def _euclidean_doc(euc, disk: bool = False) -> Optional[dict]:
     return doc
 
 
-def cmd_verify(
-    scene: Scene, digest: str, tol: float, search: bool, disk: bool = False
-) -> tuple[dict, int]:
-    doc = _base_report("verify", scene, digest, tol)
-    if scene.theorem == "penner":
-        res = penner_test(scene.objects, tol)
-        doc.update(_verdict_doc(res.verdict))
-        doc["same_centre"] = res.same_centre
-        doc["witness"] = (
-            None if res.witness is None else object_to_record(res.witness, disk=disk)
-        )
-        doc["witness_residual"] = res.residual
-        degenerate = res.verdict.is_degenerate
-    elif scene.theorem == "ptolemy1":
-        res = ptolemy1_test(scene.objects, scene.surface, tol)
-        doc.update(_verdict_doc(res.verdict))
-        doc["witness"] = (
-            None if res.witness is None else object_to_record(res.witness, disk=disk)
-        )
-        doc["witness_residual"] = res.residual
-        degenerate = res.verdict.is_degenerate
-    elif scene.theorem == "ptolemy2":
-        verdict = ptolemy2_test(scene.objects, tol)
-        doc.update(_verdict_doc(verdict))
-        degenerate = verdict.is_degenerate
-    elif scene.theorem == "casey":
-        res = casey_test(scene.objects, tol, search=search)
-        doc.update(_verdict_doc(res.verdict))
-        doc["signs"] = list(res.signs)
-        doc["case_kind"] = None if res.case is None else res.case.kind.value
-        degenerate = res.verdict.is_degenerate
-    elif scene.theorem == "casey_e":
-        res = corollary_d_test(scene.objects, tol, search=search)
-        doc.update(_verdict_doc(res.verdict))
-        doc["signs"] = list(res.signs)
-        doc["case_kind"] = None if res.case is None else res.case.kind.value
-        degenerate = res.verdict.is_degenerate
-    else:
-        raise SchemaViolation("verify does not apply to relation scenes")
-    return doc, 0 if degenerate else 1
+def _witness_fields(res, disk: bool) -> dict:
+    return {
+        "witness": None if res.witness is None else object_to_record(res.witness, disk=disk),
+        "witness_residual": res.residual,
+    }
 
 
-def cmd_classify(
-    scene: Scene, digest: str, tol: float, search: bool, disk: bool = False
-) -> tuple[dict, int]:
-    doc = _base_report("classify", scene, digest, tol)
-    if scene.theorem in ("penner", "ptolemy1"):
-        # verify already extracts the witness for these tests
-        inner, code = cmd_verify(scene, digest, tol, search, disk)
-        inner["command"] = "classify"
-        return inner, code
-    if scene.theorem == "ptolemy2":
-        verdict = ptolemy2_test(scene.objects, tol)
-        doc.update(_verdict_doc(verdict))
-        if not verdict.is_degenerate:
-            doc["fit"] = None
-            doc["case"] = None
-            return doc, 1
-        fit = ptolemy2_classify(scene.objects, tol)
-        doc["fit"] = {
+def _run_penner(scene: Scene, tol: float, search: bool, disk: bool, classify: bool):
+    res = penner_test(scene.objects, tol)
+    return res.verdict, {"same_centre": res.same_centre, **_witness_fields(res, disk)}
+
+
+def _run_ptolemy1(scene: Scene, tol: float, search: bool, disk: bool, classify: bool):
+    res = ptolemy1_test(scene.objects, scene.surface, tol)
+    return res.verdict, _witness_fields(res, disk)
+
+
+def _run_ptolemy2(scene: Scene, tol: float, search: bool, disk: bool, classify: bool):
+    verdict = ptolemy2_test(scene.objects, tol)
+    if not classify:
+        return verdict, {}
+    if not verdict.is_degenerate:
+        return verdict, {"fit": None, "case": None}
+    fit = ptolemy2_classify(scene.objects, tol)
+    return verdict, {
+        "fit": {
             "kind": fit.kind.value,
             "datum": fit.datum,
             "offset": fit.offset,
             "residual": fit.residual,
             "surface": object_to_record(fit.surface(), disk=disk),
-        }
-        doc["case"] = {
+        },
+        "case": {
             "name": fit.kind.value,
             "witnesses": {"datum": fit.datum, "offset": fit.offset},
             "residual": fit.residual,
+        },
+    }
+
+
+def _casey_fields(res, normals, disk: bool, classify: bool) -> dict:
+    """Report fields of a casey or casey_e result.
+
+    normals yields the unflipped hyperplane normals of the family; classify
+    checks the witnesses against them flipped by the reported signs.
+    """
+    fields = {"signs": list(res.signs)}
+    if not classify:
+        fields["case_kind"] = None if res.case is None else res.case.kind.value
+        return fields
+    residual = None
+    if res.case is not None:
+        flipped = [CoHyperplane(s * normal) for s, normal in zip(res.signs, normals)]
+        report = casey_witness_check(res.case, flipped)
+        residual = report.residual
+        fields["witness_check"] = {
+            "residual": report.residual,
+            "passed": report.passed,
+            "failures": list(report.failures),
         }
-        return doc, 0
-    if scene.theorem == "casey":
-        res = casey_test(scene.objects, tol, search=search)
-        doc.update(_verdict_doc(res.verdict))
-        doc["signs"] = list(res.signs)
-        residual = None
-        if res.case is not None:
-            flipped = [
-                CoHyperplane(s * h.normal) for s, h in zip(res.signs, scene.objects)
-            ]
-            report = casey_witness_check(res.case, flipped)
-            residual = report.residual
-            doc["witness_check"] = {
-                "residual": report.residual,
-                "passed": report.passed,
-                "failures": list(report.failures),
-            }
-        doc["case"] = _case_doc(res.case, residual, disk)
-        return doc, 0 if res.verdict.is_degenerate else 1
-    if scene.theorem == "casey_e":
-        res = corollary_d_test(scene.objects, tol, search=search)
-        doc.update(_verdict_doc(res.verdict))
-        doc["signs"] = list(res.signs)
-        residual = None
-        if res.case is not None:
-            # the witnesses certify the flipped hyperplane lifts
-            flipped = [
-                CoHyperplane(s * sphere_lift(sph).normal)
-                for s, sph in zip(res.signs, scene.objects)
-            ]
-            report = casey_witness_check(res.case, flipped)
-            residual = report.residual
-            doc["witness_check"] = {
-                "residual": report.residual,
-                "passed": report.passed,
-                "failures": list(report.failures),
-            }
-        doc["case"] = _case_doc(res.case, residual, disk)
-        doc["euclidean"] = _euclidean_doc(res.euclidean, disk)
-        return doc, 0 if res.verdict.is_degenerate else 1
-    raise SchemaViolation("classify does not apply to relation scenes")
+    fields["case"] = _case_doc(res.case, residual, disk)
+    return fields
+
+
+def _run_casey(scene: Scene, tol: float, search: bool, disk: bool, classify: bool):
+    res = casey_test(scene.objects, tol, search=search)
+    normals = (h.normal for h in scene.objects)
+    return res.verdict, _casey_fields(res, normals, disk, classify)
+
+
+def _run_casey_e(scene: Scene, tol: float, search: bool, disk: bool, classify: bool):
+    res = corollary_d_test(scene.objects, tol, search=search)
+    # the witnesses certify the hyperplane lifts of the spheres
+    normals = (sphere_lift(sph).normal for sph in scene.objects)
+    fields = _casey_fields(res, normals, disk, classify)
+    if classify:
+        fields["euclidean"] = _euclidean_doc(res.euclidean, disk)
+    return res.verdict, fields
+
+
+class _Theorem(NamedTuple):
+    record: str  # the "type" of every object record
+    count: Callable[[int], int]  # objects needed at dimension n
+    # (scene, tol, search, disk, classify) -> (verdict, report fields)
+    run: Callable[[Scene, float, bool, bool, bool], tuple]
+
+
+# One row per theorem.  The runners call the theorem functions by their
+# module-global names, so a tracer that patches those names (lgbench's
+# does) sees every call.  Relation scenes are not a row: they take any of
+# three record types and run through cmd_relation.
+THEOREMS = {
+    "penner": _Theorem("horosphere", lambda n: n + 1, _run_penner),
+    "ptolemy1": _Theorem("point", lambda n: n + 1, _run_ptolemy1),
+    "ptolemy2": _Theorem("point", lambda n: n + 2, _run_ptolemy2),
+    "casey": _Theorem("hyperplane", lambda n: n + 1, _run_casey),
+    "casey_e": _Theorem("sphere_e", lambda n: n + 2, _run_casey_e),
+}
+
+
+def _run_theorem(
+    command: str, scene: Scene, digest: str, tol: float, search: bool, disk: bool
+) -> tuple[dict, int]:
+    if scene.theorem not in THEOREMS:
+        raise SchemaViolation(f"{command} does not apply to relation scenes")
+    verdict, fields = THEOREMS[scene.theorem].run(
+        scene, tol, search, disk, command == "classify"
+    )
+    doc = _base_report(command, scene, digest, tol)
+    doc.update(_verdict_doc(verdict))
+    doc.update(fields)
+    return doc, 0 if verdict.is_degenerate else 1
+
+
+def cmd_verify(
+    scene: Scene, digest: str, tol: float, search: bool, disk: bool = False
+) -> tuple[dict, int]:
+    return _run_theorem("verify", scene, digest, tol, search, disk)
+
+
+def cmd_classify(
+    scene: Scene, digest: str, tol: float, search: bool, disk: bool = False
+) -> tuple[dict, int]:
+    return _run_theorem("classify", scene, digest, tol, search, disk)
 
 
 def cmd_relation(scene: Scene, digest: str, tol: float) -> tuple[dict, int]:
-    from .lorentz import degeneracy
-
     objs = scene.objects
     if len(objs) != 4:
         raise SchemaViolation("the product relation needs exactly 4 objects")
@@ -541,44 +544,29 @@ def cmd_relation(scene: Scene, digest: str, tol: float) -> tuple[dict, int]:
 # generate
 
 
-_KIND_THEOREM = {
-    GenKind.HOROSPHERES_ON_HYPERPLANE_BOUNDARY: "penner",
-    GenKind.GENERIC_HOROSPHERES: "penner",
-    GenKind.HYPERPLANES_TANGENT_AT_INFINITY: "casey",
-    GenKind.HYPERPLANES_COMMON_IDEAL_POINT: "casey",
-    GenKind.HYPERPLANES_ORTH_EQUAL: "casey",
-    GenKind.GENERIC_HYPERPLANES: "casey",
-    GenKind.SPHERES_TANGENT_TO_CIRCLE: "casey_e",
-    GenKind.SPHERES_THROUGH_POINT: "casey_e",
-}
-
-
 def config_to_scene_doc(
     config: Configuration, disk: bool = False, meta: Optional[dict] = None
 ) -> dict:
-    kind = config.kind
-    if kind in _KIND_THEOREM:
-        theorem = _KIND_THEOREM[kind]
+    records = [object_to_record(o, disk=disk) for o in config.objects]
+    record, count = records[0]["type"], len(records)
+    # point families share a record type, so their object count picks the test
+    if record != "point":
+        theorem = next(name for name, row in THEOREMS.items() if row.record == record)
+    elif count == THEOREMS["ptolemy2"].count(config.n):
+        theorem = "ptolemy2"
+    elif count == THEOREMS["ptolemy1"].count(config.n) and isinstance(
+        config.surface, (Horosphere, Hypersphere)
+    ):
+        theorem = "ptolemy1"
+    elif count == 4:
+        theorem = "relation"
     else:
-        count = len(config.objects)
-        if count == config.n + 2:
-            theorem = "ptolemy2"
-        elif (
-            count == config.n + 1
-            and isinstance(config.surface, (Horosphere, Hypersphere))
-        ):
-            theorem = "ptolemy1"
-        elif count == 4:
-            theorem = "relation"
-        else:
-            raise GeometryError(
-                f"no scene form for {kind.value} with {count} objects"
-            )
+        raise GeometryError(f"no scene form for {config.kind.value} with {count} objects")
     doc = {
         "schema": SCHEMA,
         "dimension": config.n,
         "theorem": theorem,
-        "objects": [object_to_record(o, disk=disk) for o in config.objects],
+        "objects": records,
     }
     if theorem == "ptolemy1":
         doc["surface"] = object_to_record(config.surface, disk=disk)
@@ -636,7 +624,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--tol", type=float, default=DEFAULT_TOL)
         p.add_argument(
             "--theorem",
-            choices=["penner", "ptolemy1", "ptolemy2", "casey", "casey-e", "casey_e"],
+            choices=[*THEOREMS, "casey-e"],
             default=None,
             help="override the scene's theorem field",
         )

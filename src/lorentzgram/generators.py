@@ -138,10 +138,6 @@ def _min_pairwise(vectors: Sequence[np.ndarray]) -> float:
     return worst
 
 
-def _random_unit(rng: SplitMix64, k: int) -> np.ndarray:
-    return rng.unit_vector(k)
-
-
 def _random_spacelike_unit(rng: SplitMix64, dim: int) -> np.ndarray:
     while True:
         v = rng.normals(dim)
@@ -195,7 +191,7 @@ def _surface_point(
     if isinstance(surface, Hypersphere):
         dim = surface.centre.coords.shape[0]
         _, F = _orthocomplement_frame(surface.centre.coords[None, :], dim)
-        u = _random_unit(rng, F.shape[1])
+        u = rng.unit_vector(F.shape[1])
         x = math.cosh(surface.radius) * surface.centre.coords + math.sinh(
             surface.radius
         ) * (F @ u)
@@ -276,7 +272,7 @@ def _gen_horospheres_on_boundary(n: int, count: int, seed: int, params: dict):
         f_time, F = _orthocomplement_frame(w[None, :], dim)
         horos = []
         for _ in range(count):
-            u = _random_unit(rng, F.shape[1])
+            u = rng.unit_vector(F.shape[1])
             s = math.exp(rng.uniform_in(-0.7, 0.7))
             horos.append(Horosphere(s * (f_time[:, 0] + F @ u)))
         return Configuration(
@@ -308,7 +304,7 @@ def _gen_hyperplanes_tangent(n: int, count: int, seed: int, params: dict):
         f_time, F = _orthocomplement_frame(w[None, :], dim)
         normals = []
         for _ in range(count):
-            u = _random_unit(rng, F.shape[1])
+            u = rng.unit_vector(F.shape[1])
             t = math.exp(rng.uniform_in(-0.7, 0.7))
             normals.append(CoHyperplane(w + t * (f_time[:, 0] + F @ u)))
         return Configuration(
@@ -502,7 +498,7 @@ def _gen_spheres_tangent(n: int, count: int, seed: int, params: dict):
         f_time, F = _orthocomplement_frame(w[None, :], dim)
         spheres = []
         for _ in range(count):
-            u = _random_unit(rng, F.shape[1])
+            u = rng.unit_vector(F.shape[1])
             t = math.exp(rng.uniform_in(-0.7, 0.7))
             lift = w + t * (f_time[:, 0] + F @ u)
             obj = normal_to_sphere_or_plane(lift)

@@ -248,9 +248,3 @@ def codim1_test(vectors: Sequence, tol: float = DEFAULT_TOL) -> tuple[Degeneracy
     w = h * metric_diag(vs.shape[1])
     w = first_nonzero_positive(w / np.linalg.norm(w))
     return verdict, w
-
-
-def residual_scale(vectors: Sequence, w: np.ndarray) -> float:
-    """Scale against which <v_i, w> residuals are judged."""
-    vs = np.stack([as_vector(v) for v in vectors])
-    return (1.0 + float(np.max(np.abs(vs)))) * float(np.max(np.abs(w)))

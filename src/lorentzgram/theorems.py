@@ -476,6 +476,20 @@ def _sign_vectors(m: int):
         yield signs
 
 
+def _sign_search(matrix_of, m: int) -> tuple[np.ndarray, float]:
+    """Sign vector minimizing the singular value ratio of matrix_of(signs).
+
+    Enumerates _sign_vectors(m); ties keep the earliest vector.
+    """
+    best_signs, best_ratio = None, None
+    for signs in _sign_vectors(m):
+        sigmas = np.abs(np.linalg.eigvalsh(matrix_of(signs)))
+        ratio = float(np.min(sigmas)) / max(float(np.max(sigmas)), 1.0)
+        if best_ratio is None or ratio < best_ratio:
+            best_signs, best_ratio = signs, ratio
+    return best_signs, best_ratio
+
+
 def _forward_unit(v: np.ndarray) -> np.ndarray:
     v = v / float(np.linalg.norm(v))
     return -v if v[-1] < 0 else v
@@ -589,10 +603,11 @@ def casey_classify(hyperplanes: Sequence[CoHyperplane], tol: float = DEFAULT_TOL
     """
     ns = np.stack([h.normal for h in hyperplanes])
     _check_family(ns, ns.shape[1])
-    verdict = degeneracy(sigma_matrix(list(hyperplanes)), tol)
+    C = sigma_matrix(list(hyperplanes))
+    verdict = degeneracy(C, tol)
     if not verdict.is_degenerate:
         raise NotDegenerate("sigma matrix is not degenerate at this tolerance")
-    residual = float(np.max(np.abs(sigma_matrix(list(hyperplanes)) @ verdict.kernel)))
+    residual = float(np.max(np.abs(C @ verdict.kernel)))
     if residual > max(tol, 1e-7) * (verdict.sigma_max + 1.0):
         raise NoReliableKernel("kernel residual too large to classify")
     return _classify_from_kernel(ns, verdict.kernel, tol)
@@ -619,13 +634,7 @@ def casey_test(
         raise InvalidInput(f"family too large for sign search (max {MAX_FAMILY})")
     G = (ns * metric_diag(ns.shape[1])) @ ns.T
     if search:
-        best_signs, best_ratio = None, None
-        for signs in _sign_vectors(m):
-            sigmas = np.abs(np.linalg.eigvalsh(_signed_sigma(G, signs)))
-            ratio = float(np.min(sigmas)) / max(float(np.max(sigmas)), 1.0)
-            if best_ratio is None or ratio < best_ratio:
-                best_signs, best_ratio = signs, ratio
-        signs = best_signs
+        signs, _ = _sign_search(lambda s: _signed_sigma(G, s), m)
     else:
         signs = np.ones(m)
     verdict = degeneracy(_signed_sigma(G, signs), tol)
@@ -759,25 +768,18 @@ def corollary_d_test(
         raise InvalidInput(f"family too large for sign search (max {MAX_FAMILY})")
     m = len(ss)
 
-    def tau_of(signs: np.ndarray) -> np.ndarray:
-        flipped = [s.with_eps(int(s.eps * sg)) for s, sg in zip(ss, signs)]
-        return tau_matrix(flipped)
+    def flip(signs: np.ndarray) -> list[CoSphereE]:
+        return [s.with_eps(int(s.eps * sg)) for s, sg in zip(ss, signs)]
 
     if search:
-        best_signs, best_ratio = None, None
-        for signs in _sign_vectors(m):
-            sigmas = np.abs(np.linalg.eigvalsh(tau_of(signs)))
-            ratio = float(np.min(sigmas)) / max(float(np.max(sigmas)), 1.0)
-            if best_ratio is None or ratio < best_ratio:
-                best_signs, best_ratio = signs, ratio
-        signs = best_signs
+        signs, _ = _sign_search(lambda sg: tau_matrix(flip(sg)), m)
     else:
         signs = np.ones(m)
-    D = tau_of(signs)
+    flipped = flip(signs)
+    D = tau_matrix(flipped)
     verdict = degeneracy(D, tol)
     if not verdict.is_degenerate:
         return CoroDResult(tuple(int(s) for s in signs), verdict, None, None)
-    flipped = [s.with_eps(int(s.eps * sg)) for s, sg in zip(ss, signs)]
     lifts = [sphere_lift(s) for s in flipped]
     C = sigma_matrix(lifts)
     radii = np.array([s.radius for s in ss])

@@ -5,10 +5,12 @@ import hashlib
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from lorentzgram.cli import main
+from lorentzgram.cli import THEOREMS, _build_parser, main
+from lorentzgram.generators import GenKind
 
 
 def run(capsys, *argv):
@@ -172,6 +174,33 @@ class TestPipeline:
         assert code == 1
 
 
+class TestTheoremTable:
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("kind", [k.value for k in GenKind])
+    def test_generated_scene_round_trip(self, capsys, tmp_path, kind, n):
+        scene = generate_scene(capsys, tmp_path, "--kind", kind, "--n", str(n), "--seed", "3")
+        scene_doc = json.loads(Path(scene).read_text())
+        theorem = scene_doc["theorem"]
+        assert {rec["type"] for rec in scene_doc["objects"]} == {THEOREMS[theorem].record}
+        for command in ("verify", "classify"):
+            code, doc = run_doc(capsys, command, scene)
+            assert (doc["command"], doc["theorem"]) == (command, theorem)
+            assert code == (1 if kind.startswith("generic_") else 0)
+            if command == "classify" and code == 0 and theorem in ("casey", "casey_e"):
+                assert doc["witness_check"]["passed"] is True
+
+    def test_flag_accepts_table_keys_and_alias(self, capsys):
+        assert list(THEOREMS) == ["penner", "ptolemy1", "ptolemy2", "casey", "casey_e"]
+        parser = _build_parser()
+        for command in ("verify", "classify"):
+            for name in [*THEOREMS, "casey-e"]:
+                args = parser.parse_args([command, "scene.json", "--theorem", name])
+                assert args.theorem == name
+            for name in ("relation", "casey e", "Penner"):
+                with pytest.raises(SystemExit):
+                    parser.parse_args([command, "scene.json", "--theorem", name])
+
+
 class TestDeterminism:
     def test_generate_is_byte_deterministic(self, capsys):
         _, out1 = run(capsys, "generate", "--kind", "generic_points", "--n", "3",
@@ -220,7 +249,7 @@ class TestDiskModel:
         disk = generate_scene(
             capsys, tmp_path, "--kind", "points_on_equidistant", "--n", "3",
             "--seed", "13", "--emit-disk", name="disk.json")
-        assert json.loads(open(disk).read())["model"] == "ball"
+        assert json.loads(Path(disk).read_text())["model"] == "ball"
         code_f, doc_f = run_doc(capsys, "verify", flat)
         code_d, doc_d = run_doc(capsys, "verify", disk)
         vf, vd = doc_f["verdict"], doc_d["verdict"]
@@ -266,7 +295,7 @@ class TestTheoremFlag:
         scene = generate_scene(
             capsys, tmp_path, "--kind", "hyperplanes_common_ideal_point",
             "--n", "2", "--seed", "25")
-        doc = json.loads(open(scene).read())
+        doc = json.loads(Path(scene).read_text())
         del doc["theorem"]
         stripped = write_scene(tmp_path, doc, "stripped.json")
         code, rep = run_doc(capsys, "verify", stripped)
@@ -279,7 +308,7 @@ class TestTheoremFlag:
         scene = generate_scene(
             capsys, tmp_path, "--kind", "points_on_hypersphere", "--n", "2",
             "--seed", "25")
-        doc = json.loads(open(scene).read())
+        doc = json.loads(Path(scene).read_text())
         doc["theorem"] = "casey"  # wrong on purpose: these are point records
         mislabeled = write_scene(tmp_path, doc, "mislabeled.json")
         code, rep = run_doc(capsys, "verify", mislabeled)
@@ -292,7 +321,7 @@ class TestTheoremFlag:
         scene = generate_scene(
             capsys, tmp_path, "--kind", "spheres_tangent_to_circle", "--n", "2",
             "--seed", "25")
-        doc = json.loads(open(scene).read())
+        doc = json.loads(Path(scene).read_text())
         del doc["theorem"]
         stripped = write_scene(tmp_path, doc, "stripped.json")
         code, rep = run_doc(capsys, "classify", stripped, "--theorem", "casey-e")
@@ -305,7 +334,7 @@ class TestSearchFlag:
         scene = generate_scene(
             capsys, tmp_path, "--kind", "hyperplanes_tangent_at_infinity",
             "--n", "3", "--seed", "15")
-        doc = json.loads(open(scene).read())
+        doc = json.loads(Path(scene).read_text())
         # flip one normal's coorientation; the fixed-sign test must miss
         doc["objects"][1]["normal"] = [-x for x in doc["objects"][1]["normal"]]
         flipped = write_scene(tmp_path, doc, "flipped.json")
