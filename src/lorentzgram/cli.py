@@ -63,6 +63,7 @@ from .objects import (
     Horosphere,
     HPoint,
     Hypersphere,
+    tau,
 )
 from .theorems import (
     CaseyCase,
@@ -76,7 +77,6 @@ from .theorems import (
     ptolemy1_test,
     ptolemy2_classify,
     ptolemy2_test,
-    tau,
 )
 
 SCHEMA = "lorentz-gram/1"

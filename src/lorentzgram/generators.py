@@ -39,7 +39,7 @@ from .objects import (
 from .rng import SplitMix64
 from .theorems import (
     MAX_FAMILY,
-    _sign_vectors,
+    _sign_spectra,
     _signed_sigma,
     half_dist_matrix,
     lambda_sq_matrix,
@@ -477,10 +477,8 @@ def _gen_generic_hyperplanes(n: int, count: int, seed: int, params: dict):
         # generic means non-degenerate under every coorientation the
         # sign search might try
         G = (ns * metric_diag(dim)) @ ns.T
-        for signs in _sign_vectors(count):
-            if not _spectrum_ok(_signed_sigma(G, signs), 0):
-                return False
-        return True
+        spectra = _sign_spectra(lambda signs: _signed_sigma(G, signs), count)
+        return not any(np.any(smin < ROBUST_MARGIN * smax) for _, smin, smax in spectra)
 
     return _attempts(build, check)
 

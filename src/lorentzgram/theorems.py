@@ -69,7 +69,6 @@ from .objects import (
     half_dist_sinh_sq,
     lambda_length,
     same_centre,
-    tau,
 )
 
 MAX_FAMILY = 16  # sign searches enumerate 2^(count-1) assignments
@@ -108,14 +107,41 @@ def sigma_matrix(hyperplanes: Sequence[CoHyperplane]) -> np.ndarray:
     return (C + C.T) / 2.0
 
 
+def _tau_parts(spheres: Sequence[CoSphereE]) -> tuple[np.ndarray, np.ndarray]:
+    """The two coorientation-free halves of the tau matrix of a sphere family.
+
+    Entry (i, j) of the first is |c_i - c_j|^2 - (r_i - r_j)^2, of the
+    second |c_i - c_j|^2 - (r_i + r_j)^2: the bracket of objects.tau for
+    coinciding and for opposite coorientations.  The squares go through
+    float_power, which calls the C library's pow as Python's float ** does,
+    so every entry equals objects.tau bit for bit (x * x differs from pow in
+    the last bit for about one input in 1300).
+    """
+    if any(s.centre.shape != spheres[0].centre.shape for s in spheres):
+        raise DimensionMismatch("spheres live in different dimensions")
+    c = np.stack([s.centre for s in spheres])
+    r = np.array([s.radius for s in spheres])
+    d2 = np.sum((c[:, None, :] - c[None, :, :]) ** 2, axis=-1)
+    same = d2 - np.float_power(r[:, None] - r[None, :], 2.0)
+    opposite = d2 - np.float_power(r[:, None] + r[None, :], 2.0)
+    return same, opposite
+
+
+def _signed_tau(parts: tuple[np.ndarray, np.ndarray], eps: np.ndarray) -> np.ndarray:
+    """Tau matrices for the coorientations in eps, one (m,) vector or a (k, m) stack.
+
+    Entry (i, j) is ee (d2 - (r_i - ee r_j)^2) with ee = eps_i eps_j, as in
+    objects.tau; the diagonal is zero because ee is +1 there.
+    """
+    same, opposite = parts
+    ee = eps[..., :, None] * eps[..., None, :]
+    return ee * np.where(ee > 0, same, opposite)
+
+
 def tau_matrix(spheres: Sequence[CoSphereE]) -> np.ndarray:
     """Matrix of tau invariants of cooriented Euclidean spheres, zero diagonal."""
-    m = len(spheres)
-    D = np.zeros((m, m))
-    for i in range(m):
-        for j in range(i + 1, m):
-            D[i, j] = D[j, i] = tau(spheres[i], spheres[j])
-    return D
+    ss = list(spheres)
+    return _signed_tau(_tau_parts(ss), np.array([s.eps for s in ss], dtype=float))
 
 
 # ---------------------------------------------------------------------------
@@ -461,32 +487,55 @@ class WitnessReport:
 
 
 def _signed_sigma(G: np.ndarray, signs: np.ndarray) -> np.ndarray:
-    C = (np.outer(signs, signs) * G - 1.0) / 2.0
-    np.fill_diagonal(C, 0.0)
-    return (C + C.T) / 2.0
+    """Sigma matrices of the normals with Gram matrix G flipped by signs.
+
+    signs is one (m,) vector or a (k, m) stack; the result has shape
+    signs.shape + (m,).
+    """
+    C = (signs[..., :, None] * signs[..., None, :] * G - 1.0) / 2.0
+    diag = np.arange(G.shape[0])
+    C[..., diag, diag] = 0.0
+    return (C + np.swapaxes(C, -1, -2)) / 2.0
 
 
-def _sign_vectors(m: int):
-    """All sign vectors with leading +1, lexicographic with +1 before -1."""
-    for k in range(1 << (m - 1)):
-        signs = np.ones(m)
-        for i in range(1, m):
-            if (k >> (m - 1 - i)) & 1:
-                signs[i] = -1.0
+_SIGN_BLOCK = 128  # sign vectors per stacked eigensolve; larger blocks only cost memory
+
+
+def _sign_blocks(m: int):
+    """All sign vectors with leading +1, lexicographic with +1 before -1,
+    as (k, m) blocks of at most _SIGN_BLOCK rows."""
+    total = 1 << (m - 1)
+    weights = 1 << np.arange(m - 2, -1, -1)  # bit of assignment k that flips entry i
+    for start in range(0, total, _SIGN_BLOCK):
+        k = np.arange(start, min(start + _SIGN_BLOCK, total))
+        signs = np.ones((k.size, m))
+        signs[:, 1:] -= 2.0 * ((k[:, None] & weights) != 0)
         yield signs
 
 
-def _sign_search(matrix_of, m: int) -> tuple[np.ndarray, float]:
-    """Sign vector minimizing the singular value ratio of matrix_of(signs).
+def _sign_spectra(matrices_of, m: int):
+    """Per block of _sign_blocks(m): the signs, and for each row the smallest
+    |eigenvalue| and the largest floored at 1, from one stacked eigensolve
+    of matrices_of(signs)."""
+    for signs in _sign_blocks(m):
+        sigmas = np.abs(np.linalg.eigvalsh(matrices_of(signs)))
+        yield signs, sigmas.min(axis=1), np.maximum(sigmas.max(axis=1), 1.0)
 
-    Enumerates _sign_vectors(m); ties keep the earliest vector.
+
+def _sign_search(matrices_of, m: int) -> tuple[np.ndarray, float]:
+    """Sign vector minimizing the singular value ratio of its matrix.
+
+    matrices_of maps a (k, m) block of sign vectors to the (k, m, m) stack
+    of their matrices.  Ties keep the earliest vector of _sign_blocks(m):
+    argmin takes the first within a block, and a later block must be
+    strictly smaller.
     """
     best_signs, best_ratio = None, None
-    for signs in _sign_vectors(m):
-        sigmas = np.abs(np.linalg.eigvalsh(matrix_of(signs)))
-        ratio = float(np.min(sigmas)) / max(float(np.max(sigmas)), 1.0)
-        if best_ratio is None or ratio < best_ratio:
-            best_signs, best_ratio = signs, ratio
+    for signs, smin, smax in _sign_spectra(matrices_of, m):
+        ratios = smin / smax
+        i = int(np.argmin(ratios))
+        if best_ratio is None or ratios[i] < best_ratio:
+            best_signs, best_ratio = signs[i].copy(), float(ratios[i])
     return best_signs, best_ratio
 
 
@@ -644,22 +693,33 @@ def casey_test(
     return CaseyResult(signs=tuple(int(s) for s in signs), verdict=verdict, case=case)
 
 
+def _common_value_gap(values, size: float) -> float:
+    """Largest |value - c| for the common value c = +-size signed like the mean."""
+    values = np.asarray(values)
+    c = size if float(np.mean(values)) >= 0 else -size
+    return float(np.max(np.abs(values - c)))
+
+
 def casey_witness_check(
     case: CaseyCase, hyperplanes: Sequence[CoHyperplane], tol: float = 1e-7
 ) -> WitnessReport:
     """Verify a classification witness against the defining equations.
 
     The residual is the largest violation over the family; unit-norm
-    defects of the witness vectors count towards it.  For the inclination
-    case the bounds 0 <= lambda < 1 and linear independence of the pair are
-    checked separately and can fail the report outright.
+    defects of the witness vectors count towards it.  The equations see
+    the coorientations: a tangent normal must meet every hyperplane normal
+    in one common value c = +-1, an inclined normal in one common c =
+    +-lambda, with the sign of c taken from the mean, so flipping one
+    hyperplane of a tangent or inclined witness fails the check.  For the
+    inclination case the bounds 0 <= lambda < 1 and linear independence of
+    the pair are checked separately and can fail the report outright.
     """
     ns = np.stack([h.normal for h in hyperplanes])
     failures: list[str] = []
     if case.kind is CaseyCaseKind.TANGENT_HYPERPLANE_AT_INFINITY:
         w = as_vector(case.tangent_normal)
         residual = max(
-            float(np.max(np.abs(np.abs([inner(n, w) for n in ns]) - 1.0))),
+            _common_value_gap([inner(n, w) for n in ns], 1.0),
             abs(norm_sq(w) - 1.0),
         )
     elif case.kind is CaseyCaseKind.COMMON_IDEAL_POINT:
@@ -678,7 +738,7 @@ def casey_witness_check(
         lam = float(case.inclination)
         residual = max(
             float(np.max(np.abs([inner(n, u) for n in ns]))),
-            float(np.max(np.abs(np.abs([inner(n, v) for n in ns]) - lam))),
+            _common_value_gap([inner(n, v) for n in ns], lam),
             abs(norm_sq(u) - 1.0),
             abs(norm_sq(v) - 1.0),
         )
@@ -767,20 +827,17 @@ def corollary_d_test(
     if len(ss) > MAX_FAMILY:
         raise InvalidInput(f"family too large for sign search (max {MAX_FAMILY})")
     m = len(ss)
-
-    def flip(signs: np.ndarray) -> list[CoSphereE]:
-        return [s.with_eps(int(s.eps * sg)) for s, sg in zip(ss, signs)]
-
+    parts = _tau_parts(ss)
+    eps = np.array([s.eps for s in ss], dtype=float)
     if search:
-        signs, _ = _sign_search(lambda sg: tau_matrix(flip(sg)), m)
+        signs, _ = _sign_search(lambda sg: _signed_tau(parts, eps * sg), m)
     else:
         signs = np.ones(m)
-    flipped = flip(signs)
-    D = tau_matrix(flipped)
+    D = _signed_tau(parts, eps * signs)
     verdict = degeneracy(D, tol)
     if not verdict.is_degenerate:
         return CoroDResult(tuple(int(s) for s in signs), verdict, None, None)
-    lifts = [sphere_lift(s) for s in flipped]
+    lifts = [sphere_lift(s.with_eps(int(s.eps * sg))) for s, sg in zip(ss, signs)]
     C = sigma_matrix(lifts)
     radii = np.array([s.radius for s in ss])
     R = np.outer(radii, radii)

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import lorentzgram as lg
+from lorentzgram import theorems
 
 CIRCULANT_REPS = [
     [1.0, 0.0, 0.0, 1.0],
@@ -54,6 +55,23 @@ class TestMatrixBuilders:
         for i in range(len(ss)):
             for j in range(i):
                 assert M[i, j] == pytest.approx(lg.tau(ss[i], ss[j]), rel=1e-12)
+
+    def test_tau_is_bitwise_the_pairwise_tau(self):
+        # the builder must reproduce objects.tau exactly, or the sign search
+        # and every casey_e report would move in the last bits
+        rng = np.random.default_rng(11)
+        for n in range(1, 15):
+            for _ in range(4):
+                ss = [lg.CoSphereE(rng.normal(size=n) * 10.0 ** rng.uniform(-2, 2),
+                                   10.0 ** rng.uniform(-2, 2), int(rng.choice([-1, 1])))
+                      for _ in range(n + 2)]
+                assert np.array_equal(lg.tau_matrix(ss), pairwise_tau(ss)), n
+
+    def test_tau_rejects_mixed_dimensions(self):
+        a = lg.CoSphereE([0.0, 0.0], 1.0, 1)
+        b = lg.CoSphereE([0.0, 0.0, 0.0], 1.0, -1)
+        with pytest.raises(lg.DimensionMismatch):
+            lg.tau_matrix([a, a, b, a])
 
 
 class TestFourTerm:
@@ -397,6 +415,130 @@ class TestCasey:
 
 def apply_signs(hyperplanes, signs):
     return [lg.CoHyperplane(s * h.normal) for h, s in zip(hyperplanes, signs)]
+
+
+def reference_sign_search(matrix_of, m):
+    """One eigensolve per assignment, in enumeration order, strict < on ties."""
+    best_signs, best_ratio = None, None
+    for k in range(1 << (m - 1)):
+        signs = np.array([1.0] + [-1.0 if (k >> (m - 1 - i)) & 1 else 1.0 for i in range(1, m)])
+        sigmas = np.abs(np.linalg.eigvalsh(matrix_of(signs)))
+        ratio = float(np.min(sigmas)) / max(float(np.max(sigmas)), 1.0)
+        if best_ratio is None or ratio < best_ratio:
+            best_signs, best_ratio = signs, ratio
+    return best_signs, best_ratio
+
+
+def pairwise_tau(spheres):
+    m = len(spheres)
+    D = np.zeros((m, m))
+    for i in range(m):
+        for j in range(i + 1, m):
+            D[i, j] = D[j, i] = lg.tau(spheres[i], spheres[j])
+    return D
+
+
+def random_flips(objects, rng, flip):
+    return [flip(o) if i and rng.random() < 0.5 else o for i, o in enumerate(objects)]
+
+
+class TestSignSearch:
+    """The blocked search against a one-assignment-at-a-time reference."""
+
+    def test_casey_families_match_reference(self):
+        rng = np.random.default_rng(21)
+        kinds = ("hyperplanes_tangent_at_infinity", "hyperplanes_common_ideal_point",
+                 "hyperplanes_orth_equal", "generic_hyperplanes")
+        for kind in kinds:
+            for n in (2, 3, 5, 8):
+                for seed in (0, 1):
+                    cfg = lg.generate(lg.GenSpec(kind, n, seed=seed))
+                    hs = random_flips(cfg.objects, rng, lambda h: h.flipped())
+                    ns = np.stack([h.normal for h in hs])
+                    G = (ns * lg.metric_diag(n + 1)) @ ns.T
+                    matrix_of = lambda s: theorems._signed_sigma(G, s)  # noqa: E731
+                    signs, ratio = theorems._sign_search(matrix_of, len(hs))
+                    ref_signs, ref_ratio = reference_sign_search(matrix_of, len(hs))
+                    assert np.array_equal(signs, ref_signs), (kind, n, seed)
+                    assert ratio == ref_ratio, (kind, n, seed)
+                    assert lg.casey_test(hs).signs == tuple(int(s) for s in ref_signs)
+
+    def test_casey_e_families_match_reference(self):
+        rng = np.random.default_rng(22)
+        for kind in ("spheres_tangent_to_circle", "spheres_through_point"):
+            for n in (2, 3, 5):
+                for seed in (0, 1):
+                    cfg = lg.generate(lg.GenSpec(kind, n, seed=seed))
+                    ss = random_flips(cfg.objects, rng, lambda s: s.with_eps(-s.eps))
+                    ref_signs, ref_ratio = reference_sign_search(
+                        lambda sg: pairwise_tau([s.with_eps(int(s.eps * g)) for s, g in zip(ss, sg)]),
+                        len(ss))
+                    eps = np.array([s.eps for s in ss], dtype=float)
+                    parts = theorems._tau_parts(ss)
+                    signs, ratio = theorems._sign_search(
+                        lambda sg: theorems._signed_tau(parts, eps * sg), len(ss))
+                    assert np.array_equal(signs, ref_signs), (kind, n, seed)
+                    assert ratio == ref_ratio, (kind, n, seed)
+                    assert lg.corollary_d_test(ss).signs == tuple(int(s) for s in ref_signs)
+
+    def test_identical_matrices_give_all_plus(self):
+        m = 10  # 512 assignments, four blocks
+        M = np.diag(np.arange(1.0, m + 1))
+        signs, ratio = theorems._sign_search(lambda s: np.broadcast_to(M, (len(s), m, m)), m)
+        assert np.array_equal(signs, np.ones(m))
+        assert ratio == 1.0 / m
+
+    def test_minimum_in_a_later_block_is_found(self):
+        m = 10
+        blocks = list(theorems._sign_blocks(m))
+        assert len(blocks) > 2
+        later, tied = blocks[2][5], blocks[3][0]
+
+        def matrices_of(signs):
+            out = np.tile(np.eye(m), (len(signs), 1, 1))
+            out[np.all(signs == later, axis=1), 0, 0] = 1e-3
+            out[np.all(signs == tied, axis=1), 0, 0] = 1e-3
+            return out
+
+        signs, ratio = theorems._sign_search(matrices_of, m)
+        assert np.array_equal(signs, later)
+        assert ratio == 1e-3
+
+    def test_blocks_enumerate_in_order(self):
+        m = 9
+        rows = np.concatenate(list(theorems._sign_blocks(m)))
+        assert rows.shape == (1 << (m - 1), m)
+        for k in (0, 1, 130, 255):
+            expect = [1.0] + [-1.0 if (k >> (m - 1 - i)) & 1 else 1.0 for i in range(1, m)]
+            assert np.array_equal(rows[k], expect)
+
+    def test_largest_family_crosses_block_boundaries(self):
+        cfg = lg.generate(lg.GenSpec("hyperplanes_common_ideal_point", lg.MAX_FAMILY - 1, seed=3))
+        hs = list(cfg.objects)
+        assert len(hs) == lg.MAX_FAMILY
+        ns = np.stack([h.normal for h in hs])
+        G = (ns * lg.metric_diag(len(hs))) @ ns.T
+        matrix_of = lambda s: theorems._signed_sigma(G, s)  # noqa: E731
+        signs, ratio = theorems._sign_search(matrix_of, len(hs))
+        assert np.array_equal(signs, reference_sign_search(matrix_of, len(hs))[0])
+        assert lg.casey_test(hs).signs == tuple(int(s) for s in signs)
+
+
+class TestWitnessCoorientation:
+    def test_witness_fails_against_unflipped_normals(self):
+        # a tangent or inclined witness fixes the coorientation of every
+        # hyperplane, so the check must see a flip the search undid
+        for kind, params in (("hyperplanes_tangent_at_infinity", {}),
+                             ("hyperplanes_orth_equal", {"inclination": 0.4})):
+            cfg = lg.generate(lg.GenSpec(kind, 3, seed=5, params=params))
+            given = [h.flipped() if i in (1, 3) else h for i, h in enumerate(cfg.objects)]
+            res = lg.casey_test(given)
+            assert -1 in res.signs
+            assert res.case.kind is not lg.CaseyCaseKind.COMMON_IDEAL_POINT
+            assert lg.casey_witness_check(res.case, apply_signs(given, res.signs)).passed
+            report = lg.casey_witness_check(res.case, given)
+            assert report.passed is False, kind
+            assert report.residual > 0.1
 
 
 def unit_circle_tangent_spheres():
