@@ -63,7 +63,6 @@ from .objects import (
     Horosphere,
     HPoint,
     Hypersphere,
-    tau,
 )
 from .theorems import (
     CaseyCase,
@@ -77,6 +76,7 @@ from .theorems import (
     ptolemy1_test,
     ptolemy2_classify,
     ptolemy2_test,
+    tau_matrix,
 )
 
 SCHEMA = "lorentz-gram/1"
@@ -516,13 +516,11 @@ def cmd_relation(scene: Scene, digest: str, tol: float) -> tuple[dict, int]:
         values = 2.0 * np.sqrt(half_dist_matrix(objs))
         quantity = "chord_length"
     elif all(isinstance(o, CoSphereE) for o in objs):
-        values = np.zeros((4, 4))
-        for i in range(4):
-            for j in range(i + 1, 4):
-                t2 = objs[i].eps * objs[j].eps * tau(objs[i], objs[j])
-                if t2 < 0:
-                    raise GeometryError("a sphere pair admits no common tangent line")
-                values[i, j] = values[j, i] = math.sqrt(t2)
+        eps = np.array([o.eps for o in objs], dtype=float)
+        t2 = np.outer(eps, eps) * tau_matrix(objs)
+        if np.any(t2 < 0):
+            raise GeometryError("a sphere pair admits no common tangent line")
+        values = np.sqrt(t2)
         quantity = "tangent_length"
     else:
         raise SchemaViolation("relation needs points, horospheres or sphere_e records")

@@ -22,6 +22,7 @@ import numpy as np
 from .errors import GeometryError, InfeasibleParams, InvalidInput
 from .lorentz import (
     first_nonzero_positive,
+    gram,
     inner,
     metric_diag,
     norm_sq,
@@ -168,9 +169,7 @@ def _orthocomplement_frame(vectors: np.ndarray, dim: int) -> tuple[np.ndarray, n
     arr = np.atleast_2d(np.asarray(vectors, dtype=float))
     D = metric_diag(dim)
     N = null_basis(arr * D, nullity=dim - arr.shape[0])
-    G = N.T @ (N * D[:, None])
-    G = (G + G.T) / 2.0
-    vals, vecs = np.linalg.eigh(G)
+    vals, vecs = np.linalg.eigh(gram(N.T))
     if float(np.min(np.abs(vals))) < 1e-10:
         raise GeometryError("orthogonal complement is numerically degenerate")
     cols = N @ (vecs / np.sqrt(np.abs(vals)))
@@ -476,7 +475,7 @@ def _gen_generic_hyperplanes(n: int, count: int, seed: int, params: dict):
             return False
         # generic means non-degenerate under every coorientation the
         # sign search might try
-        G = (ns * metric_diag(dim)) @ ns.T
+        G = gram(ns)
         spectra = _sign_spectra(lambda signs: _signed_sigma(G, signs), count)
         return not any(np.any(smin < ROBUST_MARGIN * smax) for _, smin, smax in spectra)
 

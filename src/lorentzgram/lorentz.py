@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -86,28 +86,26 @@ def classify(x, tol: float = DEFAULT_TOL) -> SignClass:
     return SignClass.SPACELIKE if q > 0 else SignClass.TIMELIKE
 
 
-@dataclass(frozen=True, eq=False)
-class GramMatrix:
-    """Matrix of pairwise inner products, stored exactly symmetric."""
+def gram(vectors: Sequence) -> np.ndarray:
+    """Gram matrix of a family of vectors under the Lorentzian form.
 
-    entries: np.ndarray
-    n_ambient: int
-
-
-def gram(vectors: Sequence) -> GramMatrix:
-    """Gram matrix of a family of vectors under the Lorentzian form."""
-    vs = [as_vector(v) for v in vectors]
-    if not vs:
-        raise InvalidInput("need at least one vector")
-    dim = vs[0].shape[0]
-    for v in vs[1:]:
-        if v.shape[0] != dim:
-            raise DimensionMismatch("vectors have mixed lengths")
-    V = np.stack(vs)
-    X = (V * metric_diag(dim)) @ V.T
+    The result is read-only and exactly symmetric.  The family is checked
+    in one pass; when that fails, as_vector names the first bad vector
+    (InvalidInput), and a family of valid vectors is empty (InvalidInput)
+    or has mixed lengths (DimensionMismatch).
+    """
+    try:
+        V = np.asarray(vectors, dtype=float)
+    except ValueError:  # ragged
+        V = np.empty(0)
+    if V.ndim != 2 or not V.size or V.shape[1] < 3 or not np.all(np.isfinite(V)):
+        if not [as_vector(v) for v in vectors]:
+            raise InvalidInput("need at least one vector")
+        raise DimensionMismatch("vectors have mixed lengths")
+    X = (V * metric_diag(V.shape[1])) @ V.T
     X = (X + X.T) / 2.0  # force exact symmetry in storage
     X.flags.writeable = False
-    return GramMatrix(entries=X, n_ambient=dim - 1)
+    return X
 
 
 @dataclass(frozen=True, eq=False)
@@ -142,7 +140,7 @@ def first_nonzero_positive(v: np.ndarray) -> np.ndarray:
     return v + 0.0
 
 
-def degeneracy(matrix: Union[GramMatrix, np.ndarray], tol: float = DEFAULT_TOL) -> DegeneracyVerdict:
+def degeneracy(matrix: np.ndarray, tol: float = DEFAULT_TOL) -> DegeneracyVerdict:
     """Decide whether a symmetric matrix is singular up to tolerance.
 
     The verdict is sigma_min <= tol * max(sigma_max, 1), computed from a
@@ -155,7 +153,7 @@ def degeneracy(matrix: Union[GramMatrix, np.ndarray], tol: float = DEFAULT_TOL) 
     """
     if tol <= 0:
         raise InvalidInput("tol must be positive")
-    M = matrix.entries if isinstance(matrix, GramMatrix) else np.asarray(matrix, dtype=float)
+    M = np.asarray(matrix, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise InvalidInput(f"expected a square matrix, got shape {M.shape}")
     if not np.all(np.isfinite(M)):
@@ -211,7 +209,7 @@ def lemma_identity_gap(vectors: Sequence) -> tuple[float, float, float]:
     vs = np.stack([as_vector(v) for v in vectors])
     if vs.shape[0] != vs.shape[1]:
         raise DimensionMismatch("identity needs as many vectors as coordinates")
-    det_gram = float(np.linalg.det(gram(vs).entries))
+    det_gram = float(np.linalg.det(gram(vs)))
     det_coord = float(np.linalg.det(vs))
     hadamard = float(np.prod(np.linalg.norm(vs, axis=1)))
     m = vs.shape[0]

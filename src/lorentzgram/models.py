@@ -12,7 +12,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidInput, OutsideBall
-from .lorentz import as_vector, inner, metric_diag, null_basis
+from .lorentz import as_vector, gram, inner, metric_diag, null_basis
 from .objects import (
     HOROSPHERE_LEVEL,
     CoHyperplane,
@@ -86,10 +86,9 @@ def _horosphere_frame(h: Horosphere) -> tuple[np.ndarray, np.ndarray]:
     m = m0 / (-inner(ell, m0))
     rows = np.stack([ell * metric_diag(dim), m * metric_diag(dim)])
     B = null_basis(rows, nullity=dim - 2)
-    G = B.T @ (B * metric_diag(dim)[:, None])
-    # G is positive definite because the complement of a lightlike pair is
-    # spacelike; Cholesky then orthonormalizes the basis under the form
-    L = np.linalg.cholesky((G + G.T) / 2.0)
+    # the Gram matrix of B is positive definite (the complement of a lightlike
+    # pair is spacelike), so Cholesky orthonormalizes the basis under the form
+    L = np.linalg.cholesky(gram(B.T))
     F = B @ np.linalg.inv(L).T
     return m, F
 

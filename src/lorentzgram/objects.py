@@ -25,7 +25,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidInput, NoCommonTangent
-from .lorentz import DEFAULT_TOL, SignClass, as_vector, classify, inner, norm_sq
+from .lorentz import DEFAULT_TOL, SignClass, as_vector, classify, gram, inner, norm_sq
 
 HOROSPHERE_LEVEL = -1.0 / math.sqrt(2.0)
 
@@ -46,12 +46,6 @@ def _safe_acosh(x: float) -> float:
     if x < 1.0 - _DOMAIN_SLACK:
         raise InvalidInput(f"arccosh argument {x} is below 1 beyond tolerance")
     return math.acosh(max(x, 1.0))
-
-
-def _safe_sqrt(x: float, scale: float = 1.0) -> float:
-    if x < -_DOMAIN_SLACK * max(scale, 1.0):
-        raise InvalidInput(f"sqrt argument {x} is negative beyond tolerance")
-    return math.sqrt(max(x, 0.0))
 
 
 @dataclass(frozen=True, eq=False)
@@ -228,20 +222,38 @@ def half_dist_sinh_sq(p: HPoint, q: HPoint) -> float:
     return max(0.0, -(inner(p.coords, q.coords) + 1.0) / 2.0)
 
 
+def _concentric(reps: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """Boolean matrix of the pairs of representatives (rows) that share their
+    ideal centre: scaled to max-norm 1, they agree within tol entrywise."""
+    u = reps / np.max(np.abs(reps), axis=1, keepdims=True)
+    return np.max(np.abs(u[:, None, :] - u[None, :, :]), axis=-1) <= tol
+
+
 def same_centre(a: Horosphere, b: Horosphere, tol: float = DEFAULT_TOL) -> bool:
     """Do two horospheres share their ideal centre (parallel representatives)?"""
-    u = a.rep / float(np.max(np.abs(a.rep)))
-    v = b.rep / float(np.max(np.abs(b.rep)))
-    return float(np.max(np.abs(u - v))) <= tol
+    return bool(_concentric(np.stack([a.rep, b.rep]), tol)[0, 1])
+
+
+def _lambda_sq(reps) -> np.ndarray:
+    """Squared lambda lengths -<rep_i, rep_j> of a family of representatives,
+    zero on concentric pairs and the diagonal.
+
+    A value below zero is clamped to +0.0 within the domain slack; beyond it
+    the first one in row-major order raises InvalidInput.
+    """
+    A = -gram(reps)
+    R = np.stack(reps)
+    A[_concentric(R)] = 0.0
+    rmax = np.max(np.abs(R), axis=1)
+    bad = A < -_DOMAIN_SLACK * np.maximum(np.outer(rmax, rmax), 1.0)
+    if np.any(bad):
+        raise InvalidInput(f"sqrt argument {A[bad][0]} is negative beyond tolerance")
+    return np.where(A > 0.0, A, 0.0)
 
 
 def lambda_length(a: Horosphere, b: Horosphere) -> float:
     """Penner lambda length sqrt(-<rep_a, rep_b>); zero for concentric pairs."""
-    if a.rep.shape != b.rep.shape:
-        raise DimensionMismatch("horospheres live in different dimensions")
-    if same_centre(a, b):
-        return 0.0
-    return _safe_sqrt(-inner(a.rep, b.rep), scale=float(np.max(np.abs(a.rep)) * np.max(np.abs(b.rep))))
+    return math.sqrt(_lambda_sq([a.rep, b.rep])[0, 1])
 
 
 def sigma(a: CoHyperplane, b: CoHyperplane) -> float:

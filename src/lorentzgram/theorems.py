@@ -51,6 +51,7 @@ from .lorentz import (
     codim1_test,
     degeneracy,
     first_nonzero_positive,
+    gram,
     inner,
     metric_diag,
     norm_sq,
@@ -66,9 +67,8 @@ from .objects import (
     Horosphere,
     HPoint,
     Hypersphere,
-    half_dist_sinh_sq,
-    lambda_length,
-    same_centre,
+    _concentric,
+    _lambda_sq,
 )
 
 MAX_FAMILY = 16  # sign searches enumerate 2^(count-1) assignments
@@ -79,32 +79,24 @@ MAX_FAMILY = 16  # sign searches enumerate 2^(count-1) assignments
 
 
 def lambda_sq_matrix(horospheres: Sequence[Horosphere]) -> np.ndarray:
-    """Matrix of squared lambda lengths, zero diagonal."""
-    m = len(horospheres)
-    A = np.zeros((m, m))
-    for i in range(m):
-        for j in range(i + 1, m):
-            A[i, j] = A[j, i] = lambda_length(horospheres[i], horospheres[j]) ** 2
-    return A
+    """Matrix of squared lambda lengths -<rep_i, rep_j>, zero on the diagonal
+    and on concentric pairs."""
+    return _lambda_sq([h.rep for h in horospheres])
 
 
 def half_dist_matrix(points: Sequence[HPoint]) -> np.ndarray:
-    """Matrix of sinh^2(rho_ij / 2), zero diagonal."""
-    m = len(points)
-    B = np.zeros((m, m))
-    for i in range(m):
-        for j in range(i + 1, m):
-            B[i, j] = B[j, i] = half_dist_sinh_sq(points[i], points[j])
-    return B
+    """Matrix of sinh^2(rho_ij / 2) = max(0, -(<p_i, p_j> + 1)/2), zero diagonal."""
+    B = -(gram([p.coords for p in points]) + 1.0) / 2.0
+    np.fill_diagonal(B, 0.0)
+    return np.where(B > 0.0, B, 0.0)
 
 
 def sigma_matrix(hyperplanes: Sequence[CoHyperplane]) -> np.ndarray:
-    """Matrix of sigma invariants of cooriented hyperplanes, zero diagonal."""
-    ns = np.stack([h.normal for h in hyperplanes])
-    G = (ns * metric_diag(ns.shape[1])) @ ns.T
-    C = (G - 1.0) / 2.0
+    """Matrix of sigma invariants (<n_i, n_j> - 1)/2 of cooriented hyperplanes,
+    zero diagonal."""
+    C = (gram([h.normal for h in hyperplanes]) - 1.0) / 2.0
     np.fill_diagonal(C, 0.0)
-    return (C + C.T) / 2.0
+    return C
 
 
 def _tau_parts(spheres: Sequence[CoSphereE]) -> tuple[np.ndarray, np.ndarray]:
@@ -171,8 +163,9 @@ def four_term_relation(values, tol: float = DEFAULT_TOL) -> FourTermRelation:
     """Test the three-alternative product relation on a 4x4 value matrix.
 
     The input holds nonnegative symmetric values with zero diagonal (lambda
-    lengths, chord lengths 2 sinh(rho/2), or tangent lengths).  Ties between
-    alternatives break towards the 12|34 < 13|24 < 14|23 order.
+    lengths, chord lengths 2 sinh(rho/2), or tangent lengths).  When several
+    alternatives hold within tol, the first in the 12|34 < 13|24 < 14|23
+    order is returned, whichever has the smaller residual.
     """
     x = np.asarray(values, dtype=float)
     if x.shape != (4, 4):
@@ -191,10 +184,9 @@ def four_term_relation(values, tol: float = DEFAULT_TOL) -> FourTermRelation:
     )
     total = sum(products)
     residuals = [abs(2.0 * p - total) for p in products]
-    order = [Alternative.ALT12_34, Alternative.ALT13_24, Alternative.ALT14_23]
-    best = min(range(3), key=lambda k: (residuals[k], k))
-    which = order[best] if residuals[best] <= tol * total else None
-    return FourTermRelation(which=which, products=products, residual=residuals[best])
+    holding = [alt for alt, r in zip(Alternative, residuals) if r <= tol * total]
+    which = holding[0] if holding else None
+    return FourTermRelation(which=which, products=products, residual=min(residuals))
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +222,7 @@ def penner_test(horospheres: Sequence[Horosphere], tol: float = DEFAULT_TOL) -> 
         raise InvalidInput("penner_test expects horospheres")
     reps = np.stack([h.rep for h in hs])
     _check_family(reps, reps.shape[1])
-    all_same = all(same_centre(hs[0], h) for h in hs[1:])
+    all_same = bool(np.all(_concentric(reps)[0]))
     verdict = degeneracy(lambda_sq_matrix(hs), tol)
     if not verdict.is_degenerate or all_same:
         return PennerResult(verdict, None, all_same, None)
@@ -416,10 +408,8 @@ def ptolemy2_classify(points: Sequence[HPoint], tol: float = DEFAULT_TOL) -> Umb
     svals = np.linalg.svd(lifted, compute_uv=False)
     nullity = max(1, int(np.sum(svals <= tol * max(svals[0], 1.0))))
     basis = null_basis(lifted, nullity=nullity)
-    lifted_metric = metric_diag(dim + 1)
-    candidates = basis * lifted_metric[:, None]
-    Q = candidates.T @ (candidates * lifted_metric[:, None])
-    eigvals, eigvecs = np.linalg.eigh((Q + Q.T) / 2.0)
+    candidates = basis * metric_diag(dim + 1)[:, None]
+    eigvals, eigvecs = np.linalg.eigh(gram(candidates.T))
     if eigvals[-1] <= tol:
         raise NormalSearchFailed("span admits no spacelike normal")
     w = candidates @ eigvecs[:, -1]
@@ -490,12 +480,12 @@ def _signed_sigma(G: np.ndarray, signs: np.ndarray) -> np.ndarray:
     """Sigma matrices of the normals with Gram matrix G flipped by signs.
 
     signs is one (m,) vector or a (k, m) stack; the result has shape
-    signs.shape + (m,).
+    signs.shape + (m,), and is exactly symmetric because gram's G is.
     """
     C = (signs[..., :, None] * signs[..., None, :] * G - 1.0) / 2.0
     diag = np.arange(G.shape[0])
     C[..., diag, diag] = 0.0
-    return (C + np.swapaxes(C, -1, -2)) / 2.0
+    return C
 
 
 _SIGN_BLOCK = 128  # sign vectors per stacked eigensolve; larger blocks only cost memory
@@ -681,7 +671,7 @@ def casey_test(
     m = ns.shape[0]
     if m > MAX_FAMILY:
         raise InvalidInput(f"family too large for sign search (max {MAX_FAMILY})")
-    G = (ns * metric_diag(ns.shape[1])) @ ns.T
+    G = gram(ns)
     if search:
         signs, _ = _sign_search(lambda s: _signed_sigma(G, s), m)
     else:

@@ -100,18 +100,33 @@ class TestGram:
              [2.0, 1.0, 0.0, 1.0],
              [1.0, 2.0, 1.0, 0.0]]
         )
-        assert np.allclose(G.entries, expected, atol=1e-15)
-        assert np.array_equal(G.entries, G.entries.T)
+        assert np.allclose(G, expected, atol=1e-15)
+        assert np.array_equal(G, G.T)
 
     def test_readonly(self):
         G = lg.gram(CIRCULANT_REPS)
         with pytest.raises(ValueError):
-            G.entries[0, 0] = 5.0
+            G[0, 0] = 5.0
+
+    @pytest.mark.parametrize("family, error", [
+        ([], lg.InvalidInput),
+        (np.zeros((0, 3)), lg.InvalidInput),
+        ([[1.0, 0.0]], lg.InvalidInput),
+        ([1.0, 0.0, 1.0], lg.InvalidInput),
+        ([[[1.0, 0.0, 1.0]]], lg.InvalidInput),
+        ([[1.0, 0.0, 1.0], [np.nan, 0.0, 1.0]], lg.InvalidInput),
+        ([[1.0, 0.0, 0.0, 1.0], [1.0, 0.0, 1.0], [np.inf, 0.0, 1.0]], lg.InvalidInput),
+        ([[1.0, 0.0, 1.0], [1.0, 0.0]], lg.InvalidInput),
+        ([[1.0, 0.0, 1.0], [1.0, 0.0, 0.0, 1.0]], lg.DimensionMismatch),
+    ])
+    def test_rejects_what_as_vector_rejects(self, family, error):
+        with pytest.raises(error):
+            lg.gram(family)
 
 
 class TestDegeneracy:
     def test_circulant(self):
-        A = -lg.gram(CIRCULANT_REPS).entries
+        A = -lg.gram(CIRCULANT_REPS)
         assert leibniz_det(A) == 0.0
         verdict = lg.degeneracy(A)
         assert verdict.is_degenerate

@@ -134,3 +134,38 @@ class TestCaseySigns:
         before = lg.casey_test(cfg.objects, search=False)
         after = lg.casey_test(flipped, search=False)
         assert before.verdict.is_degenerate == after.verdict.is_degenerate
+
+
+# theorem -> (generator kinds, objects beyond n, verdict of a family, pairwise builder)
+PERMUTATION_CASES = {
+    "penner": (("horospheres_on_hyperplane_boundary", "generic_horospheres"), 1,
+               lambda cfg, objs: lg.penner_test(objs).verdict, lg.lambda_sq_matrix),
+    "ptolemy1": (("points_on_horosphere", "points_on_hypersphere"), 1,
+                 lambda cfg, objs: lg.ptolemy1_test(objs, cfg.surface).verdict,
+                 lg.half_dist_matrix),
+    "ptolemy2": (("points_on_horosphere", "points_on_hypersphere", "points_on_hyperplane",
+                  "points_on_equidistant", "generic_points"), 2,
+                 lambda cfg, objs: lg.ptolemy2_test(objs), lg.half_dist_matrix),
+    "casey": (("hyperplanes_tangent_at_infinity", "hyperplanes_common_ideal_point",
+               "hyperplanes_orth_equal", "generic_hyperplanes"), 1,
+              lambda cfg, objs: lg.casey_test(objs).verdict, None),
+    "casey_e": (("spheres_tangent_to_circle", "spheres_through_point"), 2,
+                lambda cfg, objs: lg.corollary_d_test(objs).verdict, None),
+}
+
+
+class TestPermutation:
+    @given(st.sampled_from(sorted(PERMUTATION_CASES)), st.integers(0, 10_000),
+           st.sampled_from([2, 3, 5]), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_reordering_keeps_the_verdict(self, theorem, seed, n, data):
+        kinds, extra, verdict_of, build = PERMUTATION_CASES[theorem]
+        cfg = lg.generate(lg.GenSpec(data.draw(st.sampled_from(kinds)), n, seed=seed,
+                                     count=n + extra))
+        objs = list(cfg.objects)
+        p = data.draw(st.permutations(range(len(objs))))
+        permuted = [objs[i] for i in p]
+        assert (verdict_of(cfg, permuted).is_degenerate
+                == verdict_of(cfg, objs).is_degenerate)
+        if build is not None:
+            assert np.array_equal(build(permuted), build(objs)[np.ix_(p, p)])

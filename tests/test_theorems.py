@@ -73,6 +73,56 @@ class TestMatrixBuilders:
         with pytest.raises(lg.DimensionMismatch):
             lg.tau_matrix([a, a, b, a])
 
+    def test_builders_reject_mixed_dimensions(self):
+        h2, h3 = lg.Horosphere([1.0, 0.0, 1.0]), lg.Horosphere([1.0, 0.0, 0.0, 1.0])
+        p2, p3 = lg.HPoint([0.0, 0.0, 1.0]), lg.HPoint([0.0, 0.0, 0.0, 1.0])
+        n2, n3 = lg.CoHyperplane([1.0, 0.0, 0.0]), lg.CoHyperplane([1.0, 0.0, 0.0, 0.0])
+        for build, family in ((lg.gram, [h2.rep, h2.rep, h3.rep]),
+                              (lg.lambda_sq_matrix, [h2, h2, h3]),
+                              (lg.half_dist_matrix, [p2, p3, p2]),
+                              (lg.sigma_matrix, [n3, n2, n2])):
+            with pytest.raises(lg.DimensionMismatch):
+                build(family)
+
+    def test_lambda_sq_guard_reports_the_first_negative_pair(self):
+        # forward lightlike representatives never reach the guard, so the
+        # shared builder gets spacelike rows: -<r_i, r_j> is -2 at (0, 1)
+        # and -3 at (1, 2)
+        from lorentzgram.objects import _lambda_sq
+        with pytest.raises(lg.InvalidInput, match=r"^sqrt argument -2\.0 is negative beyond"):
+            _lambda_sq([[2.0, 0.0, 0.0], [1.0, 1.0, 0.0], [0.0, 3.0, 0.0]])
+
+    def test_builders_are_symmetric_with_zero_diagonal(self):
+        # lambda^2 and sinh^2 cannot be negative, not even -0.0; sigma can
+        nonnegative = {
+            lg.lambda_sq_matrix: ("horospheres_on_hyperplane_boundary", "generic_horospheres"),
+            lg.half_dist_matrix: ("points_on_horosphere", "points_on_hypersphere",
+                                  "points_on_hyperplane", "points_on_equidistant",
+                                  "generic_points"),
+        }
+        signed = {lg.sigma_matrix: ("hyperplanes_tangent_at_infinity",
+                                    "hyperplanes_common_ideal_point", "hyperplanes_orth_equal")}
+        for build, kinds in {**nonnegative, **signed}.items():
+            for kind in kinds:
+                for n in range(2, 15):
+                    M = build(list(lg.generate(lg.GenSpec(kind, n, seed=n)).objects))
+                    assert np.array_equal(M, M.T), (kind, n)
+                    assert np.array_equal(np.diag(M), np.zeros(len(M))), (kind, n)
+                    assert not np.any(np.signbit(np.diag(M))), (kind, n)
+                    if build in nonnegative:
+                        assert not np.any(np.signbit(M)), (kind, n)
+
+    def test_lambda_sq_is_zero_on_concentric_pairs(self):
+        # three ideal centres on the two ends of a geodesic: some pair shares one
+        for seed in range(20):
+            hs = lg.generate(lg.GenSpec("horospheres_on_hyperplane_boundary", 2, seed=seed)).objects
+            M = lg.lambda_sq_matrix(hs)
+            pairs = [(i, j) for i in range(3) for j in range(3)
+                     if i != j and lg.same_centre(hs[i], hs[j])]
+            assert pairs, seed
+            for i, j in pairs:
+                assert M[i, j] == 0.0 and not np.signbit(M[i, j]), (seed, i, j)
+
 
 class TestFourTerm:
     def test_frozen_circulant(self):
@@ -122,6 +172,17 @@ class TestFourTerm:
     def test_all_zero_break_towards_first(self):
         rel = lg.four_term_relation(np.zeros((4, 4)))
         assert rel.which is lg.Alternative.ALT12_34
+
+    def test_first_holding_alternative_beats_a_smaller_residual(self):
+        # x12 = 0, as for a concentric pair, makes 13|24 and 14|23 both hold;
+        # the products 1 + 2^-52 and 1 make the 14|23 residual the smaller
+        x = np.ones((4, 4)) - np.eye(4)
+        x[0, 1] = x[1, 0] = 0.0
+        x[0, 2] = x[2, 0] = 1.0 + 2.0**-52
+        rel = lg.four_term_relation(x)
+        assert rel.products == (0.0, 1.0 + 2.0**-52, 1.0)
+        assert rel.which is lg.Alternative.ALT13_24
+        assert rel.residual == 0.0
 
 
 class TestPenner:
