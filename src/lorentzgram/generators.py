@@ -40,6 +40,8 @@ from .objects import (
 from .rng import SplitMix64
 from .theorems import (
     MAX_FAMILY,
+    _sigma_rank_one,
+    _sign_candidates,
     _sign_spectra,
     _signed_sigma,
     half_dist_matrix,
@@ -473,13 +475,20 @@ def _gen_generic_hyperplanes(n: int, count: int, seed: int, params: dict):
         ns = np.stack([h.normal for h in config.objects])
         if _min_pairwise(list(ns)) < 1e-3:
             return False
-        # generic means non-degenerate under every coorientation the
-        # sign search might try
-        G = gram(ns)
-        spectra = _sign_spectra(lambda signs: _signed_sigma(G, signs), count)
-        return not any(np.any(smin < ROBUST_MARGIN * smax) for _, smin, smax in spectra)
+        return _robust_under_every_sign(gram(ns))
 
     return _attempts(build, check)
+
+
+def _robust_under_every_sign(G: np.ndarray) -> bool:
+    """Is the sigma matrix of the normals with Gram matrix G at least
+    ROBUST_MARGIN from singular under every coorientation the sign search
+    might try?  Only the assignments the rank-one certificate cannot place
+    above the margin are solved."""
+    m = G.shape[0]
+    rows = _sign_candidates(_sigma_rank_one(G), m, ROBUST_MARGIN)
+    spectra = _sign_spectra(lambda signs: _signed_sigma(G, signs), m, rows)
+    return not any(np.any(smin < ROBUST_MARGIN * smax) for _, smin, smax in spectra)
 
 
 def _gen_spheres_tangent(n: int, count: int, seed: int, params: dict):

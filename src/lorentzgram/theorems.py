@@ -491,42 +491,236 @@ def _signed_sigma(G: np.ndarray, signs: np.ndarray) -> np.ndarray:
 _SIGN_BLOCK = 128  # sign vectors per stacked eigensolve; larger blocks only cost memory
 
 
-def _sign_blocks(m: int):
-    """All sign vectors with leading +1, lexicographic with +1 before -1,
-    as (k, m) blocks of at most _SIGN_BLOCK rows."""
-    total = 1 << (m - 1)
+def _sign_blocks(m: int, rows: Optional[np.ndarray] = None):
+    """The sign vectors with leading +1, lexicographic with +1 before -1,
+    as (k, m) blocks of at most _SIGN_BLOCK rows: all of them, or those
+    whose positions in that order are listed (ascending) in rows."""
+    if rows is None:
+        rows = np.arange(1 << (m - 1))
     weights = 1 << np.arange(m - 2, -1, -1)  # bit of assignment k that flips entry i
-    for start in range(0, total, _SIGN_BLOCK):
-        k = np.arange(start, min(start + _SIGN_BLOCK, total))
+    for start in range(0, rows.size, _SIGN_BLOCK):
+        k = rows[start : start + _SIGN_BLOCK]
         signs = np.ones((k.size, m))
         signs[:, 1:] -= 2.0 * ((k[:, None] & weights) != 0)
         yield signs
 
 
-def _sign_spectra(matrices_of, m: int):
-    """Per block of _sign_blocks(m): the signs, and for each row the smallest
-    |eigenvalue| and the largest floored at 1, from one stacked eigensolve
-    of matrices_of(signs)."""
-    for signs in _sign_blocks(m):
+def _sign_spectra(matrices_of, m: int, rows: Optional[np.ndarray] = None):
+    """Per block of _sign_blocks(m, rows): the signs, and for each row the
+    smallest |eigenvalue| and the largest floored at 1, from one stacked
+    eigensolve of matrices_of(signs)."""
+    for signs in _sign_blocks(m, rows):
         sigmas = np.abs(np.linalg.eigvalsh(matrices_of(signs)))
         yield signs, sigmas.min(axis=1), np.maximum(sigmas.max(axis=1), 1.0)
 
 
-def _sign_search(matrices_of, m: int) -> tuple[np.ndarray, float]:
-    """Sign vector minimizing the singular value ratio of its matrix.
-
-    matrices_of maps a (k, m) block of sign vectors to the (k, m, m) stack
-    of their matrices.  Ties keep the earliest vector of _sign_blocks(m):
-    argmin takes the first within a block, and a later block must be
-    strictly smaller.
-    """
+def _argmin_ratio(matrices_of, m: int, rows: Optional[np.ndarray] = None):
+    """Sign vector of least singular value ratio among _sign_blocks(m, rows),
+    the earliest on ties: argmin takes the first within a block, and a
+    later block must be strictly smaller."""
     best_signs, best_ratio = None, None
-    for signs, smin, smax in _sign_spectra(matrices_of, m):
+    for signs, smin, smax in _sign_spectra(matrices_of, m, rows):
         ratios = smin / smax
         i = int(np.argmin(ratios))
         if best_ratio is None or ratios[i] < best_ratio:
             best_signs, best_ratio = signs[i].copy(), float(ratios[i])
     return best_signs, best_ratio
+
+
+def _sign_search(matrices_of, m: int, rank_one=None) -> tuple[np.ndarray, float]:
+    """Sign vector minimizing the singular value ratio of its matrix.
+
+    matrices_of maps a (k, m) block of sign vectors to the (k, m, m) stack
+    of their matrices.  Ties keep the earliest vector of _sign_blocks(m).
+    rank_one = (M, rho, b) states that the matrix of s has the spectrum of
+    M + rho (s*b)(s*b)^T; with it, and more than one block of vectors, only
+    the vectors the _SignPencil certificate cannot rule out are solved.  The
+    answer is the same: a vector is dropped only when its ratio provably
+    exceeds the exact ratio of another.
+    """
+    if rank_one is None or (1 << (m - 1)) <= _SIGN_BLOCK:
+        return _argmin_ratio(matrices_of, m)
+    pencil = _SignPencil(*rank_one)
+    _, best = _argmin_ratio(matrices_of, m, pencil.seeds())
+    return _argmin_ratio(matrices_of, m, pencil.uncertain(best))
+
+
+def _sign_candidates(rank_one, m: int, ratio: float) -> Optional[np.ndarray]:
+    """Positions in _sign_blocks(m) order of the sign vectors whose ratio
+    the _SignPencil certificate cannot place above ratio, or None (all of
+    them) when they fit one block."""
+    if (1 << (m - 1)) <= _SIGN_BLOCK:
+        return None
+    return _SignPencil(*rank_one).uncertain(ratio)
+
+
+def _sigma_rank_one(G: np.ndarray):
+    """(M, rho, b) of the sigma matrices: _signed_sigma(G, s) has the
+    spectrum of G/2 - s s^T/2, the diagonal of G read as exactly 1."""
+    M = G / 2.0
+    np.fill_diagonal(M, 0.5)
+    return M, -0.5, np.ones(G.shape[0])
+
+
+def _tau_rank_one(parts: tuple[np.ndarray, np.ndarray], eps: np.ndarray, radii: np.ndarray):
+    """(M, rho, b) of the tau matrices: _signed_tau(parts, eps * s) has the
+    spectrum of A + 2 (e*r)(e*r)^T, e = eps * s, A = (same + opposite)/2."""
+    same, opposite = parts
+    return (same + opposite) / 2.0, 2.0, eps * radii
+
+
+_EPS = float(np.finfo(float).eps)
+_LADDER = (1e-2, 1e-5, 1e-9, 1e-13)  # ratio levels that narrow the seed rows
+_SEED_ROWS = 4  # seed rows solved exactly for the first best ratio
+_NEWTON_STEPS = 8  # for the extreme secular root; an unconverged row keeps Weyl's bound
+
+
+class _SignPencil:
+    """Certified spectral bounds for the matrices K_s = M + rho z z^T,
+    z = s*b, over every sign vector s of _sign_blocks order.
+
+    With M = Q diag(lam) Q^T, K_s has the spectrum of diag(lam) + rho y y^T
+    with y = Q^T z.  Sylvester's law of inertia on the bordered matrix
+    [[diag(lam) - mu, y], [y^T, -1/rho]] counts its eigenvalues below mu:
+    #{lam_i < mu} + [h(mu) < 0] - [rho > 0], where h(mu) = -1/rho -
+    sum y_i^2 / (lam_i - mu).  A row whose counts at T and -T agree has no
+    eigenvalue in [-T, T).
+
+    eta bounds the distance between the computed spectra and that of
+    diag(lam) + rho y y^T: the backward error of eigh, the rounding of y
+    and of the built matrices, and the error of eigvalsh on the rows that
+    are solved (together below 1 m eps scale on every generated family).
+    A count at a mu within 2 eta of some lam_i, or with |h| inside its
+    rounding bound, is not trusted, and its row is kept.
+    """
+
+    def __init__(self, M: np.ndarray, rho: float, b: np.ndarray):
+        m = b.size
+        self.lam, Q = np.linalg.eigh(M)
+        self.rho = rho
+        # y for every sign vector: each pass adds one entry as the new most
+        # significant bit of the row index, so entry 1 goes last
+        Y = np.empty((1 << (m - 1), m))
+        Y[0] = b[0] * Q[0]
+        n = 1
+        for i in range(m - 1, 0, -1):
+            v = b[i] * Q[i]
+            Y[n : 2 * n] = Y[:n] - v
+            Y[:n] += v
+            n *= 2
+        self.y2 = Y * Y
+        scale = float(np.max(np.abs(self.lam))) + abs(rho) * float(b @ b)
+        self.eta = 32.0 * m * _EPS * scale
+        self.weyl = scale + 2.0 * self.eta  # bounds every computed |eigenvalue|
+        self.gamma = 2.0 * (m + 4) * _EPS  # relative rounding of a sum of m terms
+        self.smax = np.full(n, np.nan)  # per-row bounds, filled on demand
+
+    def _count(self, y2: np.ndarray, mu):
+        """Eigenvalues below mu for the rows y2, and whether each count is
+        untrusted.  mu is one value at least 2 eta off every lam_i, which
+        costs a matvec, or one value per row."""
+        lam = self.lam
+        if np.ndim(mu) == 0:
+            j = int(np.searchsorted(lam, mu))  # lam_i < mu exactly for i < j
+            w = 1.0 / (lam - mu)
+            below = np.einsum("ij,j->i", y2[:, :j], -w[:j])
+            above = np.einsum("ij,j->i", y2[:, j:], w[j:])
+            near = False
+        else:
+            d = lam - mu[:, None]
+            close = np.abs(d) < 2.0 * self.eta
+            w = 1.0 / np.where(close, 1.0, d)
+            j = np.sum(d < 0, axis=1)
+            below = np.einsum("ij,ij->i", y2, np.maximum(-w, 0.0))
+            above = np.einsum("ij,ij->i", y2, np.maximum(w, 0.0))
+            near = np.any(close, axis=1)
+        h = -1.0 / self.rho - above + below
+        count = j + (h < 0) - (self.rho > 0)
+        untrusted = near | (np.abs(h) <= self.gamma * (1.0 / abs(self.rho) + above + below))
+        return count, untrusted
+
+    def _clear(self, y2: np.ndarray, T) -> np.ndarray:
+        """Mask of the rows y2 certified to have no eigenvalue in [-T, T)."""
+        up, up_untrusted = self._count(y2, T)
+        down, down_untrusted = self._count(y2, -T)
+        return (up == down) & ~up_untrusted & ~down_untrusted
+
+    def _off_spectrum(self, T: float) -> float:
+        """T widened until +-T sit at least 2 eta from every lam_i."""
+        while True:
+            near = np.abs(np.abs(self.lam) - T) < 2.0 * self.eta
+            if not near.any():
+                return T
+            T = float(np.max(np.abs(self.lam[near]))) + 2.0 * self.eta
+
+    def _smax_bound(self, rows: np.ndarray, y2: np.ndarray) -> np.ndarray:
+        """Per row, a certified bound on the largest computed |eigenvalue|.
+
+        Every eigenvalue lies in [lam_1, lam_m] but one outer root, below
+        lam_1 for rho < 0 and above lam_m for rho > 0, at the distance d
+        where |rho| sum y_i^2 / (g_i + d) = 1 with g_i the gaps to that
+        end.  Newton on the concave 1/sum(...) climbs to d from below; the
+        widened iterate is certified by one count, or Weyl's bound stays.
+        """
+        todo = np.isnan(self.smax[rows])
+        if todo.any():
+            lam, y2, r = self.lam, y2[todo], abs(self.rho)
+            end = 0 if self.rho < 0 else -1
+            g = np.abs(lam - lam[end])
+            d = np.maximum(r * y2[:, end], self.eta)
+            for _ in range(_NEWTON_STEPS):
+                q = 1.0 / (g + d[:, None])
+                psi = np.einsum("ij,ij->i", y2, q)
+                d = d + psi * (r * psi - 1.0) / np.einsum("ij,ij->i", y2, q * q)
+            d = d * (1.0 + 1e-6) + 2.0 * self.eta
+            outer = lam[end] - d if self.rho < 0 else lam[end] + d
+            count, untrusted = self._count(y2, outer)
+            certified = (count == (0 if self.rho < 0 else lam.size)) & ~untrusted
+            bound = np.maximum(np.abs(outer), float(np.max(np.abs(lam)))) + 2.0 * self.eta
+            self.smax[rows[todo]] = np.where(certified, bound, self.weyl)
+        return self.smax[rows]
+
+    def uncertain(
+        self, ratio: float, rows: Optional[np.ndarray] = None, per_row: bool = True
+    ) -> np.ndarray:
+        """The rows (all, or those listed) whose singular value ratio
+        smin / max(smax, 1) is not certified to exceed ratio.  Weyl's bound
+        on smax serves all rows with one matvec per count; per_row then
+        retries the rest with their own bounds on smax."""
+        y2 = self.y2 if rows is None else self.y2[rows]
+        rows = np.arange(len(self.y2)) if rows is None else rows
+        slack = 1.0 + 1e-9  # keeps the rounded quotient of a dropped row above ratio
+        T = ratio * max(self.weyl, 1.0) * slack + 3.0 * self.eta
+        keep = ~self._clear(y2, self._off_spectrum(T))
+        rows = rows[keep]
+        if per_row and rows.size and ratio * max(self.weyl, 1.0) > self.eta:
+            # the per-row bound on smax tightens T only where ratio, not eta, sets it
+            y2 = y2[keep]
+            T = ratio * np.maximum(self._smax_bound(rows, y2), 1.0) * slack + 3.0 * self.eta
+            rows = rows[~self._clear(y2, T)]
+        return rows
+
+    def seeds(self) -> np.ndarray:
+        """A few rows of near-least ratio: the ladder narrows to the lowest
+        level that keeps some row, then bisection of the ratio between that
+        level and the next narrows further."""
+        level, hi, lo = None, 1.0, None
+        for L in _LADDER:
+            kept = self.uncertain(L, level, per_row=False)
+            if not kept.size:
+                lo = L
+                break
+            level, hi = kept, L
+        if level is None:
+            level = np.arange(len(self.y2))
+        while lo is not None and level.size > _SEED_ROWS and hi > lo * (1.0 + 1e-3):
+            mid = math.sqrt(lo * hi)
+            kept = self.uncertain(mid, level)
+            if kept.size:
+                level, hi = kept, mid
+            else:
+                lo = mid
+        return level[:_SEED_ROWS]
 
 
 def _forward_unit(v: np.ndarray) -> np.ndarray:
@@ -673,7 +867,7 @@ def casey_test(
         raise InvalidInput(f"family too large for sign search (max {MAX_FAMILY})")
     G = gram(ns)
     if search:
-        signs, _ = _sign_search(lambda s: _signed_sigma(G, s), m)
+        signs, _ = _sign_search(lambda s: _signed_sigma(G, s), m, _sigma_rank_one(G))
     else:
         signs = np.ones(m)
     verdict = degeneracy(_signed_sigma(G, signs), tol)
@@ -802,9 +996,8 @@ def corollary_d_test(
 
     Works on the tau matrix directly; when degenerate, the spheres are
     lifted to hyperplane normals one dimension up, where the tau matrix
-    equals -4 R C R for the sigma matrix C and radius diagonal R (checked
-    numerically), and the hyperplane classification is translated back to
-    Euclidean terms.
+    equals -4 R C R for the sigma matrix C and radius diagonal R, and the
+    hyperplane classification is translated back to Euclidean terms.
     """
     ss = list(spheres)
     if not all(isinstance(s, CoSphereE) for s in ss):
@@ -819,8 +1012,10 @@ def corollary_d_test(
     m = len(ss)
     parts = _tau_parts(ss)
     eps = np.array([s.eps for s in ss], dtype=float)
+    radii = np.array([s.radius for s in ss])
     if search:
-        signs, _ = _sign_search(lambda sg: _signed_tau(parts, eps * sg), m)
+        rank_one = _tau_rank_one(parts, eps, radii)
+        signs, _ = _sign_search(lambda sg: _signed_tau(parts, eps * sg), m, rank_one)
     else:
         signs = np.ones(m)
     D = _signed_tau(parts, eps * signs)
@@ -829,12 +1024,6 @@ def corollary_d_test(
         return CoroDResult(tuple(int(s) for s in signs), verdict, None, None)
     lifts = [sphere_lift(s.with_eps(int(s.eps * sg))) for s, sg in zip(ss, signs)]
     C = sigma_matrix(lifts)
-    radii = np.array([s.radius for s in ss])
-    R = np.outer(radii, radii)
-    gap = np.abs(D + 4.0 * R * C)
-    allowed = 1e-10 * np.maximum(np.maximum(np.abs(D), 4.0 * R * np.abs(C)), 1.0)
-    if np.any(gap > allowed):
-        raise GeometryError("tau matrix disagrees with the lifted sigma matrix")
     lift_verdict = degeneracy(C, tol)
     if lift_verdict.is_degenerate != verdict.is_degenerate:
         raise GeometryError("lifted degeneracy test disagrees with the direct one")

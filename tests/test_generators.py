@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import lorentzgram as lg
+from lorentzgram import generators, theorems
 
 ALL_KINDS = [k.value for k in lg.GenKind]
 
@@ -86,6 +87,61 @@ class TestMargins:
             cfg = lg.generate(lg.GenSpec(kind, n, seed=9))
             s = np.sort(np.abs(np.linalg.eigvalsh(family_matrix(cfg))))
             assert s[0] >= 1e-5 * max(s[-1], 1.0), (kind, n)
+
+
+def exhaustive_robust(G: np.ndarray) -> bool:
+    """The generator's sign check solved for every assignment."""
+    m = G.shape[0]
+    margin = generators.ROBUST_MARGIN
+    spectra = theorems._sign_spectra(lambda s: theorems._signed_sigma(G, s), m)
+    return not any(np.any(smin < margin * smax) for _, smin, smax in spectra)
+
+
+def least_ratio(G: np.ndarray) -> float:
+    return theorems._sign_search(lambda s: theorems._signed_sigma(G, s), G.shape[0])[1]
+
+
+class TestGenericCertificate:
+    """The generic_hyperplanes check solves only the assignments the
+    rank-one certificate cannot place above ROBUST_MARGIN; its answer must
+    be the exhaustive one."""
+
+    def test_accepted_families(self, monkeypatch):
+        for n in range(8, 13):
+            for seed in (0, 1):
+                cfg = lg.generate(lg.GenSpec("generic_hyperplanes", n, seed=seed))
+                G = lg.gram([h.normal for h in cfg.objects])
+                assert generators._robust_under_every_sign(G) is True
+                assert exhaustive_robust(G) is True
+                # a margin at the family's own least ratio, and a hair either side
+                least = least_ratio(G)
+                for factor in (1.0 - 1e-9, 1.0, 1.0 + 1e-9, 1.001):
+                    monkeypatch.setattr(generators, "ROBUST_MARGIN", least * factor)
+                    got = generators._robust_under_every_sign(G)
+                    assert got == exhaustive_robust(G), (n, seed, factor)
+                    assert got == (factor < 1.0) or factor == 1.0, (n, seed, factor)
+                monkeypatch.undo()
+
+    def test_families_near_the_margin(self):
+        # blending a tangent family into a generic one lifts the least
+        # ratio over the sign search from rounding level past the margin
+        tangent = lg.generate(lg.GenSpec("hyperplanes_tangent_at_infinity", 9, seed=3))
+        generic = lg.generate(lg.GenSpec("generic_hyperplanes", 9, seed=3))
+        a = np.stack([h.normal for h in tangent.objects])
+        b = np.stack([h.normal for h in generic.objects])
+        answers, near = set(), 0
+        for t in np.geomspace(1e-7, 1.0, 36):
+            v = a + t * (b - a)
+            q = np.sum(v * v * lg.metric_diag(10), axis=1)
+            if np.any(q <= 0.1):
+                continue
+            G = lg.gram(v / np.sqrt(q)[:, None])
+            want = exhaustive_robust(G)
+            assert generators._robust_under_every_sign(G) == want, t
+            answers.add(want)
+            near += 0.5 < least_ratio(G) / generators.ROBUST_MARGIN < 2.0
+        assert answers == {True, False}
+        assert near >= 1
 
 
 class TestIncidence:

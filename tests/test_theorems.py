@@ -67,6 +67,38 @@ class TestMatrixBuilders:
                       for _ in range(n + 2)]
                 assert np.array_equal(lg.tau_matrix(ss), pairwise_tau(ss)), n
 
+    def test_rank_one_identities(self):
+        # the sign search's certificate reads every signed matrix as one
+        # fixed matrix plus a rank-one term: sigma_s ~ G/2 - s s^T/2 and
+        # tau_s ~ A + 2 (e*r)(e*r)^T with e = eps*s
+        rng = np.random.default_rng(13)
+        casey = ("hyperplanes_tangent_at_infinity", "hyperplanes_common_ideal_point",
+                 "hyperplanes_orth_equal", "generic_hyperplanes")
+        spheres = ("spheres_tangent_to_circle", "spheres_through_point")
+        for n in range(2, 15):
+            for kind in casey + spheres:
+                if kind == "generic_hyperplanes" and n > 12:
+                    continue
+                objs = list(lg.generate(lg.GenSpec(kind, n, seed=n)).objects)
+                m = len(objs)
+                signs = np.concatenate(list(theorems._sign_blocks(m)))
+                signs = signs[rng.choice(len(signs), size=min(8, len(signs)), replace=False)]
+                if kind in spheres:
+                    parts = theorems._tau_parts(objs)
+                    eps = np.array([o.eps for o in objs], dtype=float)
+                    r = np.array([o.radius for o in objs])
+                    built = theorems._signed_tau(parts, eps * signs)
+                    e = eps * signs
+                    model = (parts[0] + parts[1]) / 2.0 + 2.0 * (e * r)[:, :, None] * (e * r)[:, None, :]
+                    assert np.array_equal(theorems._tau_rank_one(parts, eps, r)[2], eps * r)
+                else:
+                    G = lg.gram([h.normal for h in objs])
+                    built = theorems._signed_sigma(G, signs)
+                    model = G / 2.0 - signs[:, :, None] * signs[:, None, :] / 2.0
+                a, b = np.linalg.eigvalsh(built), np.linalg.eigvalsh(model)
+                scale = np.max(np.abs(a), axis=1, keepdims=True)
+                assert np.all(np.abs(a - b) <= 1e-12 * scale), (kind, n)
+
     def test_tau_rejects_mixed_dimensions(self):
         a = lg.CoSphereE([0.0, 0.0], 1.0, 1)
         b = lg.CoSphereE([0.0, 0.0, 0.0], 1.0, -1)
@@ -585,6 +617,123 @@ class TestSignSearch:
         assert lg.casey_test(hs).signs == tuple(int(s) for s in signs)
 
 
+def rank_one_case(kind, n, seed, rng):
+    """A generated family with random flips: (objects, matrices_of, rank_one)."""
+    spheres = kind.startswith("spheres_")
+    objs = list(lg.generate(lg.GenSpec(kind, n, seed=seed)).objects)
+    if spheres:
+        objs = random_flips(objs, rng, lambda s: s.with_eps(-s.eps))
+        parts = theorems._tau_parts(objs)
+        eps = np.array([s.eps for s in objs], dtype=float)
+        r = np.array([s.radius for s in objs])
+        return objs, (lambda sg: theorems._signed_tau(parts, eps * sg)), \
+            theorems._tau_rank_one(parts, eps, r)
+    objs = random_flips(objs, rng, lambda h: h.flipped())
+    G = lg.gram([h.normal for h in objs])
+    return objs, (lambda s: theorems._signed_sigma(G, s)), theorems._sigma_rank_one(G)
+
+
+def assert_pruned_matches_reference(objs, matrices_of, rank_one, label):
+    m = len(objs)
+    signs, ratio = theorems._sign_search(matrices_of, m, rank_one)
+    ref_signs, ref_ratio = reference_sign_search(matrices_of, m)
+    assert np.array_equal(signs, ref_signs), label
+    assert ratio == ref_ratio, label
+    test = lg.corollary_d_test if isinstance(objs[0], lg.CoSphereE) else lg.casey_test
+    assert test(objs).signs == tuple(int(s) for s in ref_signs), label
+
+
+class TestPrunedSignSearch:
+    """The certified search solves only the assignments that can still win;
+    its signs and ratio bits must be the one-at-a-time reference's."""
+
+    CASEY_KINDS = ("hyperplanes_tangent_at_infinity", "hyperplanes_common_ideal_point",
+                   "hyperplanes_orth_equal", "generic_hyperplanes")
+    SPHERE_KINDS = ("spheres_tangent_to_circle", "spheres_through_point")
+
+    def test_every_kind_matches_reference(self):
+        rng = np.random.default_rng(31)
+        for m in (9, 12):
+            for kind in self.CASEY_KINDS + self.SPHERE_KINDS:
+                n = m - 2 if kind in self.SPHERE_KINDS else m - 1
+                for seed in (0, 1):
+                    case = rank_one_case(kind, n, seed, rng)
+                    assert_pruned_matches_reference(*case, (kind, m, seed))
+
+    def test_largest_family_matches_reference(self):
+        rng = np.random.default_rng(32)
+        case = rank_one_case("hyperplanes_tangent_at_infinity", lg.MAX_FAMILY - 1, 4, rng)
+        assert len(case[0]) == lg.MAX_FAMILY
+        assert_pruned_matches_reference(*case, lg.MAX_FAMILY)
+
+    def test_rank_deficient_orth_equal_families(self):
+        # all normals lie orthogonal to one vector, so G/2 has an eigenvalue
+        # at rounding level and a Newton score from mu = 0 misleads
+        rng = np.random.default_rng(33)
+        for n in (10, 11):
+            for seed in range(3):
+                objs, matrices_of, rank_one = rank_one_case("hyperplanes_orth_equal", n, seed, rng)
+                lam = np.linalg.eigvalsh(rank_one[0])
+                assert np.min(np.abs(lam)) <= 1e-12 * np.max(np.abs(lam)), (n, seed)
+                assert_pruned_matches_reference(objs, matrices_of, rank_one, (n, seed))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_duplicated_normal(self):
+        # two equal rows of G: an exact zero eigenvalue of the fixed matrix
+        rng = np.random.default_rng(34)
+        for kind in ("generic_hyperplanes", "hyperplanes_tangent_at_infinity"):
+            hs = list(lg.generate(lg.GenSpec(kind, 9, seed=2)).objects)
+            hs[-1] = hs[1]
+            hs = random_flips(hs, rng, lambda h: h.flipped())
+            G = lg.gram([h.normal for h in hs])
+            assert_pruned_matches_reference(
+                hs, lambda s: theorems._signed_sigma(G, s), theorems._sigma_rank_one(G), kind)
+
+    def test_normals_off_unit_length(self):
+        # CoHyperplane accepts |<n, n> - 1| up to 1e-9 relative; the sigma
+        # builder zeroes the diagonal whatever G_ii is, so the certificate
+        # must read the diagonal as exactly 1, not as G_ii
+        rng = np.random.default_rng(35)
+        for kind in ("hyperplanes_tangent_at_infinity", "generic_hyperplanes"):
+            for seed in range(3):
+                hs = lg.generate(lg.GenSpec(kind, 9, seed=seed)).objects
+                hs = [lg.CoHyperplane(h.normal * (1.0 + 4e-10 * rng.uniform(-1, 1))) for h in hs]
+                hs = random_flips(hs, rng, lambda h: h.flipped())
+                G = lg.gram([h.normal for h in hs])
+                assert_pruned_matches_reference(
+                    hs, lambda s: theorems._signed_sigma(G, s), theorems._sigma_rank_one(G),
+                    (kind, seed))
+
+    def test_smax_bounds_are_certified_and_tight(self):
+        # the per-row bound on the largest |eigenvalue| must hold for every
+        # vector, and sit near the truth once Newton has converged
+        rng = np.random.default_rng(36)
+        for kind, n in (("generic_hyperplanes", 11), ("spheres_tangent_to_circle", 8)):
+            objs, matrices_of, rank_one = rank_one_case(kind, n, 0, rng)
+            m = len(objs)
+            pencil = theorems._SignPencil(*rank_one)
+            rows = np.arange(1 << (m - 1))
+            bound = pencil._smax_bound(rows, pencil.y2)
+            smax = np.concatenate([np.max(np.abs(np.linalg.eigvalsh(matrices_of(s))), axis=1)
+                                   for s in theorems._sign_blocks(m)])
+            assert np.all(bound >= smax), kind
+            assert np.median(bound / smax) <= 1.0 + 1e-5, kind
+
+    def test_few_assignments_are_solved(self, monkeypatch):
+        # a silent fall-back to the full enumeration would solve all 2^13
+        hs = lg.generate(lg.GenSpec("hyperplanes_tangent_at_infinity", 13, seed=1)).objects
+        eigvalsh, solved = np.linalg.eigvalsh, []
+
+        def counting(a):
+            solved.append(1 if a.ndim == 2 else a.shape[0])
+            return eigvalsh(a)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        res = lg.casey_test(hs)
+        assert res.verdict.is_degenerate
+        assert 0 < sum(solved) <= 16, sum(solved)
+
+
 class TestWitnessCoorientation:
     def test_witness_fails_against_unflipped_normals(self):
         # a tangent or inclined witness fixes the coorientation of every
@@ -655,6 +804,24 @@ class TestCorollaryD:
         assert isinstance(got, lg.CoSphereE)
         assert got.centre == pytest.approx(cfg.surface.centre, abs=1e-6)
         assert got.radius == pytest.approx(cfg.surface.radius, rel=1e-6)
+
+    def test_scaled_families_stay_degenerate(self):
+        # scaling every centre and radius keeps the configuration; the old
+        # entrywise tau == -4 R C R self-check raised GeometryError on 19
+        # of these 60 families at x100
+        for factor in (10.0, 100.0):
+            for kind in ("spheres_tangent_to_circle", "spheres_through_point"):
+                for n in (2, 3, 5):
+                    for seed in range(10):
+                        cfg = lg.generate(lg.GenSpec(kind, n, seed=seed))
+                        ss = [lg.CoSphereE(s.centre * factor, s.radius * factor, s.eps)
+                              for s in cfg.objects]
+                        res = lg.corollary_d_test(ss)
+                        assert res.verdict.is_degenerate, (factor, kind, n, seed)
+                        lifts = [lg.CoHyperplane(g * lg.sphere_lift(s).normal)
+                                 for s, g in zip(ss, res.signs)]
+                        report = lg.casey_witness_check(res.case, lifts)
+                        assert report.passed, (factor, kind, n, seed)
 
     def test_rejects_mixed_dimensions(self):
         a = lg.CoSphereE([0.0, 0.0], 1.0, 1)
