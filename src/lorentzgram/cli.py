@@ -136,6 +136,20 @@ def _floats(value, length: Optional[int], where: str) -> np.ndarray:
     return arr
 
 
+def _scalar(rec: dict, key: str, where: str, unit: bool = False) -> float:
+    """Field key of rec: a finite number as float, or with unit the integer +1 or -1."""
+    x = _need(rec, key, where)
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        raise SchemaViolation(f"{where}: {key} must be a number")
+    if unit:
+        if x not in (1, -1):
+            raise SchemaViolation(f"{where}: {key} must be +1 or -1")
+        return int(x)
+    if not abs(x) <= sys.float_info.max:  # also an int too large for a float
+        raise SchemaViolation(f"{where}: {key} must be finite")
+    return float(x)
+
+
 def _record_to_object(rec: dict, n: int, where: str):
     if not isinstance(rec, dict):
         raise SchemaViolation(f"{where}: record must be an object")
@@ -148,7 +162,7 @@ def _record_to_object(rec: dict, n: int, where: str):
         if kind == "horosphere":
             if "centre_dir" in rec:
                 d = _floats(rec["centre_dir"], n, where)
-                s = float(_need(rec, "scale", where))
+                s = _scalar(rec, "scale", where)
                 if s <= 0:
                     raise SchemaViolation(f"{where}: scale must be positive")
                 return Horosphere(s * np.concatenate([d, [1.0]]))
@@ -156,9 +170,9 @@ def _record_to_object(rec: dict, n: int, where: str):
         if kind == "hyperplane":
             if "pole" in rec:
                 pole = _floats(rec["pole"], n, where)
-                orient = int(_need(rec, "orientation", where))
+                orient = _scalar(rec, "orientation", where, unit=True)
                 r2 = float(pole @ pole)
-                if orient not in (1, -1) or r2 <= 1.0:
+                if r2 <= 1.0:
                     raise SchemaViolation(f"{where}: bad pole form")
                 vt = orient / math.sqrt(r2 - 1.0)
                 return CoHyperplane(np.concatenate([vt * pole, [vt]]))
@@ -167,7 +181,7 @@ def _record_to_object(rec: dict, n: int, where: str):
                 return CoHyperplane(np.concatenate([d, [0.0]]))
             return CoHyperplane(_floats(_need(rec, "normal", where), n + 1, where))
         if kind == "hypersphere":
-            radius = float(_need(rec, "radius", where))
+            radius = _scalar(rec, "radius", where)
             if "ball_centre" in rec:
                 centre = ball_to_hyperboloid(_floats(rec["ball_centre"], n, where))
             else:
@@ -175,12 +189,12 @@ def _record_to_object(rec: dict, n: int, where: str):
             return Hypersphere(centre, radius)
         if kind == "sphere_e":
             centre = _floats(_need(rec, "centre", where), n, where)
-            radius = float(_need(rec, "radius", where))
-            eps = int(_need(rec, "eps", where))
+            radius = _scalar(rec, "radius", where)
+            eps = _scalar(rec, "eps", where, unit=True)
             return CoSphereE(centre, radius, eps)
     except SchemaViolation:
         raise
-    except (GeometryError, ValueError, TypeError) as exc:
+    except (GeometryError, ValueError, TypeError, OverflowError) as exc:
         raise SchemaViolation(f"{where}: {exc}") from exc
     raise SchemaViolation(f"{where}: unknown record type {kind!r}")
 

@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, GeometryError, InvalidInput, NotSymmetric
+from .errors import DimensionMismatch, InvalidInput, NotSymmetric
 
 DEFAULT_TOL = 1e-9
 
@@ -196,53 +196,3 @@ def null_basis(rows: np.ndarray, nullity: Optional[int] = None, rtol: float = DE
     if nullity <= 0:
         return np.zeros((d, 0))
     return vt[d - nullity:].T
-
-
-def lemma_identity_gap(vectors: Sequence) -> tuple[float, float, float]:
-    """Return (det of Gram, det of coordinate matrix, tolerated gap).
-
-    For square families the Gram determinant must equal minus the squared
-    coordinate determinant.  The tolerated gap combines a 1e-8 relative
-    term with an absolute floor derived from the Hadamard bound, so the
-    check stays meaningful for (near-)singular input.
-    """
-    vs = np.stack([as_vector(v) for v in vectors])
-    if vs.shape[0] != vs.shape[1]:
-        raise DimensionMismatch("identity needs as many vectors as coordinates")
-    det_gram = float(np.linalg.det(gram(vs)))
-    det_coord = float(np.linalg.det(vs))
-    hadamard = float(np.prod(np.linalg.norm(vs, axis=1)))
-    m = vs.shape[0]
-    floor = 64.0 * m * np.finfo(float).eps * max(hadamard, 1e-30) ** 2
-    allowed = max(1e-8 * max(abs(det_gram), det_coord**2), floor)
-    return det_gram, det_coord, allowed
-
-
-def codim1_test(vectors: Sequence, tol: float = DEFAULT_TOL) -> tuple[DegeneracyVerdict, Optional[np.ndarray]]:
-    """Do n+1 vectors of R^{n,1} lie in a common codimension-1 subspace?
-
-    Returns the degeneracy verdict of their Gram matrix and, when
-    degenerate, a normal vector w with <v_i, w> ~ 0 for all i.  The normal
-    is recovered from the Euclidean kernel of the coordinate matrix (the
-    Lorentzian dual of a Euclidean-orthogonal vector is orthogonal under
-    the form), has unit Euclidean length, and its first non-negligible
-    entry is positive.
-    """
-    vs = np.stack([as_vector(v) for v in vectors])
-    if vs.shape[0] != vs.shape[1]:
-        raise DimensionMismatch(
-            f"need {vs.shape[1]} vectors of length {vs.shape[1]}, got {vs.shape[0]}"
-        )
-    det_gram, det_coord, allowed = lemma_identity_gap(vs)
-    if abs(det_gram + det_coord**2) > allowed:
-        raise GeometryError(
-            "Gram determinant disagrees with the squared coordinate determinant; "
-            "input is numerically inconsistent"
-        )
-    verdict = degeneracy(gram(vs), tol)
-    if not verdict.is_degenerate:
-        return verdict, None
-    h = null_basis(vs, nullity=1)[:, 0]
-    w = h * metric_diag(vs.shape[1])
-    w = first_nonzero_positive(w / np.linalg.norm(w))
-    return verdict, w

@@ -35,7 +35,6 @@ import numpy as np
 from .errors import (
     DegenerateDatum,
     DimensionMismatch,
-    GeometryError,
     HypothesisViolated,
     InvalidInput,
     NoReliableKernel,
@@ -48,7 +47,6 @@ from .lorentz import (
     SignClass,
     as_vector,
     classify,
-    codim1_test,
     degeneracy,
     first_nonzero_positive,
     gram,
@@ -215,7 +213,8 @@ def penner_test(horospheres: Sequence[Horosphere], tol: float = DEFAULT_TOL) -> 
     Degeneracy of the squared-lambda-length matrix is the criterion.  When
     it fires and the centres are not all equal, the witness is the
     hyperplane whose boundary carries every centre; its normal annihilates
-    every representative.
+    every representative.  Since det G = -det(reps)^2, the normal is the
+    Lorentzian dual of the Euclidean null vector of the representatives.
     """
     hs = list(horospheres)
     if not all(isinstance(h, Horosphere) for h in hs):
@@ -226,15 +225,14 @@ def penner_test(horospheres: Sequence[Horosphere], tol: float = DEFAULT_TOL) -> 
     verdict = degeneracy(lambda_sq_matrix(hs), tol)
     if not verdict.is_degenerate or all_same:
         return PennerResult(verdict, None, all_same, None)
-    _, w = codim1_test(reps, tol)
-    if w is None:
-        # the two eigenvalue problems can disagree only at the threshold edge
-        return PennerResult(verdict, None, False, None)
+    D = metric_diag(reps.shape[1])
+    w = null_basis(reps, nullity=1)[:, 0] * D
+    w = first_nonzero_positive(w / np.linalg.norm(w))
     q = norm_sq(w)
     if q <= 0:
         raise NormalSearchFailed("recovered normal is not spacelike")
     witness = CoHyperplane(first_nonzero_positive(w / math.sqrt(q)))
-    residual = float(max(abs(inner(r, witness.normal)) for r in reps))
+    residual = float(np.max(np.abs(reps @ (witness.normal * D))))
     return PennerResult(verdict, witness, False, residual)
 
 
@@ -286,28 +284,28 @@ def ptolemy1_test(
     u = umbilical_datum(surface)
     if u.shape[0] != coords.shape[1]:
         raise DimensionMismatch("surface and points live in different dimensions")
+    D = metric_diag(coords.shape[1])
     q = norm_sq(u)
     level = (q - 1.0) / 2.0
-    uscale = 1.0 + float(np.max(np.abs(u))) ** 2
-    for p in ps:
-        scale = (1.0 + float(np.max(np.abs(p.coords)))) * (1.0 + float(np.max(np.abs(u))))
-        if abs(inner(p.coords, u) - level) > max(tol, 1e-7) * scale:
-            raise HypothesisViolated("a point is not on the supplied surface")
-    if min(abs(q - 1.0), abs(q + 1.0)) <= 1e-9 * uscale:
+    umax = float(np.max(np.abs(u)))
+    scale = (1.0 + np.max(np.abs(coords), axis=1)) * (1.0 + umax)
+    if np.any(np.abs(coords @ (u * D) - level) > max(tol, 1e-7) * scale):
+        raise HypothesisViolated("a point is not on the supplied surface")
+    if min(abs(q - 1.0), abs(q + 1.0)) <= 1e-9 * (1.0 + umax**2):
         raise DegenerateDatum("umbilical datum has square norm too close to +1 or -1")
     verdict = degeneracy(half_dist_matrix(ps), tol)
     if not verdict.is_degenerate:
         return Ptolemy1Result(verdict, None, None)
     shifted = coords - u
     h = null_basis(shifted, nullity=1)[:, 0]
-    w_shift = h * metric_diag(coords.shape[1])
+    w_shift = h * D
     mu = 2.0 * inner(u, w_shift) / (q - 1.0)
     w = w_shift - mu * u
     qw = norm_sq(w)
     if qw <= 0:
         raise NormalSearchFailed("recovered normal is not spacelike")
     witness = CoHyperplane(first_nonzero_positive(w / math.sqrt(qw)))
-    residual = float(max(abs(inner(p.coords, witness.normal)) for p in ps))
+    residual = float(np.max(np.abs(coords @ (witness.normal * D))))
     return Ptolemy1Result(verdict, witness, residual)
 
 
@@ -996,8 +994,9 @@ def corollary_d_test(
 
     Works on the tau matrix directly; when degenerate, the spheres are
     lifted to hyperplane normals one dimension up, where the tau matrix
-    equals -4 R C R for the sigma matrix C and radius diagonal R, and the
-    hyperplane classification is translated back to Euclidean terms.
+    equals -4 R C R for the sigma matrix C and radius diagonal R.  So R k
+    spans the kernel of C for the kernel k of tau; the hyperplane
+    classification runs on it and is translated back to Euclidean terms.
     """
     ss = list(spheres)
     if not all(isinstance(s, CoSphereE) for s in ss):
@@ -1022,11 +1021,7 @@ def corollary_d_test(
     verdict = degeneracy(D, tol)
     if not verdict.is_degenerate:
         return CoroDResult(tuple(int(s) for s in signs), verdict, None, None)
-    lifts = [sphere_lift(s.with_eps(int(s.eps * sg))) for s, sg in zip(ss, signs)]
-    C = sigma_matrix(lifts)
-    lift_verdict = degeneracy(C, tol)
-    if lift_verdict.is_degenerate != verdict.is_degenerate:
-        raise GeometryError("lifted degeneracy test disagrees with the direct one")
-    ns = np.stack([h.normal for h in lifts])
-    case = _classify_from_kernel(ns, lift_verdict.kernel, tol)
+    ns = np.stack([sphere_lift(s).normal for s in ss]) * signs[:, None]
+    k = radii * verdict.kernel
+    case = _classify_from_kernel(ns, k / np.linalg.norm(k), tol)
     return CoroDResult(tuple(int(s) for s in signs), verdict, case, _euclidean_case(case))

@@ -365,6 +365,41 @@ class TestErrors:
         code, doc = run_doc(capsys, "verify", scene)
         assert code == 2
 
+    @pytest.mark.parametrize("record, field, text", [
+        ("sphere_e", "eps", "1.7"),
+        ("sphere_e", "eps", "true"),
+        ("sphere_e", "radius", '"2"'),
+        ("sphere_e", "radius", "true"),
+        ("sphere_e", "radius", "1e400"),
+        pytest.param("sphere_e", "radius", "1" + "0" * 400, id="sphere_e-radius-1e400_int"),
+        ("horosphere", "scale", '"1"'),
+        ("hyperplane", "orientation", "1.5"),
+        ("sphere_e", "radius", "2"),
+    ])
+    def test_scalar_fields(self, capsys, tmp_path, record, field, text):
+        # scalars must be finite non-bool numbers, eps and orientation +-1
+        # integers; the JSON text goes in verbatim so that 1e400 stays 1e400
+        spheres = [{"type": "sphere_e", "centre": [3.0 * i, 0.0], "radius": 1.0, "eps": 1}
+                   for i in range(4)]
+        first = {
+            "sphere_e": dict(spheres[0]),
+            "horosphere": {"type": "horosphere", "centre_dir": [0.6, 0.8], "scale": 1.0},
+            "hyperplane": {"type": "hyperplane", "pole": [2.0, 0.0], "orientation": 1},
+        }[record]
+        first[field] = "@"
+        doc = {"schema": "lorentz-gram/1", "dimension": 2, "theorem": "casey_e",
+               "objects": [first] + spheres[1:]}
+        path = tmp_path / "scene.json"
+        path.write_text(json.dumps(doc).replace('"@"', text))
+        code, doc = run_doc(capsys, "verify", str(path))
+        if text == "2":
+            assert code == 1
+            assert doc["verdict"]["degenerate"] is False
+        else:
+            assert code == 2
+            assert doc["error"] == "SchemaViolation"
+            assert doc["message"].startswith(f"objects[0]: {field} ")
+
     def test_wrong_object_count(self, capsys, tmp_path):
         scene = write_scene(tmp_path, {
             "schema": "lorentz-gram/1", "dimension": 2, "theorem": "penner",

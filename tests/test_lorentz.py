@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lorentzgram as lg
-from lorentzgram.lorentz import as_vector, lemma_identity_gap
+from lorentzgram.lorentz import as_vector
 from lorentzgram.rng import SplitMix64
 
 CIRCULANT_REPS = [
@@ -35,14 +35,6 @@ def leibniz_det(M: np.ndarray) -> float:
             term *= M[i, perm[i]]
         total += term
     return total
-
-
-def random_points(rng: SplitMix64, dim: int, count: int) -> np.ndarray:
-    rows = []
-    for _ in range(count):
-        spatial = rng.normals(dim - 1)
-        rows.append(np.concatenate([spatial, [math.sqrt(1.0 + float(spatial @ spatial))]]))
-    return np.stack(rows)
 
 
 class TestInner:
@@ -188,39 +180,6 @@ class TestNullBasis:
         N = lg.null_basis(rows, nullity=3)
         assert N.shape == (4, 3)
         assert np.allclose(N.T @ N, np.eye(3), atol=1e-12)
-
-
-class TestLemmaIdentity:
-    @pytest.mark.parametrize("n", [2, 3, 4])
-    def test_det_identity(self, n):
-        rng = SplitMix64(1000 + n)
-        for _ in range(100):
-            pts = random_points(rng, n + 1, n + 1)
-            det_gram, det_coord, allowed = lemma_identity_gap(pts)
-            assert abs(det_gram + det_coord**2) <= allowed
-            # the bound itself is tiny relative to the row scale
-            hadamard = float(np.prod(np.linalg.norm(pts, axis=1) ** 2))
-            assert allowed <= 1e-8 * max(hadamard, 1.0)
-
-
-class TestCodim1:
-    def test_witness_on_flat_family(self):
-        # points with first coordinate zero span a hyperplane
-        rng = SplitMix64(9)
-        pts = random_points(rng, 4, 4)
-        pts[:, 0] = 0.0
-        pts[:, -1] = np.sqrt(1.0 + np.sum(pts[:, :-1] ** 2, axis=1))
-        verdict, w = lg.codim1_test(pts, 1e-9)
-        assert verdict.is_degenerate
-        assert w is not None
-        assert float(np.max(np.abs(pts @ (w * lg.metric_diag(4))))) <= 1e-10
-
-    def test_full_rank_has_no_witness(self):
-        rng = SplitMix64(13)
-        pts = random_points(rng, 4, 4)
-        verdict, w = lg.codim1_test(pts, 1e-9)
-        assert not verdict.is_degenerate
-        assert w is None
 
 
 class TestCanonicalSign:

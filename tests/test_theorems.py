@@ -24,6 +24,13 @@ def circulant_horospheres():
     return [lg.Horosphere(r) for r in CIRCULANT_REPS]
 
 
+PENNER_NS = (2, 3, 5, 8, 11, 14)
+
+
+def scaled_horospheres(horospheres, scale):
+    return [lg.Horosphere(scale * h.rep) for h in horospheres]
+
+
 class TestMatrixBuilders:
     def test_lambda_sq_matches_pairwise(self):
         hs = lg.generate(lg.GenSpec("generic_horospheres", 3, seed=3)).objects
@@ -234,19 +241,35 @@ class TestPenner:
         assert res.witness is None
 
     def test_generated_boundary_families(self):
-        for n in (2, 3, 4):
+        # the witness normal annihilates every representative, at any scale
+        for n in PENNER_NS:
             cfg = lg.generate(lg.GenSpec("horospheres_on_hyperplane_boundary", n, seed=13))
-            res = lg.penner_test(cfg.objects)
-            assert res.verdict.is_degenerate
-            assert res.residual <= 1e-7
-            for h in cfg.objects:
-                assert abs(lg.inner(h.rep, res.witness.normal)) <= 1e-7 * float(np.max(np.abs(h.rep)))
+            for scale in (1e-4, 1.0, 1e4):
+                hs = scaled_horospheres(cfg.objects, scale)
+                res = lg.penner_test(hs)
+                assert res.verdict.is_degenerate, (n, scale)
+                reps = np.stack([h.rep for h in hs])
+                rep_max = float(np.max(np.abs(reps)))
+                assert res.residual <= 1e-12 * rep_max, (n, scale)
+                for h in hs:
+                    assert abs(lg.inner(h.rep, res.witness.normal)) <= 1e-12 * rep_max
+                assert lg.norm_sq(res.witness.normal) == pytest.approx(1.0, abs=1e-12)
 
     def test_generic_not_degenerate(self):
-        cfg = lg.generate(lg.GenSpec("generic_horospheres", 3, seed=15))
-        res = lg.penner_test(cfg.objects)
-        assert not res.verdict.is_degenerate
-        assert res.witness is None
+        for n in PENNER_NS:
+            cfg = lg.generate(lg.GenSpec("generic_horospheres", n, seed=15))
+            for scale in (1.0, 1e4):
+                res = lg.penner_test(scaled_horospheres(cfg.objects, scale))
+                assert not res.verdict.is_degenerate, (n, scale)
+                assert res.witness is None
+
+    @pytest.mark.xfail(strict=True, reason="the degeneracy floor max(sigma_max, 1) calls "
+                       "uniformly tiny matrices degenerate; ROADMAP item 2")
+    def test_generic_not_degenerate_at_tiny_scale(self):
+        for n in PENNER_NS:
+            cfg = lg.generate(lg.GenSpec("generic_horospheres", n, seed=15))
+            res = lg.penner_test(scaled_horospheres(cfg.objects, 1e-4))
+            assert not res.verdict.is_degenerate, n
 
     def test_rejects_wrong_count(self):
         with pytest.raises(lg.DimensionMismatch):
@@ -808,8 +831,9 @@ class TestCorollaryD:
     def test_scaled_families_stay_degenerate(self):
         # scaling every centre and radius keeps the configuration; the old
         # entrywise tau == -4 R C R self-check raised GeometryError on 19
-        # of these 60 families at x100
-        for factor in (10.0, 100.0):
+        # of these 60 families at x100, and the lifted second verdict on 6
+        # at x1000
+        for factor in (10.0, 100.0, 1000.0):
             for kind in ("spheres_tangent_to_circle", "spheres_through_point"):
                 for n in (2, 3, 5):
                     for seed in range(10):
