@@ -712,6 +712,9 @@ def main(argv=None) -> int:
         if args.command == "generate":
             doc, code = cmd_generate(args)
         else:
+            # tol also decides which coorientations count as degenerate
+            if not (math.isfinite(args.tol) and args.tol > 0):
+                raise SchemaViolation(f"--tol must be a finite number > 0, got {args.tol}")
             # the flag accepts the hyphen spelling for the Euclidean variant
             flag = getattr(args, "theorem", None)
             theorem = flag.replace("-", "_") if flag else None

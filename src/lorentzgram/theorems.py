@@ -35,6 +35,7 @@ import numpy as np
 from .errors import (
     DegenerateDatum,
     DimensionMismatch,
+    GeometryError,
     HypothesisViolated,
     InvalidInput,
     NoReliableKernel,
@@ -487,6 +488,7 @@ def _signed_sigma(G: np.ndarray, signs: np.ndarray) -> np.ndarray:
 
 
 _SIGN_BLOCK = 128  # sign vectors per stacked eigensolve; larger blocks only cost memory
+_EPS = float(np.finfo(float).eps)
 
 
 def _sign_blocks(m: int, rows: Optional[np.ndarray] = None):
@@ -512,35 +514,90 @@ def _sign_spectra(matrices_of, m: int, rows: Optional[np.ndarray] = None):
         yield signs, sigmas.min(axis=1), np.maximum(sigmas.max(axis=1), 1.0)
 
 
-def _argmin_ratio(matrices_of, m: int, rows: Optional[np.ndarray] = None):
-    """Sign vector of least singular value ratio among _sign_blocks(m, rows),
-    the earliest on ties: argmin takes the first within a block, and a
-    later block must be strictly smaller."""
+def _screen(tol: float, m: int) -> float:
+    """Largest eigvalsh ratio of a vector that degeneracy(matrix, tol) can
+    call degenerate: its eigh and the stacked eigvalsh each round an
+    eigenvalue by less than 32 m eps times the largest."""
+    return tol + 64.0 * m * _EPS
+
+
+def _scan_signs(
+    matrices_of, m: int, tol: float, certify, rows: Optional[np.ndarray] = None, sole: bool = False
+):
+    """(signs, ratio, verdict, witness) over _sign_blocks(m, rows), solved
+    block by block.  The first vector whose matrix degeneracy(., tol) calls
+    degenerate and that certify qualifies (see _sign_search) wins, and no
+    later block is solved.  Otherwise the vector of least ratio wins with
+    verdict and witness None, the earliest on ties (argmin takes the first
+    within a block, and a later block must be strictly smaller).
+
+    sole states that rows hold every vector that can be degenerate.  A lone
+    candidate then wins without certify, with witness None: every other
+    ratio exceeds its own, so it is the least-ratio vector either way.
+    """
+    screen = _screen(tol, m)
     best_signs, best_ratio = None, None
     for signs, smin, smax in _sign_spectra(matrices_of, m, rows):
         ratios = smin / smax
+        hits = np.flatnonzero(ratios <= screen)
+        for i in hits:
+            verdict = degeneracy(matrices_of(signs[i : i + 1])[0], tol)
+            if not verdict.is_degenerate:
+                continue
+            if certify is None or (sole and hits.size == 1):
+                return signs[i].copy(), float(ratios[i]), verdict, None
+            witness = certify(signs[i], verdict)
+            if witness is not None:
+                return signs[i].copy(), float(ratios[i]), verdict, witness
         i = int(np.argmin(ratios))
         if best_ratio is None or ratios[i] < best_ratio:
             best_signs, best_ratio = signs[i].copy(), float(ratios[i])
-    return best_signs, best_ratio
+    return best_signs, best_ratio, None, None
 
 
-def _sign_search(matrices_of, m: int, rank_one=None) -> tuple[np.ndarray, float]:
-    """Sign vector minimizing the singular value ratio of its matrix.
+def _growing(rows: np.ndarray):
+    """rows in order, as chunks of 1, 4, 16, ... up to _SIGN_BLOCK rows."""
+    start, size = 0, 1
+    while start < rows.size:
+        yield rows[start : start + size]
+        start += size
+        size = min(4 * size, _SIGN_BLOCK)
+
+
+def _sign_search(matrices_of, m: int, tol: float, rank_one=None, certify=None):
+    """The coorientation casey_test and corollary_d_test report.
+
+    The first sign vector in _sign_blocks(m) order whose matrix
+    degeneracy(., tol) calls degenerate, and for which certify(signs,
+    verdict) returns a witness, wins: one certified degenerate
+    coorientation is all the converse needs.  Without certify every
+    degenerate vector counts.  When no vector qualifies, the vector of
+    least singular value ratio wins, the earliest on ties.  Returns
+    (signs, ratio, verdict, witness): ratio is the stacked eigvalsh ratio
+    of signs; verdict and certify's witness are given for a qualifying
+    vector and are None for the least ratio.
 
     matrices_of maps a (k, m) block of sign vectors to the (k, m, m) stack
-    of their matrices.  Ties keep the earliest vector of _sign_blocks(m).
-    rank_one = (M, rho, b) states that the matrix of s has the spectrum of
-    M + rho (s*b)(s*b)^T; with it, and more than one block of vectors, only
-    the vectors the _SignPencil certificate cannot rule out are solved.  The
-    answer is the same: a vector is dropped only when its ratio provably
-    exceeds the exact ratio of another.
+    of their matrices.  rank_one = (M, rho, b) states that the matrix of s
+    has the spectrum of M + rho (s*b)(s*b)^T; with it, and more than one
+    block of vectors, only the vectors the _SignPencil certificate cannot
+    rule out are solved.  The vectors that may be degenerate come from one
+    pass with Weyl's bound and are solved in order, in growing chunks, so
+    that a hit early in the order ends the search.  When none qualifies, a
+    few seeds give a ratio, and only the vectors that may beat it are
+    solved.  The answer is that of solving every vector in order.
     """
-    if rank_one is None or (1 << (m - 1)) <= _SIGN_BLOCK:
-        return _argmin_ratio(matrices_of, m)
+    one_block = (1 << (m - 1)) <= _SIGN_BLOCK
+    if rank_one is None or one_block:
+        return _scan_signs(matrices_of, m, tol, certify, sole=one_block)
     pencil = _SignPencil(*rank_one)
-    _, best = _argmin_ratio(matrices_of, m, pencil.seeds())
-    return _argmin_ratio(matrices_of, m, pencil.uncertain(best))
+    candidates = pencil.uncertain(_screen(tol, m), per_row=False)
+    for rows in _growing(candidates):
+        found = _scan_signs(matrices_of, m, tol, certify, rows, sole=candidates.size == 1)
+        if found[2] is not None:
+            return found
+    _, best, _, _ = _scan_signs(matrices_of, m, tol, certify, pencil.seeds())
+    return _scan_signs(matrices_of, m, tol, certify, pencil.uncertain(best))
 
 
 def _sign_candidates(rank_one, m: int, ratio: float) -> Optional[np.ndarray]:
@@ -567,7 +624,6 @@ def _tau_rank_one(parts: tuple[np.ndarray, np.ndarray], eps: np.ndarray, radii: 
     return (same + opposite) / 2.0, 2.0, eps * radii
 
 
-_EPS = float(np.finfo(float).eps)
 _LADDER = (1e-2, 1e-5, 1e-9, 1e-13)  # ratio levels that narrow the seed rows
 _SEED_ROWS = 4  # seed rows solved exactly for the first best ratio
 _NEWTON_STEPS = 8  # for the extreme secular root; an unconverged row keeps Weyl's bound
@@ -823,6 +879,17 @@ def _classify_from_kernel(ns: np.ndarray, kernel: np.ndarray, tol: float) -> Cas
     )
 
 
+def _checked_case(ns: np.ndarray, kernel: np.ndarray, tol: float) -> Optional[CaseyCase]:
+    """The case classified from a kernel of the sigma matrix of the normals
+    ns (coorientations applied), or None when the classification fails or
+    its witness does not pass casey_witness_check."""
+    try:
+        case = _classify_from_kernel(ns, kernel, tol)
+    except GeometryError:
+        return None
+    return case if casey_witness_check(case, ns).passed else None
+
+
 def casey_classify(hyperplanes: Sequence[CoHyperplane], tol: float = DEFAULT_TOL) -> CaseyCase:
     """Classify a degenerate cooriented hyperplane family into its case.
 
@@ -849,11 +916,14 @@ def casey_test(
 ) -> CaseyResult:
     """Degeneracy test for n+1 cooriented hyperplanes.
 
-    With search enabled, all 2^n coorientation flips (the first hyperplane
-    held fixed) are tried and the assignment minimizing the singular value
-    ratio is reported; ties break towards the lexicographically earliest
-    sign vector with +1 before -1.  When the winner is degenerate the case
-    classification runs on the flipped normals.
+    With search enabled, the 2^n coorientation flips (the first hyperplane
+    held fixed) are tried in lexicographic order with +1 before -1.  The
+    first flip whose sigma matrix is degenerate at tol, and whose witness
+    passes casey_witness_check, is reported and ends the search.  A flip
+    that is degenerate at tol by near-cancellation, with no witness, does
+    not count.  When no flip qualifies, the flip of least singular value
+    ratio is reported, the earliest on ties.  When the reported flip is
+    degenerate, the case classification runs on the flipped normals.
     """
     hps = list(hyperplanes)
     if not all(isinstance(h, CoHyperplane) for h in hps):
@@ -864,13 +934,15 @@ def casey_test(
     if m > MAX_FAMILY:
         raise InvalidInput(f"family too large for sign search (max {MAX_FAMILY})")
     G = gram(ns)
+    signs, verdict, case = np.ones(m), None, None
     if search:
-        signs, _ = _sign_search(lambda s: _signed_sigma(G, s), m, _sigma_rank_one(G))
-    else:
-        signs = np.ones(m)
-    verdict = degeneracy(_signed_sigma(G, signs), tol)
-    case = None
-    if verdict.is_degenerate:
+        signs, _, verdict, case = _sign_search(
+            lambda s: _signed_sigma(G, s), m, tol, _sigma_rank_one(G),
+            lambda s, v: _checked_case(ns * s[:, None], v.kernel, tol),
+        )
+    if verdict is None:
+        verdict = degeneracy(_signed_sigma(G, signs), tol)
+    if case is None and verdict.is_degenerate:
         case = _classify_from_kernel(ns * signs[:, None], verdict.kernel, tol)
     return CaseyResult(signs=tuple(int(s) for s in signs), verdict=verdict, case=case)
 
@@ -882,12 +954,21 @@ def _common_value_gap(values, size: float) -> float:
     return float(np.max(np.abs(values - c)))
 
 
+def _inners(ns: np.ndarray, w: np.ndarray) -> list[float]:
+    """inner(n, w) for every row n of ns, with inner's arithmetic and one
+    length check instead of one validation per call."""
+    if w.shape[0] != ns.shape[1]:
+        raise DimensionMismatch(f"lengths {ns.shape[1]} and {w.shape[0]} differ")
+    return [float(np.dot(n[:-1], w[:-1]) - n[-1] * w[-1]) for n in ns]
+
+
 def casey_witness_check(
-    case: CaseyCase, hyperplanes: Sequence[CoHyperplane], tol: float = 1e-7
+    case: CaseyCase, hyperplanes: Union[Sequence[CoHyperplane], np.ndarray], tol: float = 1e-7
 ) -> WitnessReport:
     """Verify a classification witness against the defining equations.
 
-    The residual is the largest violation over the family; unit-norm
+    hyperplanes are cooriented hyperplanes or the (m, n+1) array of their
+    normals.  The residual is the largest violation over the family; unit-norm
     defects of the witness vectors count towards it.  The equations see
     the coorientations: a tangent normal must meet every hyperplane normal
     in one common value c = +-1, an inclined normal in one common c =
@@ -896,12 +977,15 @@ def casey_witness_check(
     inclination case the bounds 0 <= lambda < 1 and linear independence of
     the pair are checked separately and can fail the report outright.
     """
-    ns = np.stack([h.normal for h in hyperplanes])
+    if isinstance(hyperplanes, np.ndarray):
+        ns = hyperplanes
+    else:
+        ns = np.stack([h.normal for h in hyperplanes])
     failures: list[str] = []
     if case.kind is CaseyCaseKind.TANGENT_HYPERPLANE_AT_INFINITY:
         w = as_vector(case.tangent_normal)
         residual = max(
-            _common_value_gap([inner(n, w) for n in ns], 1.0),
+            _common_value_gap(_inners(ns, w), 1.0),
             abs(norm_sq(w) - 1.0),
         )
     elif case.kind is CaseyCaseKind.COMMON_IDEAL_POINT:
@@ -911,7 +995,7 @@ def casey_witness_check(
             return WitnessReport(math.inf, False, ("zero witness",))
         w = w / wnorm
         residual = max(
-            float(np.max(np.abs([inner(n, w) for n in ns]))),
+            float(np.max(np.abs(_inners(ns, w)))),
             abs(norm_sq(w)),
         )
     elif case.kind is CaseyCaseKind.ORTHOGONAL_EQUALLY_INCLINED:
@@ -919,8 +1003,8 @@ def casey_witness_check(
         v = as_vector(case.inclined_normal)
         lam = float(case.inclination)
         residual = max(
-            float(np.max(np.abs([inner(n, u) for n in ns]))),
-            _common_value_gap([inner(n, v) for n in ns], lam),
+            float(np.max(np.abs(_inners(ns, u)))),
+            _common_value_gap(_inners(ns, v), lam),
             abs(norm_sq(u) - 1.0),
             abs(norm_sq(v) - 1.0),
         )
@@ -997,6 +1081,9 @@ def corollary_d_test(
     equals -4 R C R for the sigma matrix C and radius diagonal R.  So R k
     spans the kernel of C for the kernel k of tau; the hyperplane
     classification runs on it and is translated back to Euclidean terms.
+    The coorientation search follows casey_test: the first flip whose tau
+    matrix is degenerate at tol and whose witness checks on the flipped
+    lifts, else the flip of least ratio.
     """
     ss = list(spheres)
     if not all(isinstance(s, CoSphereE) for s in ss):
@@ -1012,16 +1099,21 @@ def corollary_d_test(
     parts = _tau_parts(ss)
     eps = np.array([s.eps for s in ss], dtype=float)
     radii = np.array([s.radius for s in ss])
+    lifts = np.stack([sphere_lift(s).normal for s in ss])
+
+    def lift_kernel(verdict: DegeneracyVerdict) -> np.ndarray:
+        k = radii * verdict.kernel
+        return k / np.linalg.norm(k)
+
+    signs, verdict, case = np.ones(m), None, None
     if search:
-        rank_one = _tau_rank_one(parts, eps, radii)
-        signs, _ = _sign_search(lambda sg: _signed_tau(parts, eps * sg), m, rank_one)
-    else:
-        signs = np.ones(m)
-    D = _signed_tau(parts, eps * signs)
-    verdict = degeneracy(D, tol)
-    if not verdict.is_degenerate:
-        return CoroDResult(tuple(int(s) for s in signs), verdict, None, None)
-    ns = np.stack([sphere_lift(s).normal for s in ss]) * signs[:, None]
-    k = radii * verdict.kernel
-    case = _classify_from_kernel(ns, k / np.linalg.norm(k), tol)
-    return CoroDResult(tuple(int(s) for s in signs), verdict, case, _euclidean_case(case))
+        signs, _, verdict, case = _sign_search(
+            lambda sg: _signed_tau(parts, eps * sg), m, tol, _tau_rank_one(parts, eps, radii),
+            lambda sg, v: _checked_case(lifts * sg[:, None], lift_kernel(v), tol),
+        )
+    if verdict is None:
+        verdict = degeneracy(_signed_tau(parts, eps * signs), tol)
+    if case is None and verdict.is_degenerate:
+        case = _classify_from_kernel(lifts * signs[:, None], lift_kernel(verdict), tol)
+    euclidean = None if case is None else _euclidean_case(case)
+    return CoroDResult(tuple(int(s) for s in signs), verdict, case, euclidean)

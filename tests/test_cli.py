@@ -497,6 +497,17 @@ class TestErrors:
         assert doc["tol"] == 1000.0
         assert code == 0  # an absurdly loose tolerance calls everything degenerate
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "0", "-1"])
+    @pytest.mark.parametrize("command", ["verify", "classify", "relation", "batch"])
+    def test_bad_tolerance_is_a_schema_error(self, capsys, tmp_path, command, tol):
+        # rejected before the scene is read: the file does not exist
+        scene = str(tmp_path / "missing.json")
+        argv = {"batch": ["verify", "--scenes-dir", str(tmp_path)]}.get(command, [command, scene])
+        code, doc = run_doc(capsys, *argv, f"--tol={tol}")
+        assert code == 2
+        assert doc["error"] == "SchemaViolation"
+        assert doc["message"].startswith("--tol ")
+
 
 class TestBatch:
     def test_directory_aggregate(self, capsys, tmp_path):

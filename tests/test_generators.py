@@ -98,7 +98,8 @@ def exhaustive_robust(G: np.ndarray) -> bool:
 
 
 def least_ratio(G: np.ndarray) -> float:
-    return theorems._sign_search(lambda s: theorems._signed_sigma(G, s), G.shape[0])[1]
+    spectra = theorems._sign_spectra(lambda s: theorems._signed_sigma(G, s), G.shape[0])
+    return min(float(np.min(smin / smax)) for _, smin, smax in spectra)
 
 
 class TestGenericCertificate:

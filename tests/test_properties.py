@@ -169,3 +169,19 @@ class TestPermutation:
                 == verdict_of(cfg, objs).is_degenerate)
         if build is not None:
             assert np.array_equal(build(permuted), build(objs)[np.ix_(p, p)])
+
+    @given(st.sampled_from(["hyperplanes_common_ideal_point", "spheres_through_point"]),
+           st.integers(0, 10_000), st.sampled_from([2, 3, 5]), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_all_degenerate_family_keeps_all_plus_signs(self, kind, seed, n, data):
+        # every coorientation is degenerate, so the first one, all +1, is
+        # reported whatever the order and the stored coorientations
+        spheres = kind == "spheres_through_point"
+        objs = list(lg.generate(lg.GenSpec(kind, n, seed=seed)).objects)
+        p = data.draw(st.permutations(range(len(objs))))
+        flips = data.draw(st.lists(st.booleans(), min_size=len(objs), max_size=len(objs)))
+        flip = (lambda s: s.with_eps(-s.eps)) if spheres else (lambda h: h.flipped())
+        permuted = [flip(objs[i]) if f else objs[i] for i, f in zip(p, flips)]
+        res = (lg.corollary_d_test if spheres else lg.casey_test)(permuted)
+        assert res.verdict.is_degenerate
+        assert res.signs == (1,) * len(objs)

@@ -533,13 +533,18 @@ def apply_signs(hyperplanes, signs):
     return [lg.CoHyperplane(s * h.normal) for h, s in zip(hyperplanes, signs)]
 
 
-def reference_sign_search(matrix_of, m):
-    """One eigensolve per assignment, in enumeration order, strict < on ties."""
+def reference_sign_search(matrix_of, m, tol=lg.DEFAULT_TOL, checks=None):
+    """One eigensolve per assignment, in enumeration order: the first one
+    degeneracy calls degenerate and, given checks, whose witness checks;
+    else the least ratio, strict < on ties."""
     best_signs, best_ratio = None, None
     for k in range(1 << (m - 1)):
         signs = np.array([1.0] + [-1.0 if (k >> (m - 1 - i)) & 1 else 1.0 for i in range(1, m)])
-        sigmas = np.abs(np.linalg.eigvalsh(matrix_of(signs)))
+        M = matrix_of(signs)
+        sigmas = np.abs(np.linalg.eigvalsh(M))
         ratio = float(np.min(sigmas)) / max(float(np.max(sigmas)), 1.0)
+        if lg.degeneracy(M, tol).is_degenerate and (checks is None or checks(signs)):
+            return signs, ratio
         if best_ratio is None or ratio < best_ratio:
             best_signs, best_ratio = signs, ratio
     return best_signs, best_ratio
@@ -558,6 +563,40 @@ def random_flips(objects, rng, flip):
     return [flip(o) if i and rng.random() < 0.5 else o for i, o in enumerate(objects)]
 
 
+def search_certify(objs, tol=lg.DEFAULT_TOL):
+    """The certify argument casey_test or corollary_d_test hands the search."""
+    if isinstance(objs[0], lg.CoSphereE):
+        lifts = np.stack([lg.sphere_lift(s).normal for s in objs])
+        radii = np.array([s.radius for s in objs])
+
+        def certify(sg, verdict):
+            k = radii * verdict.kernel
+            return theorems._checked_case(lifts * sg[:, None], k / np.linalg.norm(k), tol)
+        return certify
+    ns = np.stack([h.normal for h in objs])
+    return lambda s, verdict: theorems._checked_case(ns * s[:, None], verdict.kernel, tol)
+
+
+def witness_checks(objs, tol=lg.DEFAULT_TOL):
+    """Through the public API: does the unsearched test of the family
+    flipped by signs give a witness that passes casey_witness_check?"""
+    spheres = isinstance(objs[0], lg.CoSphereE)
+
+    def checks(signs):
+        try:
+            if spheres:
+                flipped = [s.with_eps(int(g) * s.eps) for s, g in zip(objs, signs)]
+                res = lg.corollary_d_test(flipped, tol, search=False)
+                flipped = [lg.sphere_lift(s) for s in flipped]
+            else:
+                flipped = apply_signs(objs, signs)
+                res = lg.casey_test(flipped, tol, search=False)
+        except lg.GeometryError:
+            return False
+        return res.case is not None and lg.casey_witness_check(res.case, flipped).passed
+    return checks
+
+
 class TestSignSearch:
     """The blocked search against a one-assignment-at-a-time reference."""
 
@@ -573,8 +612,10 @@ class TestSignSearch:
                     ns = np.stack([h.normal for h in hs])
                     G = (ns * lg.metric_diag(n + 1)) @ ns.T
                     matrix_of = lambda s: theorems._signed_sigma(G, s)  # noqa: E731
-                    signs, ratio = theorems._sign_search(matrix_of, len(hs))
-                    ref_signs, ref_ratio = reference_sign_search(matrix_of, len(hs))
+                    signs, ratio, _, _ = theorems._sign_search(
+                        matrix_of, len(hs), lg.DEFAULT_TOL, certify=search_certify(hs))
+                    ref_signs, ref_ratio = reference_sign_search(
+                        matrix_of, len(hs), checks=witness_checks(hs))
                     assert np.array_equal(signs, ref_signs), (kind, n, seed)
                     assert ratio == ref_ratio, (kind, n, seed)
                     assert lg.casey_test(hs).signs == tuple(int(s) for s in ref_signs)
@@ -588,11 +629,12 @@ class TestSignSearch:
                     ss = random_flips(cfg.objects, rng, lambda s: s.with_eps(-s.eps))
                     ref_signs, ref_ratio = reference_sign_search(
                         lambda sg: pairwise_tau([s.with_eps(int(s.eps * g)) for s, g in zip(ss, sg)]),
-                        len(ss))
+                        len(ss), checks=witness_checks(ss))
                     eps = np.array([s.eps for s in ss], dtype=float)
                     parts = theorems._tau_parts(ss)
-                    signs, ratio = theorems._sign_search(
-                        lambda sg: theorems._signed_tau(parts, eps * sg), len(ss))
+                    signs, ratio, _, _ = theorems._sign_search(
+                        lambda sg: theorems._signed_tau(parts, eps * sg), len(ss), lg.DEFAULT_TOL,
+                        certify=search_certify(ss))
                     assert np.array_equal(signs, ref_signs), (kind, n, seed)
                     assert ratio == ref_ratio, (kind, n, seed)
                     assert lg.corollary_d_test(ss).signs == tuple(int(s) for s in ref_signs)
@@ -600,9 +642,11 @@ class TestSignSearch:
     def test_identical_matrices_give_all_plus(self):
         m = 10  # 512 assignments, four blocks
         M = np.diag(np.arange(1.0, m + 1))
-        signs, ratio = theorems._sign_search(lambda s: np.broadcast_to(M, (len(s), m, m)), m)
+        signs, ratio, verdict, _ = theorems._sign_search(
+            lambda s: np.broadcast_to(M, (len(s), m, m)), m, lg.DEFAULT_TOL)
         assert np.array_equal(signs, np.ones(m))
         assert ratio == 1.0 / m
+        assert verdict is None
 
     def test_minimum_in_a_later_block_is_found(self):
         m = 10
@@ -616,9 +660,10 @@ class TestSignSearch:
             out[np.all(signs == tied, axis=1), 0, 0] = 1e-3
             return out
 
-        signs, ratio = theorems._sign_search(matrices_of, m)
+        signs, ratio, verdict, _ = theorems._sign_search(matrices_of, m, lg.DEFAULT_TOL)
         assert np.array_equal(signs, later)
         assert ratio == 1e-3
+        assert verdict is None
 
     def test_blocks_enumerate_in_order(self):
         m = 9
@@ -635,8 +680,10 @@ class TestSignSearch:
         ns = np.stack([h.normal for h in hs])
         G = (ns * lg.metric_diag(len(hs))) @ ns.T
         matrix_of = lambda s: theorems._signed_sigma(G, s)  # noqa: E731
-        signs, ratio = theorems._sign_search(matrix_of, len(hs))
-        assert np.array_equal(signs, reference_sign_search(matrix_of, len(hs))[0])
+        signs, ratio, _, _ = theorems._sign_search(
+            matrix_of, len(hs), lg.DEFAULT_TOL, certify=search_certify(hs))
+        assert np.array_equal(
+            signs, reference_sign_search(matrix_of, len(hs), checks=witness_checks(hs))[0])
         assert lg.casey_test(hs).signs == tuple(int(s) for s in signs)
 
 
@@ -658,8 +705,9 @@ def rank_one_case(kind, n, seed, rng):
 
 def assert_pruned_matches_reference(objs, matrices_of, rank_one, label):
     m = len(objs)
-    signs, ratio = theorems._sign_search(matrices_of, m, rank_one)
-    ref_signs, ref_ratio = reference_sign_search(matrices_of, m)
+    signs, ratio, _, _ = theorems._sign_search(
+        matrices_of, m, lg.DEFAULT_TOL, rank_one, search_certify(objs))
+    ref_signs, ref_ratio = reference_sign_search(matrices_of, m, checks=witness_checks(objs))
     assert np.array_equal(signs, ref_signs), label
     assert ratio == ref_ratio, label
     test = lg.corollary_d_test if isinstance(objs[0], lg.CoSphereE) else lg.casey_test
@@ -755,6 +803,98 @@ class TestPrunedSignSearch:
         res = lg.casey_test(hs)
         assert res.verdict.is_degenerate
         assert 0 < sum(solved) <= 16, sum(solved)
+
+
+ALL_DEGENERATE_KINDS = ("hyperplanes_common_ideal_point", "spheres_through_point")
+
+
+def flipped_all_degenerate(kind, m, seed, rng):
+    """A family of m objects degenerate under every coorientation, with
+    random flips, and its test."""
+    if kind.startswith("spheres_"):
+        objs = lg.generate(lg.GenSpec(kind, m - 2, seed=seed)).objects
+        return random_flips(objs, rng, lambda s: s.with_eps(-s.eps)), lg.corollary_d_test
+    objs = lg.generate(lg.GenSpec(kind, m - 1, seed=seed)).objects
+    return random_flips(objs, rng, lambda h: h.flipped()), lg.casey_test
+
+
+def witness_report(res, objs):
+    if isinstance(objs[0], lg.CoSphereE):
+        lifts = [lg.CoHyperplane(g * lg.sphere_lift(s).normal) for s, g in zip(objs, res.signs)]
+        return lg.casey_witness_check(res.case, lifts)
+    return lg.casey_witness_check(res.case, apply_signs(objs, res.signs))
+
+
+class TestDegenerateSignContract:
+    """When some coorientation is degenerate, the first one in enumeration
+    order is reported, whatever the ratios of the later ones."""
+
+    def test_first_degenerate_beats_a_smaller_ratio(self):
+        m = 10
+        blocks = list(theorems._sign_blocks(m))
+        first, smaller = blocks[0][7], blocks[3][2]
+
+        def matrices_of(signs):
+            out = np.tile(np.eye(m), (len(signs), 1, 1))
+            out[np.all(signs == first, axis=1), 0, 0] = 1e-10
+            out[np.all(signs == smaller, axis=1), 0, 0] = 1e-14
+            return out
+
+        signs, ratio, verdict, _ = theorems._sign_search(matrices_of, m, lg.DEFAULT_TOL)
+        assert np.array_equal(signs, first)
+        assert ratio == 1e-10
+        assert verdict.is_degenerate and verdict.sigma_min == 1e-10
+        assert np.array_equal(signs, reference_sign_search(lambda s: matrices_of(s[None])[0], m)[0])
+
+    def test_uncertified_degenerate_row_is_skipped(self):
+        # an orth_equal family has assignments besides its own that are
+        # degenerate at tol by near-cancellation, and their witnesses fail;
+        # flipping the family by one puts it first in the order
+        hits = 0
+        for seed in range(4):
+            hs = lg.generate(lg.GenSpec("hyperplanes_orth_equal", 11, seed=seed)).objects
+            G = lg.gram([h.normal for h in hs])
+            rows = np.concatenate(list(theorems._sign_blocks(12)))
+            ratios = np.concatenate([smin / smax for _, smin, smax in theorems._sign_spectra(
+                lambda s: theorems._signed_sigma(G, s), 12)])
+            spurious = [rows[k] for k in np.flatnonzero(ratios <= lg.DEFAULT_TOL) if k]
+            for t in spurious[:2]:
+                flipped = apply_signs(hs, t)
+                assert lg.casey_test(flipped, search=False).verdict.is_degenerate
+                res = lg.casey_test(flipped)
+                assert res.signs == tuple(int(g) for g in t), seed
+                assert lg.casey_witness_check(res.case, apply_signs(flipped, res.signs)).passed
+                hits += 1
+        assert hits >= 2
+
+    def test_all_degenerate_families_report_all_plus(self):
+        rng = np.random.default_rng(41)
+        for kind in ALL_DEGENERATE_KINDS:
+            for m in (9, 12, lg.MAX_FAMILY):
+                for seed in (0, 1):
+                    objs, test = flipped_all_degenerate(kind, m, seed, rng)
+                    assert len(objs) == m
+                    res = test(objs)
+                    assert res.signs == (1,) * m, (kind, m, seed)
+                    assert res.verdict.is_degenerate, (kind, m, seed)
+                    assert witness_report(res, objs).passed, (kind, m, seed)
+
+    def test_largest_all_degenerate_family_solves_few(self, monkeypatch):
+        # the full enumeration would solve all 2^15 matrices
+        rng = np.random.default_rng(42)
+        eigvalsh, solved = np.linalg.eigvalsh, []
+
+        def counting(a):
+            solved.append(1 if a.ndim == 2 else a.shape[0])
+            return eigvalsh(a)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        for kind in ALL_DEGENERATE_KINDS:
+            objs, test = flipped_all_degenerate(kind, lg.MAX_FAMILY, 3, rng)
+            solved.clear()
+            res = test(objs)
+            assert res.verdict.is_degenerate, kind
+            assert 0 < sum(solved) <= 16, (kind, sum(solved))
 
 
 class TestWitnessCoorientation:
