@@ -55,6 +55,21 @@ def inner(x, y) -> float:
     xv, yv = as_vector(x), as_vector(y)
     if xv.shape != yv.shape:
         raise DimensionMismatch(f"lengths {xv.shape[0]} and {yv.shape[0]} differ")
+    return _dot(xv, yv)
+
+
+def inners(rows, y) -> list[float]:
+    """inner(r, y) for every row r of a 2-d array, bit for bit, with the
+    rows and y validated once instead of once per product."""
+    R, yv = np.asarray(rows, dtype=float), as_vector(y)
+    if R.ndim != 2 or R.shape[1] != yv.shape[0]:
+        raise DimensionMismatch(f"rows of shape {R.shape} and length {yv.shape[0]} differ")
+    if not np.all(np.isfinite(R)):
+        raise InvalidInput("coordinates must be finite")
+    return [_dot(r, yv) for r in R]
+
+
+def _dot(xv: np.ndarray, yv: np.ndarray) -> float:
     return float(np.dot(xv[:-1], yv[:-1]) - xv[-1] * yv[-1])
 
 

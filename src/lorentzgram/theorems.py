@@ -25,6 +25,7 @@ kernel.  The correspondences implemented here:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -52,6 +53,7 @@ from .lorentz import (
     first_nonzero_positive,
     gram,
     inner,
+    inners,
     metric_diag,
     norm_sq,
     null_basis,
@@ -521,6 +523,19 @@ def _screen(tol: float, m: int) -> float:
     return tol + 64.0 * m * _EPS
 
 
+def _argmin_ratio(matrices_of, m: int, rows: Optional[np.ndarray] = None):
+    """Sign vector of least singular value ratio among _sign_blocks(m, rows),
+    the earliest on ties: argmin takes the first within a block, and a
+    later block must be strictly smaller."""
+    best_signs, best_ratio = None, None
+    for signs, smin, smax in _sign_spectra(matrices_of, m, rows):
+        ratios = smin / smax
+        i = int(np.argmin(ratios))
+        if best_ratio is None or ratios[i] < best_ratio:
+            best_signs, best_ratio = signs[i].copy(), float(ratios[i])
+    return best_signs, best_ratio
+
+
 def _scan_signs(
     matrices_of, m: int, tol: float, certify, rows: Optional[np.ndarray] = None, sole: bool = False
 ):
@@ -528,12 +543,12 @@ def _scan_signs(
     block by block.  The first vector whose matrix degeneracy(., tol) calls
     degenerate and that certify qualifies (see _sign_search) wins, and no
     later block is solved.  Otherwise the vector of least ratio wins with
-    verdict and witness None, the earliest on ties (argmin takes the first
-    within a block, and a later block must be strictly smaller).
+    verdict and witness None, the earliest on ties as in _argmin_ratio.
 
     sole states that rows hold every vector that can be degenerate.  A lone
-    candidate then wins without certify, with witness None: every other
-    ratio exceeds its own, so it is the least-ratio vector either way.
+    degenerate vector then wins without certify, with witness None: it is
+    the least ratio, so it is reported whatever certify would say, and the
+    caller's classification of it is the one certify would run.
     """
     screen = _screen(tol, m)
     best_signs, best_ratio = None, None
@@ -544,7 +559,7 @@ def _scan_signs(
             verdict = degeneracy(matrices_of(signs[i : i + 1])[0], tol)
             if not verdict.is_degenerate:
                 continue
-            if certify is None or (sole and hits.size == 1):
+            if sole and hits.size == 1:
                 return signs[i].copy(), float(ratios[i]), verdict, None
             witness = certify(signs[i], verdict)
             if witness is not None:
@@ -564,18 +579,24 @@ def _growing(rows: np.ndarray):
         size = min(4 * size, _SIGN_BLOCK)
 
 
-def _sign_search(matrices_of, m: int, tol: float, rank_one=None, certify=None):
+def _sign_search(matrices_of, m: int, tol: float, certify, rank_one=None):
     """The coorientation casey_test and corollary_d_test report.
 
     The first sign vector in _sign_blocks(m) order whose matrix
-    degeneracy(., tol) calls degenerate, and for which certify(signs,
-    verdict) returns a witness, wins: one certified degenerate
-    coorientation is all the converse needs.  Without certify every
-    degenerate vector counts.  When no vector qualifies, the vector of
-    least singular value ratio wins, the earliest on ties.  Returns
-    (signs, ratio, verdict, witness): ratio is the stacked eigvalsh ratio
-    of signs; verdict and certify's witness are given for a qualifying
-    vector and are None for the least ratio.
+    degeneracy(., min(tol, DEFAULT_TOL)) calls degenerate, and for which
+    certify(signs, verdict) returns a witness, wins: one certified
+    degenerate coorientation is all the converse needs.  When no vector
+    qualifies, the vector of least singular value ratio wins, the earliest
+    on ties.  Returns (signs, ratio, verdict, witness): ratio is the
+    stacked eigvalsh ratio of signs; verdict and certify's witness are
+    given for a qualifying vector and are None for the least ratio.  A
+    degenerate verdict is the same at tol.
+
+    A tol looser than DEFAULT_TOL does not widen the search: it would add
+    the near-cancelling vectors of rank-deficient families, hundreds at
+    m = 16 for an orth_equal family at 1e-7, each costing a classification
+    whose witness fails.  Without them the least ratio is reported, and it
+    is as degenerate as any of them.
 
     matrices_of maps a (k, m) block of sign vectors to the (k, m, m) stack
     of their matrices.  rank_one = (M, rho, b) states that the matrix of s
@@ -587,6 +608,7 @@ def _sign_search(matrices_of, m: int, tol: float, rank_one=None, certify=None):
     few seeds give a ratio, and only the vectors that may beat it are
     solved.  The answer is that of solving every vector in order.
     """
+    tol = min(tol, DEFAULT_TOL)
     one_block = (1 << (m - 1)) <= _SIGN_BLOCK
     if rank_one is None or one_block:
         return _scan_signs(matrices_of, m, tol, certify, sole=one_block)
@@ -596,8 +618,10 @@ def _sign_search(matrices_of, m: int, tol: float, rank_one=None, certify=None):
         found = _scan_signs(matrices_of, m, tol, certify, rows, sole=candidates.size == 1)
         if found[2] is not None:
             return found
-    _, best, _, _ = _scan_signs(matrices_of, m, tol, certify, pencil.seeds())
-    return _scan_signs(matrices_of, m, tol, certify, pencil.uncertain(best))
+    # every vector that can qualify was tried: the least ratio is left
+    _, best = _argmin_ratio(matrices_of, m, pencil.seeds())
+    signs, ratio = _argmin_ratio(matrices_of, m, pencil.uncertain(best))
+    return signs, ratio, None, None
 
 
 def _sign_candidates(rank_one, m: int, ratio: float) -> Optional[np.ndarray]:
@@ -887,7 +911,7 @@ def _checked_case(ns: np.ndarray, kernel: np.ndarray, tol: float) -> Optional[Ca
         case = _classify_from_kernel(ns, kernel, tol)
     except GeometryError:
         return None
-    return case if casey_witness_check(case, ns).passed else None
+    return case if _witness_report(case, ns).passed else None
 
 
 def casey_classify(hyperplanes: Sequence[CoHyperplane], tol: float = DEFAULT_TOL) -> CaseyCase:
@@ -918,8 +942,9 @@ def casey_test(
 
     With search enabled, the 2^n coorientation flips (the first hyperplane
     held fixed) are tried in lexicographic order with +1 before -1.  The
-    first flip whose sigma matrix is degenerate at tol, and whose witness
-    passes casey_witness_check, is reported and ends the search.  A flip
+    first flip whose sigma matrix is degenerate at tol (capped at
+    DEFAULT_TOL for the search), and whose witness passes
+    casey_witness_check, is reported and ends the search.  A flip
     that is degenerate at tol by near-cancellation, with no witness, does
     not count.  When no flip qualifies, the flip of least singular value
     ratio is reported, the earliest on ties.  When the reported flip is
@@ -937,8 +962,9 @@ def casey_test(
     signs, verdict, case = np.ones(m), None, None
     if search:
         signs, _, verdict, case = _sign_search(
-            lambda s: _signed_sigma(G, s), m, tol, _sigma_rank_one(G),
+            lambda s: _signed_sigma(G, s), m, tol,
             lambda s, v: _checked_case(ns * s[:, None], v.kernel, tol),
+            _sigma_rank_one(G),
         )
     if verdict is None:
         verdict = degeneracy(_signed_sigma(G, signs), tol)
@@ -954,21 +980,12 @@ def _common_value_gap(values, size: float) -> float:
     return float(np.max(np.abs(values - c)))
 
 
-def _inners(ns: np.ndarray, w: np.ndarray) -> list[float]:
-    """inner(n, w) for every row n of ns, with inner's arithmetic and one
-    length check instead of one validation per call."""
-    if w.shape[0] != ns.shape[1]:
-        raise DimensionMismatch(f"lengths {ns.shape[1]} and {w.shape[0]} differ")
-    return [float(np.dot(n[:-1], w[:-1]) - n[-1] * w[-1]) for n in ns]
-
-
 def casey_witness_check(
-    case: CaseyCase, hyperplanes: Union[Sequence[CoHyperplane], np.ndarray], tol: float = 1e-7
+    case: CaseyCase, hyperplanes: Sequence[CoHyperplane], tol: float = 1e-7
 ) -> WitnessReport:
     """Verify a classification witness against the defining equations.
 
-    hyperplanes are cooriented hyperplanes or the (m, n+1) array of their
-    normals.  The residual is the largest violation over the family; unit-norm
+    The residual is the largest violation over the family; unit-norm
     defects of the witness vectors count towards it.  The equations see
     the coorientations: a tangent normal must meet every hyperplane normal
     in one common value c = +-1, an inclined normal in one common c =
@@ -977,15 +994,16 @@ def casey_witness_check(
     inclination case the bounds 0 <= lambda < 1 and linear independence of
     the pair are checked separately and can fail the report outright.
     """
-    if isinstance(hyperplanes, np.ndarray):
-        ns = hyperplanes
-    else:
-        ns = np.stack([h.normal for h in hyperplanes])
+    return _witness_report(case, np.stack([h.normal for h in hyperplanes]), tol)
+
+
+def _witness_report(case: CaseyCase, ns: np.ndarray, tol: float = 1e-7) -> WitnessReport:
+    """casey_witness_check on the (m, n+1) array ns of the normals."""
     failures: list[str] = []
     if case.kind is CaseyCaseKind.TANGENT_HYPERPLANE_AT_INFINITY:
         w = as_vector(case.tangent_normal)
         residual = max(
-            _common_value_gap(_inners(ns, w), 1.0),
+            _common_value_gap(inners(ns, w), 1.0),
             abs(norm_sq(w) - 1.0),
         )
     elif case.kind is CaseyCaseKind.COMMON_IDEAL_POINT:
@@ -995,7 +1013,7 @@ def casey_witness_check(
             return WitnessReport(math.inf, False, ("zero witness",))
         w = w / wnorm
         residual = max(
-            float(np.max(np.abs(_inners(ns, w)))),
+            float(np.max(np.abs(inners(ns, w)))),
             abs(norm_sq(w)),
         )
     elif case.kind is CaseyCaseKind.ORTHOGONAL_EQUALLY_INCLINED:
@@ -1003,8 +1021,8 @@ def casey_witness_check(
         v = as_vector(case.inclined_normal)
         lam = float(case.inclination)
         residual = max(
-            float(np.max(np.abs(_inners(ns, u)))),
-            _common_value_gap(_inners(ns, v), lam),
+            float(np.max(np.abs(inners(ns, u)))),
+            _common_value_gap(inners(ns, v), lam),
             abs(norm_sq(u) - 1.0),
             abs(norm_sq(v) - 1.0),
         )
@@ -1082,8 +1100,8 @@ def corollary_d_test(
     spans the kernel of C for the kernel k of tau; the hyperplane
     classification runs on it and is translated back to Euclidean terms.
     The coorientation search follows casey_test: the first flip whose tau
-    matrix is degenerate at tol and whose witness checks on the flipped
-    lifts, else the flip of least ratio.
+    matrix is degenerate at tol (capped at DEFAULT_TOL for the search) and
+    whose witness checks on the flipped lifts, else the flip of least ratio.
     """
     ss = list(spheres)
     if not all(isinstance(s, CoSphereE) for s in ss):
@@ -1099,7 +1117,11 @@ def corollary_d_test(
     parts = _tau_parts(ss)
     eps = np.array([s.eps for s in ss], dtype=float)
     radii = np.array([s.radius for s in ss])
-    lifts = np.stack([sphere_lift(s).normal for s in ss])
+
+    @functools.cache
+    def lifts() -> np.ndarray:
+        # only a degenerate tau matrix needs the lifts
+        return np.stack([sphere_lift(s).normal for s in ss])
 
     def lift_kernel(verdict: DegeneracyVerdict) -> np.ndarray:
         k = radii * verdict.kernel
@@ -1108,12 +1130,13 @@ def corollary_d_test(
     signs, verdict, case = np.ones(m), None, None
     if search:
         signs, _, verdict, case = _sign_search(
-            lambda sg: _signed_tau(parts, eps * sg), m, tol, _tau_rank_one(parts, eps, radii),
-            lambda sg, v: _checked_case(lifts * sg[:, None], lift_kernel(v), tol),
+            lambda sg: _signed_tau(parts, eps * sg), m, tol,
+            lambda sg, v: _checked_case(lifts() * sg[:, None], lift_kernel(v), tol),
+            _tau_rank_one(parts, eps, radii),
         )
     if verdict is None:
         verdict = degeneracy(_signed_tau(parts, eps * signs), tol)
     if case is None and verdict.is_degenerate:
-        case = _classify_from_kernel(lifts * signs[:, None], lift_kernel(verdict), tol)
+        case = _classify_from_kernel(lifts() * signs[:, None], lift_kernel(verdict), tol)
     euclidean = None if case is None else _euclidean_case(case)
     return CoroDResult(tuple(int(s) for s in signs), verdict, case, euclidean)

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lorentzgram as lg
-from lorentzgram.lorentz import as_vector
+from lorentzgram.lorentz import as_vector, inners
 from lorentzgram.rng import SplitMix64
 
 CIRCULANT_REPS = [
@@ -64,6 +64,17 @@ class TestInner:
         right = a * lg.inner(x, z) + b * lg.inner(y, z)
         scale = (abs(a) + abs(b)) * 1e3 * 1e3 + 1.0
         assert abs(left - right) <= 1e-9 * scale
+
+    def test_inners_match_inner_bit_for_bit(self):
+        rng = SplitMix64(4)
+        rows = np.stack([rng.normals(6) * 10.0 ** k for k in range(-3, 4)])
+        y = rng.normals(6)
+        assert inners(rows, y) == [lg.inner(r, y) for r in rows]
+        with pytest.raises(lg.DimensionMismatch):
+            inners(rows[:, :5], y)
+        rows[2, 1] = math.inf
+        with pytest.raises(lg.InvalidInput):
+            inners(rows, y)
 
     def test_as_vector_rejects(self):
         with pytest.raises(lg.InvalidInput):

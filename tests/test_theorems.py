@@ -535,15 +535,16 @@ def apply_signs(hyperplanes, signs):
 
 def reference_sign_search(matrix_of, m, tol=lg.DEFAULT_TOL, checks=None):
     """One eigensolve per assignment, in enumeration order: the first one
-    degeneracy calls degenerate and, given checks, whose witness checks;
-    else the least ratio, strict < on ties."""
+    degeneracy calls degenerate at min(tol, DEFAULT_TOL) and, given checks,
+    whose witness checks; else the least ratio, strict < on ties."""
     best_signs, best_ratio = None, None
     for k in range(1 << (m - 1)):
         signs = np.array([1.0] + [-1.0 if (k >> (m - 1 - i)) & 1 else 1.0 for i in range(1, m)])
         M = matrix_of(signs)
         sigmas = np.abs(np.linalg.eigvalsh(M))
         ratio = float(np.min(sigmas)) / max(float(np.max(sigmas)), 1.0)
-        if lg.degeneracy(M, tol).is_degenerate and (checks is None or checks(signs)):
+        if lg.degeneracy(M, min(tol, lg.DEFAULT_TOL)).is_degenerate and (
+                checks is None or checks(signs)):
             return signs, ratio
         if best_ratio is None or ratio < best_ratio:
             best_signs, best_ratio = signs, ratio
@@ -575,6 +576,11 @@ def search_certify(objs, tol=lg.DEFAULT_TOL):
         return certify
     ns = np.stack([h.normal for h in objs])
     return lambda s, verdict: theorems._checked_case(ns * s[:, None], verdict.kernel, tol)
+
+
+def certify_any(signs, verdict):
+    """A certify argument that qualifies every degenerate assignment."""
+    return True
 
 
 def witness_checks(objs, tol=lg.DEFAULT_TOL):
@@ -643,7 +649,7 @@ class TestSignSearch:
         m = 10  # 512 assignments, four blocks
         M = np.diag(np.arange(1.0, m + 1))
         signs, ratio, verdict, _ = theorems._sign_search(
-            lambda s: np.broadcast_to(M, (len(s), m, m)), m, lg.DEFAULT_TOL)
+            lambda s: np.broadcast_to(M, (len(s), m, m)), m, lg.DEFAULT_TOL, certify_any)
         assert np.array_equal(signs, np.ones(m))
         assert ratio == 1.0 / m
         assert verdict is None
@@ -660,7 +666,7 @@ class TestSignSearch:
             out[np.all(signs == tied, axis=1), 0, 0] = 1e-3
             return out
 
-        signs, ratio, verdict, _ = theorems._sign_search(matrices_of, m, lg.DEFAULT_TOL)
+        signs, ratio, verdict, _ = theorems._sign_search(matrices_of, m, lg.DEFAULT_TOL, certify_any)
         assert np.array_equal(signs, later)
         assert ratio == 1e-3
         assert verdict is None
@@ -706,7 +712,7 @@ def rank_one_case(kind, n, seed, rng):
 def assert_pruned_matches_reference(objs, matrices_of, rank_one, label):
     m = len(objs)
     signs, ratio, _, _ = theorems._sign_search(
-        matrices_of, m, lg.DEFAULT_TOL, rank_one, search_certify(objs))
+        matrices_of, m, lg.DEFAULT_TOL, search_certify(objs), rank_one)
     ref_signs, ref_ratio = reference_sign_search(matrices_of, m, checks=witness_checks(objs))
     assert np.array_equal(signs, ref_signs), label
     assert ratio == ref_ratio, label
@@ -840,7 +846,7 @@ class TestDegenerateSignContract:
             out[np.all(signs == smaller, axis=1), 0, 0] = 1e-14
             return out
 
-        signs, ratio, verdict, _ = theorems._sign_search(matrices_of, m, lg.DEFAULT_TOL)
+        signs, ratio, verdict, _ = theorems._sign_search(matrices_of, m, lg.DEFAULT_TOL, certify_any)
         assert np.array_equal(signs, first)
         assert ratio == 1e-10
         assert verdict.is_degenerate and verdict.sigma_min == 1e-10
@@ -878,6 +884,28 @@ class TestDegenerateSignContract:
                     assert res.signs == (1,) * m, (kind, m, seed)
                     assert res.verdict.is_degenerate, (kind, m, seed)
                     assert witness_report(res, objs).passed, (kind, m, seed)
+
+    def test_loose_tolerance_does_not_widen_the_search(self, monkeypatch):
+        # at 1e-3 most coorientations of these families are degenerate, and
+        # their witnesses fail; each would cost one eigh and a classification
+        rng = np.random.default_rng(43)
+        eigh, solved = np.linalg.eigh, []
+
+        def counting(a):
+            solved.append(1 if a.ndim == 2 else a.shape[0])
+            return eigh(a)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting)
+        for kind, n in (("generic_hyperplanes", lg.MAX_FAMILY - 1), ("hyperplanes_orth_equal", 13)):
+            hs = random_flips(lg.generate(lg.GenSpec(kind, n, seed=0)).objects, rng,
+                              lambda h: h.flipped())
+            solves, signs = [], []
+            for tol in (lg.DEFAULT_TOL, 1e-3):
+                solved.clear()
+                signs.append(lg.casey_test(hs, tol).signs)
+                solves.append(sum(solved))
+            assert signs[1] == signs[0], kind
+            assert solves[1] <= solves[0] + 1, (kind, solves)
 
     def test_largest_all_degenerate_family_solves_few(self, monkeypatch):
         # the full enumeration would solve all 2^15 matrices
