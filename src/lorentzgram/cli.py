@@ -86,27 +86,37 @@ SCHEMA = "lorentz-gram/1"
 # canonical JSON
 
 
-def _jsonable(value):
-    if value is None or isinstance(value, (str, bool)):
-        return value
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
+def _json_default(value):
+    # only what the C encoder cannot write itself; np.float64 is a float
+    # and is written by float.__repr__ without reaching this hook
     if isinstance(value, np.ndarray):
-        return [_jsonable(v) for v in value.tolist()]
-    if isinstance(value, (np.floating, float)):
-        out = float(value)
-        if not math.isfinite(out):
-            raise GeometryError("report contains a non-finite number")
-        return out
-    if isinstance(value, (np.integer, int)):
+        return value.tolist()
+    if isinstance(value, np.floating):
+        return float(value)
+    if isinstance(value, np.integer):
         return int(value)
     raise GeometryError(f"cannot serialize {type(value).__name__}")
 
 
+# documents are trees; with check_circular on, a cycle would surface as a
+# ValueError that canonical_json reports as a non-finite number
+_ENCODER = json.JSONEncoder(
+    sort_keys=True,
+    separators=(",", ":"),
+    allow_nan=False,
+    check_circular=False,
+    default=_json_default,
+)
+
+
 def canonical_json(doc: dict) -> str:
-    return json.dumps(_jsonable(doc), sort_keys=True, separators=(",", ":"))
+    """Sorted keys, minimal separators, one pass of the C encoder."""
+    try:
+        return _ENCODER.encode(doc)
+    except GeometryError:  # a ValueError itself, from _json_default
+        raise
+    except ValueError as exc:  # allow_nan=False: a NaN or infinity
+        raise GeometryError("report contains a non-finite number") from exc
 
 
 def _emit(doc: dict) -> None:
@@ -124,12 +134,15 @@ def _need(rec: dict, key: str, where: str):
 
 
 def _floats(value, length: Optional[int], where: str) -> np.ndarray:
-    if not isinstance(value, list) or not all(
-        isinstance(x, (int, float)) and not isinstance(x, bool) for x in value
+    if not isinstance(value, list) or not (
+        # one type test for the whole list; the element walk is for the
+        # lists it misses, such as np.float64 elements from a caller
+        set(map(type, value)) <= {int, float}
+        or all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in value)
     ):
         raise SchemaViolation(f"{where}: expected a list of numbers")
     arr = np.asarray(value, dtype=float)
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise SchemaViolation(f"{where}: numbers must be finite")
     if length is not None and arr.shape[0] != length:
         raise SchemaViolation(f"{where}: expected length {length}, got {arr.shape[0]}")

@@ -8,6 +8,11 @@ Vectors are plain numpy arrays of length n+1 holding coordinates
 so the last coordinate carries the minus sign.  The hyperboloid model of
 hyperbolic n-space is the sheet {<x, x> = -1, x_{n+1} > 0}.
 
+Each vector is validated once.  as_vector is the one validator, called
+where a vector enters from outside (the public functions here, the object
+constructors); code that already holds a validated array takes <x, y> as
+_dot(x, y), the same arithmetic as inner without validating again.
+
 The module also owns the degeneracy test used by every theorem in the
 package: a symmetric matrix of inner products is "degenerate" when its
 smallest singular value is negligible against the largest.  That ratio test
@@ -38,7 +43,7 @@ def as_vector(x) -> np.ndarray:
         raise InvalidInput(f"expected a 1-d coordinate vector, got shape {v.shape}")
     if v.shape[0] < 3:
         raise InvalidInput(f"need at least 3 coordinates, got {v.shape[0]}")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise InvalidInput("coordinates must be finite")
     return v
 
@@ -94,8 +99,8 @@ def classify(x, tol: float = DEFAULT_TOL) -> SignClass:
     if tol <= 0:
         raise InvalidInput("tol must be positive")
     v = as_vector(x)
-    q = norm_sq(v)
-    scale = 1.0 + float(np.max(np.abs(v))) ** 2
+    q = _dot(v, v)
+    scale = 1.0 + float(np.abs(v).max()) ** 2
     if abs(q) <= tol * scale:
         return SignClass.LIGHTLIKE
     return SignClass.SPACELIKE if q > 0 else SignClass.TIMELIKE
@@ -113,7 +118,7 @@ def gram(vectors: Sequence) -> np.ndarray:
         V = np.asarray(vectors, dtype=float)
     except ValueError:  # ragged
         V = np.empty(0)
-    if V.ndim != 2 or not V.size or V.shape[1] < 3 or not np.all(np.isfinite(V)):
+    if V.ndim != 2 or not V.size or V.shape[1] < 3 or not np.isfinite(V).all():
         if not [as_vector(v) for v in vectors]:
             raise InvalidInput("need at least one vector")
         raise DimensionMismatch("vectors have mixed lengths")
@@ -171,18 +176,18 @@ def degeneracy(matrix: np.ndarray, tol: float = DEFAULT_TOL) -> DegeneracyVerdic
     M = np.asarray(matrix, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise InvalidInput(f"expected a square matrix, got shape {M.shape}")
-    if not np.all(np.isfinite(M)):
+    if not np.isfinite(M).all():
         raise InvalidInput("matrix entries must be finite")
-    scale = max(float(np.max(np.abs(M))), 1.0)
-    if float(np.max(np.abs(M - M.T))) > 1e-12 * scale:
+    scale = max(float(np.abs(M).max()), 1.0)
+    if float(np.abs(M - M.T).max()) > 1e-12 * scale:
         raise NotSymmetric("matrix is not symmetric within 1e-12 relative")
     S = (M + M.T) / 2.0
     eigvals, eigvecs = np.linalg.eigh(S)
     sigmas = np.abs(eigvals)
     i_min = int(np.argmin(sigmas))
     sigma_min = float(sigmas[i_min])
-    sigma_max = float(np.max(sigmas))
-    det_value = float(np.prod(eigvals))
+    sigma_max = float(sigmas.max())
+    det_value = float(eigvals.prod())
     is_degenerate = sigma_min <= tol * max(sigma_max, 1.0)
     kernel = _canonical_sign(eigvecs[:, i_min].copy()) if is_degenerate else None
     return DegeneracyVerdict(

@@ -25,7 +25,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidInput, NoCommonTangent
-from .lorentz import DEFAULT_TOL, SignClass, as_vector, classify, gram, inner, norm_sq
+from .lorentz import DEFAULT_TOL, SignClass, _dot, as_vector, classify, gram, inner
 
 HOROSPHERE_LEVEL = -1.0 / math.sqrt(2.0)
 
@@ -56,8 +56,8 @@ class HPoint:
 
     def __init__(self, coords):
         v = as_vector(coords)
-        scale = 1.0 + float(np.max(np.abs(v))) ** 2
-        if abs(norm_sq(v) + 1.0) > _CHECK_TOL * scale:
+        scale = 1.0 + float(np.abs(v).max()) ** 2
+        if abs(_dot(v, v) + 1.0) > _CHECK_TOL * scale:
             raise InvalidInput("point is not on the unit hyperboloid")
         if v[-1] <= 0:
             raise InvalidInput("point is on the backward sheet")
@@ -100,8 +100,8 @@ class CoHyperplane:
 
     def __init__(self, normal):
         v = as_vector(normal)
-        scale = 1.0 + float(np.max(np.abs(v))) ** 2
-        if abs(norm_sq(v) - 1.0) > _CHECK_TOL * scale:
+        scale = 1.0 + float(np.abs(v).max()) ** 2
+        if abs(_dot(v, v) - 1.0) > _CHECK_TOL * scale:
             raise InvalidInput("normal must be unit spacelike")
         object.__setattr__(self, "normal", _frozen(v))
 
@@ -142,8 +142,8 @@ class EquidistantBranch:
 
     def __init__(self, normal, offset: float):
         v = as_vector(normal)
-        scale = 1.0 + float(np.max(np.abs(v))) ** 2
-        if abs(norm_sq(v) - 1.0) > _CHECK_TOL * scale:
+        scale = 1.0 + float(np.abs(v).max()) ** 2
+        if abs(_dot(v, v) - 1.0) > _CHECK_TOL * scale:
             raise InvalidInput("normal must be unit spacelike")
         if offset == 0:
             raise InvalidInput("offset must be nonzero (zero offset is the hyperplane itself)")
@@ -167,7 +167,7 @@ class CoSphereE:
         c = np.asarray(centre, dtype=float)
         if c.ndim != 1 or c.shape[0] < 1:
             raise InvalidInput("centre must be a 1-d coordinate vector")
-        if not np.all(np.isfinite(c)):
+        if not np.isfinite(c).all():
             raise InvalidInput("centre must be finite")
         if not (radius > 0):
             raise InvalidInput("radius must be positive")

@@ -842,7 +842,23 @@ def _classify_from_kernel(ns: np.ndarray, kernel: np.ndarray, tol: float) -> Cas
     infinity; lightlike: common ideal point), or it vanishes and a
     two-dimensional complement of the normal differences supplies the
     witness pair.
+
+    The structure (v ~ 0, lightlike, rank) is decided at min(tol,
+    DEFAULT_TOL): a looser threshold calls an exact family's tangent
+    witness lightlike or zero.  Only a kernel that has none of the
+    structures there, of a family degenerate at a looser tol alone, is
+    classified at tol.
     """
+    try:
+        return _kernel_case(ns, kernel, min(tol, DEFAULT_TOL))
+    except NoReliableKernel:
+        if tol <= DEFAULT_TOL:
+            raise
+        return _kernel_case(ns, kernel, tol)
+
+
+def _kernel_case(ns: np.ndarray, kernel: np.ndarray, tol: float) -> CaseyCase:
+    """_classify_from_kernel with every structural threshold at tol."""
     dim = ns.shape[1]
     D = metric_diag(dim)
     v = ns.T @ kernel

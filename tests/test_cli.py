@@ -3,14 +3,18 @@ and the generate -> verify -> classify pipeline."""
 
 import hashlib
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from lorentzgram import cli
 from lorentzgram.cli import THEOREMS, _build_parser, main
-from lorentzgram.generators import GenKind
+from lorentzgram.errors import GeometryError, SchemaViolation
+from lorentzgram.generators import GenKind, GenSpec, generate
 
 
 def run(capsys, *argv):
@@ -239,6 +243,176 @@ class TestDeterminism:
         pretty.write_text(json.dumps(doc_in, indent=2))
         _, doc2 = run_doc(capsys, "verify", str(pretty))
         assert doc2["input_digest"] == digest
+
+
+def reference_json(doc) -> str:
+    """The recursive walk that canonical_json replaced, kept as its
+    reference.  An array goes through tolist() whole, so a 0-d array is its
+    scalar; the walk's per-element loop raised TypeError on one."""
+
+    def walk(value):
+        if value is None or isinstance(value, (str, bool)):
+            return value
+        if isinstance(value, dict):
+            return {str(k): walk(v) for k, v in value.items()}
+        if isinstance(value, (list, tuple)):
+            return [walk(v) for v in value]
+        if isinstance(value, np.ndarray):
+            return walk(value.tolist())
+        if isinstance(value, (np.floating, float)):
+            out = float(value)
+            if not math.isfinite(out):
+                raise GeometryError("report contains a non-finite number")
+            return out
+        if isinstance(value, (np.integer, int)):
+            return int(value)
+        raise GeometryError(f"cannot serialize {type(value).__name__}")
+
+    return json.dumps(walk(doc), sort_keys=True, separators=(",", ":"))
+
+
+def keys_are_str(value) -> bool:
+    if isinstance(value, dict):
+        return all(isinstance(k, str) and keys_are_str(v) for k, v in value.items())
+    if isinstance(value, (list, tuple)):
+        return all(keys_are_str(v) for v in value)
+    return True
+
+
+def report_docs():
+    """Scene and report documents of every generated kind, as the CLI builds
+    them: ball and hyperboloid records, verify and classify with the search
+    on and off and with --emit-disk, relation, and error documents."""
+    for kind in GenKind:
+        for n in (2, 3):
+            config = generate(GenSpec(kind.value, n, seed=n))
+            for ball in (False, True):
+                doc = cli.config_to_scene_doc(config, disk=ball, meta={"seed": n})
+                yield doc
+                scene = cli.parse_scene(json.loads(cli.canonical_json(doc)))
+                for command in (cli.cmd_verify, cli.cmd_classify):
+                    for search in (True, False):
+                        for disk in (False, True):
+                            yield command(scene, "digest", 1e-9, search, disk)[0]
+        try:
+            config = generate(GenSpec(kind.value, 2, seed=1, count=4))
+        except GeometryError:
+            continue  # the kind has no four-object form at n = 2
+        doc = json.loads(cli.canonical_json(cli.config_to_scene_doc(config)))
+        doc["theorem"] = "relation"
+        try:
+            yield cli.cmd_relation(cli.parse_scene(doc), "digest", 1e-9)[0]
+        except GeometryError as exc:
+            yield {"error": type(exc).__name__, "message": str(exc)}
+
+
+class TestCanonicalJson:
+    def test_matches_reference_on_every_report_kind(self):
+        count = 0
+        for doc in report_docs():
+            assert keys_are_str(doc)
+            assert cli.canonical_json(doc) == reference_json(doc)
+            count += 1
+        assert count > 400
+
+    def test_matches_reference_on_numpy_values(self):
+        doc = {
+            "f32": np.float32(0.1),
+            "f64": np.float64(1) / 3,
+            "i64": np.int64(-7),
+            "u8": np.uint8(200),
+            "zero_d": np.array(2.5),
+            "zero_d_int": np.array(3),
+            "two_d": np.arange(6, dtype=float).reshape(2, 3) / 7,
+            "ints": np.array([1, 2], dtype=np.int32),
+            "tuple": (1, 2.5, np.float32(3.25), (None, True, "s")),
+            "nested": [{"b": np.float64(-0.0), "a": [np.int64(1)]}],
+        }
+        assert keys_are_str(doc)
+        assert cli.canonical_json(doc) == reference_json(doc)
+        assert json.loads(cli.canonical_json(doc))["zero_d"] == 2.5
+
+    @pytest.mark.parametrize("bad", [
+        float("nan"), float("inf"), -float("inf"), np.float64("nan"),
+        np.float32("inf"), np.array([1.0, float("nan")]), [[float("nan")]],
+    ])
+    def test_non_finite_is_a_geometry_error(self, bad):
+        with pytest.raises(GeometryError) as err:
+            cli.canonical_json({"a": 1, "x": bad})
+        assert str(err.value) == "report contains a non-finite number"
+
+    @pytest.mark.parametrize("bad", [object(), 1j, {1, 2}, np.bool_(True), b"x"])
+    def test_unknown_type_is_named(self, bad):
+        with pytest.raises(GeometryError) as err:
+            cli.canonical_json({"x": [bad]})
+        assert str(err.value) == f"cannot serialize {type(bad).__name__}"
+
+    def test_nan_in_scene_meta_exits_two(self, capsys, tmp_path):
+        # json.loads accepts NaN, and the digest is taken over the canonical
+        # form, so a NaN anywhere in the scene ends in exit 2
+        scene = generate_scene(
+            capsys, tmp_path, "--kind", "generic_points", "--n", "2", "--seed", "3")
+        doc = json.loads(Path(scene).read_text())
+        doc["meta"]["note"] = float("nan")
+        path = write_scene(tmp_path, doc, name="nan.json")
+        assert "NaN" in Path(path).read_text()
+        code, out = run(capsys, "verify", path)
+        assert code == 2
+        assert out == '{"error":"GeometryError","message":"report contains a non-finite number"}\n'
+
+
+def casey_scene(first: dict) -> dict:
+    """A casey scene at n = 2 whose first record is `first`."""
+    return {
+        "schema": "lorentz-gram/1", "dimension": 2, "theorem": "casey",
+        "objects": [first] + [
+            {"type": "hyperplane", "normal": v} for v in ([0.0, 1.0, 0.0], [-1.0, 0.0, 0.0])
+        ],
+    }
+
+
+class TestSceneNumbers:
+    @pytest.mark.parametrize("normal", [
+        [1, 0, 0],
+        [1.0, 0.0, 0.0],
+        [0, 1.0, 0],
+        [np.float64(1.0), np.float64(0.0), 0.0],
+    ])
+    def test_accepted(self, normal):
+        scene = cli.parse_scene(casey_scene({"type": "hyperplane", "normal": normal}))
+        got = scene.objects[0].normal
+        assert got.dtype == float
+        assert got.tolist() == [float(x) for x in normal]
+
+    @pytest.mark.parametrize("normal, message", [
+        ([True, 0.0, 0.0], "expected a list of numbers"),
+        ([1.0, False, 0.0], "expected a list of numbers"),
+        (["1", 0.0, 0.0], "expected a list of numbers"),
+        ([None, 0.0, 0.0], "expected a list of numbers"),
+        ([[1.0], 0.0, 0.0], "expected a list of numbers"),
+        ((1.0, 0.0, 0.0), "expected a list of numbers"),
+        (1.0, "expected a list of numbers"),
+        ([float("nan"), 0.0, 0.0], "numbers must be finite"),
+        ([1.0, float("inf"), 0.0], "numbers must be finite"),
+        ([1.0, 0.0], "expected length 3, got 2"),
+        ([1.0, 0.0, 0.0, 0.0], "expected length 3, got 4"),
+        ([], "expected length 3, got 0"),
+        ([2.0, 0.0, 0.0], "normal must be unit spacelike"),
+    ])
+    def test_rejected(self, normal, message):
+        with pytest.raises(SchemaViolation) as err:
+            cli.parse_scene(casey_scene({"type": "hyperplane", "normal": normal}))
+        assert str(err.value) == f"objects[0]: {message}"
+
+    @pytest.mark.parametrize("record, message", [
+        ({"type": "point", "coords": [0.5, 0.0, 1.0]}, "point is not on the unit hyperboloid"),
+        ({"type": "horosphere", "rep": [1.0, 0.0, 2.0]}, "representative must be lightlike"),
+        ({"type": "hyperplane", "direction": [2.0, 0.0]}, "normal must be unit spacelike"),
+    ])
+    def test_constructor_messages(self, record, message):
+        with pytest.raises(SchemaViolation) as err:
+            cli.parse_scene(casey_scene(record))
+        assert str(err.value) == f"objects[0]: {message}"
 
 
 class TestDiskModel:

@@ -35,6 +35,24 @@ class TestValidation:
         with pytest.raises(lg.InvalidInput):
             lg.CoHyperplane([2.0, 0.0, 0.0])
 
+    @pytest.mark.parametrize("make, coords, message", [
+        (lg.HPoint, [0.5, 0.0, 1.0], "point is not on the unit hyperboloid"),
+        (lg.HPoint, [0.0, 0.0, -1.0], "point is on the backward sheet"),
+        (lg.Horosphere, [1.0, 0.0, 2.0], "representative must be lightlike"),
+        (lg.Horosphere, [1.0, 0.0, -1.0], "representative must be forward pointing"),
+        (lg.CoHyperplane, [2.0, 0.0, 0.0], "normal must be unit spacelike"),
+        (lg.CoHyperplane, [0.0, 0.0, 1.0], "normal must be unit spacelike"),
+        (lambda v: lg.EquidistantBranch(v, 1.0), [0.0, 1.0, 0.5],
+         "normal must be unit spacelike"),
+        (lg.HPoint, [0.0, float("nan"), 1.0], "coordinates must be finite"),
+        (lg.CoHyperplane, [1.0, 0.0], "need at least 3 coordinates, got 2"),
+    ])
+    def test_constructor_messages(self, make, coords, message):
+        # each constructor validates its vector once, through as_vector
+        with pytest.raises(lg.InvalidInput) as err:
+            make(coords)
+        assert str(err.value) == message
+
     def test_hypersphere_radius(self):
         with pytest.raises(lg.InvalidInput):
             lg.Hypersphere(lg.HPoint([0.0, 0.0, 1.0]), 0.0)

@@ -512,6 +512,31 @@ class TestCasey:
         with pytest.raises(lg.InvalidInput):
             lg.casey_test(normals)
 
+    @pytest.mark.parametrize("tol", [1e-2, 1e-1, 1.0])
+    def test_loose_tol_keeps_the_exact_case(self, tol):
+        # the kernel's structure is decided at DEFAULT_TOL whatever the
+        # caller's tol; at these tolerances it used to be called
+        # orthogonal_equally_inclined or common_ideal_point, and the
+        # witness failed
+        tangent = lg.CaseyCaseKind.TANGENT_HYPERPLANE_AT_INFINITY
+        hs = lg.generate(lg.GenSpec("hyperplanes_tangent_at_infinity", 5, seed=0)).objects
+        res = lg.casey_test(hs, tol)
+        assert res.case.kind is tangent
+        assert lg.casey_witness_check(res.case, apply_signs(hs, res.signs)).passed
+        case = lg.casey_classify(hs, tol)
+        assert case.kind is tangent
+        assert lg.casey_witness_check(case, hs).passed
+        ss = lg.generate(lg.GenSpec("spheres_tangent_to_circle", 3, seed=0)).objects
+        res = lg.corollary_d_test(ss, tol)
+        assert res.case.kind is tangent
+        lifts = [lg.CoHyperplane(g * lg.sphere_lift(s).normal) for s, g in zip(ss, res.signs)]
+        assert lg.casey_witness_check(res.case, lifts).passed
+        # a generic family degenerate at this tol alone has no structure at
+        # DEFAULT_TOL; it is classified at tol, not refused
+        gs = lg.generate(lg.GenSpec("generic_hyperplanes", 3, seed=0)).objects
+        res = lg.casey_test(gs, tol)
+        assert res.verdict.is_degenerate and res.case is not None
+
     def test_witness_check_rejects_bad_cases(self):
         bad = lg.CaseyCase(lg.CaseyCaseKind.COMMON_IDEAL_POINT,
                            ideal_point=np.zeros(4))
