@@ -398,12 +398,29 @@ def ptolemy2_classify(points: Sequence[HPoint], tol: float = DEFAULT_TOL) -> Umb
     The points are appended a unit spacelike coordinate, making them
     lightlike one dimension up; a spacelike normal of their span decomposes
     into the surface datum and its offset.
+
+    The structure (the span's nullity, the normal, the kind of the fitted
+    direction) is decided at min(tol, DEFAULT_TOL), as in
+    _classify_from_kernel: a looser threshold calls the normal of an exact
+    family lightlike or zero.  Only points with no fit there, degenerate
+    at a looser tol alone, are fitted at tol.
     """
     ps = [p if isinstance(p, HPoint) else HPoint(p) for p in points]
     verdict = ptolemy2_test(ps, tol)
     if not verdict.is_degenerate:
         raise NotDegenerate("points are not degenerate at this tolerance")
     coords = np.stack([p.coords for p in ps])
+    try:
+        return _fit_from_span(coords, min(tol, DEFAULT_TOL))
+    except (NoReliableKernel, NormalSearchFailed):
+        if tol <= DEFAULT_TOL:
+            raise
+        return _fit_from_span(coords, tol)
+
+
+def _fit_from_span(coords: np.ndarray, tol: float) -> UmbilicalFit:
+    """ptolemy2_classify with its nullity count and every threshold of the
+    fit at tol."""
     m, dim = coords.shape
     lifted = np.concatenate([np.ones((m, 1)), coords], axis=1)
     svals = np.linalg.svd(lifted, compute_uv=False)
@@ -499,12 +516,17 @@ def _sign_blocks(m: int, rows: Optional[np.ndarray] = None):
     whose positions in that order are listed (ascending) in rows."""
     if rows is None:
         rows = np.arange(1 << (m - 1))
-    weights = 1 << np.arange(m - 2, -1, -1)  # bit of assignment k that flips entry i
     for start in range(0, rows.size, _SIGN_BLOCK):
         k = rows[start : start + _SIGN_BLOCK]
         signs = np.ones((k.size, m))
-        signs[:, 1:] -= 2.0 * ((k[:, None] & weights) != 0)
+        signs[:, 1:] = _signs_of(k, m - 1)
         yield signs
+
+
+def _signs_of(k: np.ndarray, length: int) -> np.ndarray:
+    """The sign vectors of the given length numbered k: entry i is -1 when
+    bit length - 1 - i of k is set."""
+    return 1.0 - 2.0 * ((k[:, None] >> np.arange(length - 1, -1, -1)) & 1)
 
 
 def _sign_spectra(matrices_of, m: int, rows: Optional[np.ndarray] = None):
@@ -523,19 +545,6 @@ def _screen(tol: float, m: int) -> float:
     return tol + 64.0 * m * _EPS
 
 
-def _argmin_ratio(matrices_of, m: int, rows: Optional[np.ndarray] = None):
-    """Sign vector of least singular value ratio among _sign_blocks(m, rows),
-    the earliest on ties: argmin takes the first within a block, and a
-    later block must be strictly smaller."""
-    best_signs, best_ratio = None, None
-    for signs, smin, smax in _sign_spectra(matrices_of, m, rows):
-        ratios = smin / smax
-        i = int(np.argmin(ratios))
-        if best_ratio is None or ratios[i] < best_ratio:
-            best_signs, best_ratio = signs[i].copy(), float(ratios[i])
-    return best_signs, best_ratio
-
-
 def _scan_signs(
     matrices_of, m: int, tol: float, certify, rows: Optional[np.ndarray] = None, sole: bool = False
 ):
@@ -543,7 +552,8 @@ def _scan_signs(
     block by block.  The first vector whose matrix degeneracy(., tol) calls
     degenerate and that certify qualifies (see _sign_search) wins, and no
     later block is solved.  Otherwise the vector of least ratio wins with
-    verdict and witness None, the earliest on ties as in _argmin_ratio.
+    verdict and witness None, the earliest on ties: argmin takes the
+    first within a block, and a later block must be strictly smaller.
 
     sole states that rows hold every vector that can be degenerate.  A lone
     degenerate vector then wins without certify, with witness None: it is
@@ -579,6 +589,15 @@ def _growing(rows: np.ndarray):
         size = min(4 * size, _SIGN_BLOCK)
 
 
+def _stacked(m: int) -> bool:
+    """Whether a search over m objects solves all 2^(m-1) sign vectors in
+    one stacked eigvalsh, which then holds every vector, instead of
+    pruning them with the _SignPencil certificate.  Below 7 objects the
+    certificate's fixed cost (one eigh, the table of y, its counts) is at
+    least that of the 32 solves it would save."""
+    return m < 7
+
+
 def _sign_search(matrices_of, m: int, tol: float, certify, rank_one=None):
     """The coorientation casey_test and corollary_d_test report.
 
@@ -600,35 +619,39 @@ def _sign_search(matrices_of, m: int, tol: float, certify, rank_one=None):
 
     matrices_of maps a (k, m) block of sign vectors to the (k, m, m) stack
     of their matrices.  rank_one = (M, rho, b) states that the matrix of s
-    has the spectrum of M + rho (s*b)(s*b)^T; with it, and more than one
-    block of vectors, only the vectors the _SignPencil certificate cannot
-    rule out are solved.  The vectors that may be degenerate come from one
-    pass with Weyl's bound and are solved in order, in growing chunks, so
-    that a hit early in the order ends the search.  When none qualifies, a
-    few seeds give a ratio, and only the vectors that may beat it are
-    solved.  The answer is that of solving every vector in order.
+    has the spectrum of M + rho (s*b)(s*b)^T; with it, and m past _stacked,
+    only the vectors the _SignPencil certificate cannot rule out are
+    solved.  The vectors that may be degenerate come from one pass with
+    Weyl's bound and are solved in order, in growing chunks, so that a hit
+    early in the order ends the search.  When none qualifies,
+    _SignPencil.least finds the least ratio.  The answer is that of
+    solving every vector in order.
     """
     tol = min(tol, DEFAULT_TOL)
-    one_block = (1 << (m - 1)) <= _SIGN_BLOCK
-    if rank_one is None or one_block:
-        return _scan_signs(matrices_of, m, tol, certify, sole=one_block)
+    if rank_one is None or _stacked(m):
+        return _scan_signs(matrices_of, m, tol, certify, sole=_stacked(m))
     pencil = _SignPencil(*rank_one)
     candidates = pencil.uncertain(_screen(tol, m), per_row=False)
+    best = math.inf
     for rows in _growing(candidates):
         found = _scan_signs(matrices_of, m, tol, certify, rows, sole=candidates.size == 1)
         if found[2] is not None:
             return found
+        best = min(best, found[1])
+
+    def ratios(rows):
+        return np.concatenate([lo / hi for _, lo, hi in _sign_spectra(matrices_of, m, rows)])
+
     # every vector that can qualify was tried: the least ratio is left
-    _, best = _argmin_ratio(matrices_of, m, pencil.seeds())
-    signs, ratio = _argmin_ratio(matrices_of, m, pencil.uncertain(best))
-    return signs, ratio, None, None
+    row, ratio = pencil.least(best, ratios)
+    return next(_sign_blocks(m, np.array([row])))[0], ratio, None, None
 
 
 def _sign_candidates(rank_one, m: int, ratio: float) -> Optional[np.ndarray]:
     """Positions in _sign_blocks(m) order of the sign vectors whose ratio
     the _SignPencil certificate cannot place above ratio, or None (all of
-    them) when they fit one block."""
-    if (1 << (m - 1)) <= _SIGN_BLOCK:
+    them) when _stacked(m)."""
+    if _stacked(m):
         return None
     return _SignPencil(*rank_one).uncertain(ratio)
 
@@ -648,9 +671,10 @@ def _tau_rank_one(parts: tuple[np.ndarray, np.ndarray], eps: np.ndarray, radii: 
     return (same + opposite) / 2.0, 2.0, eps * radii
 
 
-_LADDER = (1e-2, 1e-5, 1e-9, 1e-13)  # ratio levels that narrow the seed rows
-_SEED_ROWS = 4  # seed rows solved exactly for the first best ratio
-_NEWTON_STEPS = 8  # for the extreme secular root; an unconverged row keeps Weyl's bound
+_SEEDS = 8  # rows solved per round of _SignPencil.least
+_FEW = 32  # rows that cost less to solve than to bound further
+_NEWTON_ROWS = 2048  # the most rows that get the Newton bound on smax
+_NEWTON_STEPS = 4  # for the outer secular root; an unconverged row keeps the chord bound
 
 
 class _SignPencil:
@@ -676,52 +700,58 @@ class _SignPencil:
         m = b.size
         self.lam, Q = np.linalg.eigh(M)
         self.rho = rho
-        # y for every sign vector: each pass adds one entry as the new most
-        # significant bit of the row index, so entry 1 goes last
-        Y = np.empty((1 << (m - 1), m))
-        Y[0] = b[0] * Q[0]
-        n = 1
-        for i in range(m - 1, 0, -1):
-            v = b[i] * Q[i]
-            Y[n : 2 * n] = Y[:n] - v
-            Y[:n] += v
-            n *= 2
-        self.y2 = Y * Y
-        scale = float(np.max(np.abs(self.lam))) + abs(rho) * float(b @ b)
+        # y for every sign vector, the sum of the rows of V = b*Q with the
+        # signs s: the high and the low bits of the row index are summed
+        # apart, and the halves added by broadcasting
+        V = b[:, None] * Q
+        h = (m - 1) // 2
+        high = V[0] + _signs_of(np.arange(1 << h), h) @ V[1 : h + 1]
+        low = _signs_of(np.arange(1 << (m - 1 - h)), m - 1 - h) @ V[h + 1 :]
+        Y = (high[:, None, :] + low[None, :, :]).reshape(-1, m)
+        self.y2 = np.square(Y, out=Y)
+        n = len(Y)
+        # every row has sum y_i^2 = |b|^2 but for rounding; mass bounds it
+        self.mass = float(b @ b) * (1.0 + 1e-9)
+        scale = float(np.max(np.abs(self.lam))) + abs(rho) * self.mass
         self.eta = 32.0 * m * _EPS * scale
         self.weyl = scale + 2.0 * self.eta  # bounds every computed |eigenvalue|
         self.gamma = 2.0 * (m + 4) * _EPS  # relative rounding of a sum of m terms
-        self.smax = np.full(n, np.nan)  # per-row bounds, filled on demand
+        self.smax = np.full(n, np.nan)  # Newton bounds, filled on demand
 
     def _count(self, y2: np.ndarray, mu):
         """Eigenvalues below mu for the rows y2, and whether each count is
         untrusted.  mu is one value at least 2 eta off every lam_i, which
         costs a matvec, or one value per row."""
         lam = self.lam
+        j = np.searchsorted(lam, mu)  # lam_i < mu exactly for i < j
         if np.ndim(mu) == 0:
-            j = int(np.searchsorted(lam, mu))  # lam_i < mu exactly for i < j
-            w = 1.0 / (lam - mu)
-            below = np.einsum("ij,j->i", y2[:, :j], -w[:j])
-            above = np.einsum("ij,j->i", y2[:, j:], w[j:])
+            # einsum, not BLAS: a threaded gemv over every row stalls when
+            # another process holds the second core
+            s = np.einsum("ij,j->i", y2, 1.0 / (lam - mu))
+            gap = float(np.min(np.abs(lam - mu)))
             near = False
         else:
+            # the lam_i nearest mu are its neighbours in the sorted lam
+            gap = np.minimum(np.abs(lam[np.maximum(j - 1, 0)] - mu),
+                             np.abs(lam[np.minimum(j, lam.size - 1)] - mu))
+            near = gap < 2.0 * self.eta
             d = lam - mu[:, None]
-            close = np.abs(d) < 2.0 * self.eta
-            w = 1.0 / np.where(close, 1.0, d)
-            j = np.sum(d < 0, axis=1)
-            below = np.einsum("ij,ij->i", y2, np.maximum(-w, 0.0))
-            above = np.einsum("ij,ij->i", y2, np.maximum(w, 0.0))
-            near = np.any(close, axis=1)
-        h = -1.0 / self.rho - above + below
+            d[near] = 1.0
+            s = np.einsum("ij,ij->i", y2, np.reciprocal(d, out=d))
+        h = -1.0 / self.rho - s
         count = j + (h < 0) - (self.rho > 0)
-        untrusted = near | (np.abs(h) <= self.gamma * (1.0 / abs(self.rho) + above + below))
+        # sum y_i^2 / |lam_i - mu| <= mass / gap bounds the terms of h; a
+        # row nearer than 2 eta is untrusted whatever the bound
+        bound = 1.0 / abs(self.rho) + self.mass / np.maximum(gap, self.eta)
+        untrusted = near | (np.abs(h) <= self.gamma * bound)
         return count, untrusted
 
     def _clear(self, y2: np.ndarray, T) -> np.ndarray:
-        """Mask of the rows y2 certified to have no eigenvalue in [-T, T)."""
+        """Mask of the rows y2 certified to have no eigenvalue in [-T, T),
+        for one T or one per row."""
         up, up_untrusted = self._count(y2, T)
         down, down_untrusted = self._count(y2, -T)
-        return (up == down) & ~up_untrusted & ~down_untrusted
+        return (up == down) & ~(up_untrusted | down_untrusted)
 
     def _off_spectrum(self, T: float) -> float:
         """T widened until +-T sit at least 2 eta from every lam_i."""
@@ -731,21 +761,73 @@ class _SignPencil:
                 return T
             T = float(np.max(np.abs(self.lam[near]))) + 2.0 * self.eta
 
-    def _smax_bound(self, rows: np.ndarray, y2: np.ndarray) -> np.ndarray:
-        """Per row, a certified bound on the largest computed |eigenvalue|.
+    def _outer_gaps(self):
+        """The end of lam the outer root leaves from, and the gaps g_i >= 0
+        of every lam_i to it."""
+        end = 0 if self.rho < 0 else -1
+        return end, np.abs(self.lam - self.lam[end])
 
-        Every eigenvalue lies in [lam_1, lam_m] but one outer root, below
-        lam_1 for rho < 0 and above lam_m for rho > 0, at the distance d
-        where |rho| sum y_i^2 / (g_i + d) = 1 with g_i the gaps to that
-        end.  Newton on the concave 1/sum(...) climbs to d from below; the
-        widened iterate is certified by one count, or Weyl's bound stays.
+    @functools.cached_property
+    def _inner(self) -> np.ndarray:
+        """Per row, a bound on the eigenvalue at the end of lam the outer
+        root does not leave.
+
+        That eigenvalue moves inward by t: for rho > 0 it solves rho y_1^2
+        / t = 1 + rho sum_{i>1} y_i^2 / (g_i - t), t in (0, g_2), with g_i
+        = lam_i - lam_1 >= g_2, so t^2 - B t + rho y_1^2 g_2 <= 0 with B =
+        g_2 + rho sum y_i^2, and t is at least the lesser root, which only
+        falls when mass stands in for the sum (mirrored for rho < 0).
+        """
+        end, step = (0, 1) if self.rho > 0 else (-1, -1)
+        g2 = abs(float(self.lam[end + step] - self.lam[end]))
+        c = abs(self.rho) * self.y2[:, end] * g2
+        B = g2 + abs(self.rho) * self.mass
+        t = 2.0 * c / np.maximum(B + np.sqrt(np.maximum(B * B - 4.0 * c, 0.0)), _EPS)
+        return self.lam[end] + step * t * (1.0 - 1e-9)
+
+    def _smax_from(self, d: np.ndarray, inner: np.ndarray) -> np.ndarray:
+        """A bound on the largest computed |eigenvalue| from a bound d on
+        the distance of the outer root from its end of lam, and _inner: the
+        spectrum lies between the two."""
+        end, _ = self._outer_gaps()
+        outer = self.lam[end] - d if self.rho < 0 else self.lam[end] + d
+        return np.maximum(np.abs(outer), np.abs(inner)) + 2.0 * self.eta
+
+    @functools.cached_property
+    def _chord(self) -> np.ndarray:
+        """Per row, a bound on the largest computed |eigenvalue| from two
+        sums over the row.
+
+        The outer root lies at the distance d from its end of lam where
+        |rho| sum y_i^2 / (g_i + d) = 1.  On [0, G], G = max g_i, 1/(g + d)
+        lies below its chord, so |rho| (Y/d - S/(d (G + d))) >= 1 with Y =
+        sum y_i^2 and S = sum y_i^2 g_i: d is at most the positive root of
+        d^2 + (G - P) d - Q = 0, Q = |rho| (Y G - S) >= 0, for any P >=
+        |rho| Y, such as |rho| mass.
+        """
+        _, g = self._outer_gaps()
+        G, P = float(g.max()), abs(self.rho) * self.mass
+        Q = abs(self.rho) * np.maximum(np.einsum("ij,j->i", self.y2, G - g), 0.0)
+        disc = np.sqrt((G - P) ** 2 + 4.0 * Q)
+        # the form of the root without cancellation for the sign of P - G
+        d = (P - G + disc) / 2.0 if P >= G else 2.0 * Q / np.maximum(G - P + disc, _EPS)
+        return self._smax_from(d * (1.0 + 1e-9) + 2.0 * self.eta, self._inner)
+
+    def _smax_bound(self, rows: np.ndarray, y2: np.ndarray) -> np.ndarray:
+        """Per row, a certified bound on the largest computed |eigenvalue|,
+        near the truth where the outer root sets it.
+
+        Newton on the concave 1/sum(...) climbs to the outer root's
+        distance d, from near Jensen's bound d >= |rho| Y - S/Y; the
+        widened iterate is certified by one count, or the chord bound
+        stays.
         """
         todo = np.isnan(self.smax[rows])
         if todo.any():
-            lam, y2, r = self.lam, y2[todo], abs(self.rho)
-            end = 0 if self.rho < 0 else -1
-            g = np.abs(lam - lam[end])
-            d = np.maximum(r * y2[:, end], self.eta)
+            lam, y2, r, rows = self.lam, y2[todo], abs(self.rho), rows[todo]
+            end, g = self._outer_gaps()
+            Y = self.mass
+            d = np.maximum(r * Y - np.einsum("ij,j->i", y2, g) / Y, self.eta)
             for _ in range(_NEWTON_STEPS):
                 q = 1.0 / (g + d[:, None])
                 psi = np.einsum("ij,ij->i", y2, q)
@@ -754,51 +836,74 @@ class _SignPencil:
             outer = lam[end] - d if self.rho < 0 else lam[end] + d
             count, untrusted = self._count(y2, outer)
             certified = (count == (0 if self.rho < 0 else lam.size)) & ~untrusted
-            bound = np.maximum(np.abs(outer), float(np.max(np.abs(lam)))) + 2.0 * self.eta
-            self.smax[rows[todo]] = np.where(certified, bound, self.weyl)
+            bound = self._smax_from(d, self._inner[rows])
+            self.smax[rows] = np.where(certified, np.minimum(bound, self._chord[rows]), self._chord[rows])
         return self.smax[rows]
 
     def uncertain(
         self, ratio: float, rows: Optional[np.ndarray] = None, per_row: bool = True
     ) -> np.ndarray:
         """The rows (all, or those listed) whose singular value ratio
-        smin / max(smax, 1) is not certified to exceed ratio.  Weyl's bound
-        on smax serves all rows with one matvec per count; per_row then
-        retries the rest with their own bounds on smax."""
-        y2 = self.y2 if rows is None else self.y2[rows]
-        rows = np.arange(len(self.y2)) if rows is None else rows
+        smin / max(smax, 1) is not certified to exceed ratio.
+
+        Weyl's bound on smax serves all rows with one matvec per count.
+        per_row then retries the rows it kept with each row's chord bound
+        on smax, and, if at most _NEWTON_ROWS are left, with its Newton
+        bound; once _FEW rows or fewer are left, no further stage runs.
+        """
+        if rows is None:
+            rows = np.arange(len(self.y2))
+        y2 = self.y2 if rows.size == len(self.y2) else self.y2[rows]
         slack = 1.0 + 1e-9  # keeps the rounded quotient of a dropped row above ratio
         T = ratio * max(self.weyl, 1.0) * slack + 3.0 * self.eta
         keep = ~self._clear(y2, self._off_spectrum(T))
         rows = rows[keep]
-        if per_row and rows.size and ratio * max(self.weyl, 1.0) > self.eta:
-            # the per-row bound on smax tightens T only where ratio, not eta, sets it
-            y2 = y2[keep]
+        # a per-row bound on smax tightens T only where ratio, not eta, sets it
+        if not per_row or rows.size <= _FEW or ratio * max(self.weyl, 1.0) <= self.eta:
+            return rows
+        y2 = y2[keep]
+        T = ratio * np.maximum(self._chord[rows], 1.0) * slack + 3.0 * self.eta
+        keep = ~self._clear(y2, T)
+        rows, y2 = rows[keep], y2[keep]
+        if _FEW < rows.size <= _NEWTON_ROWS:
             T = ratio * np.maximum(self._smax_bound(rows, y2), 1.0) * slack + 3.0 * self.eta
             rows = rows[~self._clear(y2, T)]
         return rows
 
-    def seeds(self) -> np.ndarray:
-        """A few rows of near-least ratio: the ladder narrows to the lowest
-        level that keeps some row, then bisection of the ratio between that
-        level and the next narrows further."""
-        level, hi, lo = None, 1.0, None
-        for L in _LADDER:
-            kept = self.uncertain(L, level, per_row=False)
-            if not kept.size:
-                lo = L
+    def least(self, best: float, solve) -> tuple[int, float]:
+        """The row of least exact ratio, the earliest on ties, and its ratio.
+
+        solve(rows) returns the exact ratios of the listed rows, and best
+        is the least exact ratio of rows solved before (inf for none).
+        Each round solves the _SEEDS unsolved rows of least estimated
+        ratio and keeps the rows that uncertain(best) cannot place above
+        the new best.  Rounds stop at _FEW rows, or when one drops no
+        row; the unsolved rows left are then solved.  The estimate is
+        |h(0)|, proportional to |det K_s| by the determinant lemma, over
+        the chord bound on smax.
+        """
+        lam = np.where(np.abs(self.lam) < self.eta, self.eta, self.lam)
+        score = np.abs(1.0 / self.rho + np.einsum("ij,j->i", self.y2, 1.0 / lam))
+        score /= np.maximum(self._chord, 1.0)
+        ratios = np.full(len(self.y2), np.nan)
+        rows = np.arange(len(self.y2))
+        while rows.size > _FEW:
+            fresh = rows[np.isnan(ratios[rows])]
+            if not fresh.size:
                 break
-            level, hi = kept, L
-        if level is None:
-            level = np.arange(len(self.y2))
-        while lo is not None and level.size > _SEED_ROWS and hi > lo * (1.0 + 1e-3):
-            mid = math.sqrt(lo * hi)
-            kept = self.uncertain(mid, level)
-            if kept.size:
-                level, hi = kept, mid
-            else:
-                lo = mid
-        return level[:_SEED_ROWS]
+            if fresh.size > _SEEDS:
+                fresh = np.sort(fresh[np.argpartition(score[fresh], _SEEDS)[:_SEEDS]])
+            ratios[fresh] = solve(fresh)
+            best = min(best, float(np.min(ratios[fresh])))
+            kept = self.uncertain(best, rows)
+            if kept.size == rows.size:
+                break
+            rows = kept
+        fresh = rows[np.isnan(ratios[rows])]
+        if fresh.size:
+            ratios[fresh] = solve(fresh)
+        i = rows[int(np.argmin(ratios[rows]))]
+        return int(i), float(ratios[i])
 
 
 def _forward_unit(v: np.ndarray) -> np.ndarray:
