@@ -54,7 +54,7 @@ import numpy as np
 from .errors import GeometryError, SchemaViolation
 from .generators import Configuration, GenKind, GenSpec, generate
 from .lorentz import DEFAULT_TOL, DegeneracyVerdict, degeneracy
-from .models import ball_to_hyperboloid, hyperboloid_to_ball, sphere_lift
+from .models import ball_normals, ball_points, ball_reps, hyperboloid_to_ball, sphere_lifts
 from .objects import (
     CoHyperplane,
     CoSphereE,
@@ -133,83 +133,129 @@ def _need(rec: dict, key: str, where: str):
     return rec[key]
 
 
-def _floats(value, length: Optional[int], where: str) -> np.ndarray:
-    if not isinstance(value, list) or not (
-        # one type test for the whole list; the element walk is for the
-        # lists it misses, such as np.float64 elements from a caller
-        set(map(type, value)) <= {int, float}
-        or all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in value)
+def _fields(recs: list, key: str, where: str) -> list:
+    return [_need(rec, key, where) for rec in recs]
+
+
+def _floats(values: list, length: int, where: str) -> np.ndarray:
+    """The (k, length) float array of k lists of JSON numbers."""
+    if not all(isinstance(v, list) for v in values):
+        raise SchemaViolation(f"{where}: expected a list of numbers")
+    # one type test for all the numbers; the element walk is for the lists
+    # it misses, such as np.float64 elements from a caller
+    if not {type(x) for v in values for x in v} <= {int, float} and not all(
+        isinstance(x, (int, float)) and not isinstance(x, bool) for v in values for x in v
     ):
         raise SchemaViolation(f"{where}: expected a list of numbers")
-    arr = np.asarray(value, dtype=float)
+    arr = np.array(values, dtype=float)  # ValueError when the lengths differ
     if not np.isfinite(arr).all():
         raise SchemaViolation(f"{where}: numbers must be finite")
-    if length is not None and arr.shape[0] != length:
-        raise SchemaViolation(f"{where}: expected length {length}, got {arr.shape[0]}")
+    if arr.shape[1] != length:
+        raise SchemaViolation(f"{where}: expected length {length}, got {arr.shape[1]}")
     return arr
 
 
-def _scalar(rec: dict, key: str, where: str, unit: bool = False) -> float:
-    """Field key of rec: a finite number as float, or with unit the integer +1 or -1."""
-    x = _need(rec, key, where)
-    if isinstance(x, bool) or not isinstance(x, (int, float)):
+def _scalars(recs: list, key: str, where: str, unit: bool = False) -> list:
+    """Field key of each record: a finite number as float, or with unit the
+    integer +1 or -1."""
+    xs = _fields(recs, key, where)
+    if any(isinstance(x, bool) or not isinstance(x, (int, float)) for x in xs):
         raise SchemaViolation(f"{where}: {key} must be a number")
     if unit:
-        if x not in (1, -1):
+        if any(x not in (1, -1) for x in xs):
             raise SchemaViolation(f"{where}: {key} must be +1 or -1")
-        return int(x)
-    if not abs(x) <= sys.float_info.max:  # also an int too large for a float
+        return [int(x) for x in xs]
+    if not all(abs(x) <= sys.float_info.max for x in xs):  # also ints too large for a float
         raise SchemaViolation(f"{where}: {key} must be finite")
-    return float(x)
+    return [float(x) for x in xs]
 
 
-def _record_to_object(rec: dict, n: int, where: str):
+# record type -> the keys that select its ball-model forms, first match wins
+_FORMS = {
+    "point": ("ball",),
+    "horosphere": ("centre_dir",),
+    "hyperplane": ("pole", "direction"),
+    "hypersphere": ("ball_centre",),
+    "sphere_e": (),
+}
+
+
+def _form(rec, where: str) -> tuple[str, Optional[str]]:
+    """(type, ball-model key or None) of one record."""
     if not isinstance(rec, dict):
         raise SchemaViolation(f"{where}: record must be an object")
     kind = _need(rec, "type", where)
+    keys = _FORMS.get(kind) if isinstance(kind, str) else None
+    if keys is None:
+        raise SchemaViolation(f"{where}: unknown record type {kind!r}")
+    for key in keys:
+        if key in rec:
+            return kind, key
+    return kind, None
+
+
+def _build(kind: str, key: Optional[str], recs: list, n: int, where: str) -> list:
+    """The objects of records of one form: their numbers gathered into one
+    array, converted to hyperboloid coordinates and checked in one pass."""
+    if kind == "point":
+        if key:
+            return HPoint.rows(ball_points(_floats(_fields(recs, key, where), n, where)))
+        return HPoint.rows(_floats(_fields(recs, "coords", where), n + 1, where))
+    if kind == "horosphere":
+        if key:
+            D = _floats(_fields(recs, key, where), n, where)
+            scale = _scalars(recs, "scale", where)
+            if min(scale) <= 0:
+                raise SchemaViolation(f"{where}: scale must be positive")
+            return Horosphere.rows(ball_reps(D, scale))
+        return Horosphere.rows(_floats(_fields(recs, "rep", where), n + 1, where))
+    if kind == "hyperplane":
+        if key:
+            P = _floats(_fields(recs, key, where), n, where)
+            orientation = _scalars(recs, "orientation", where, unit=True) if key == "pole" else None
+            return CoHyperplane.rows(ball_normals(P, orientation))
+        return CoHyperplane.rows(_floats(_fields(recs, "normal", where), n + 1, where))
+    if kind == "hypersphere":
+        radii = _scalars(recs, "radius", where)
+        if key:
+            X = ball_points(_floats(_fields(recs, key, where), n, where))
+        else:
+            X = _floats(_fields(recs, "centre", where), n + 1, where)
+        return [Hypersphere(c, r) for c, r in zip(HPoint.rows(X), radii)]
+    C = _floats(_fields(recs, "centre", where), n, where)
+    radii = _scalars(recs, "radius", where)
+    return CoSphereE.rows(C, radii, _scalars(recs, "eps", where, unit=True))
+
+
+def _record_to_object(rec, n: int, where: str):
+    kind, key = _form(rec, where)
     try:
-        if kind == "point":
-            if "ball" in rec:
-                return ball_to_hyperboloid(_floats(rec["ball"], n, where))
-            return HPoint(_floats(_need(rec, "coords", where), n + 1, where))
-        if kind == "horosphere":
-            if "centre_dir" in rec:
-                d = _floats(rec["centre_dir"], n, where)
-                s = _scalar(rec, "scale", where)
-                if s <= 0:
-                    raise SchemaViolation(f"{where}: scale must be positive")
-                return Horosphere(s * np.concatenate([d, [1.0]]))
-            return Horosphere(_floats(_need(rec, "rep", where), n + 1, where))
-        if kind == "hyperplane":
-            if "pole" in rec:
-                pole = _floats(rec["pole"], n, where)
-                orient = _scalar(rec, "orientation", where, unit=True)
-                r2 = float(pole @ pole)
-                if r2 <= 1.0:
-                    raise SchemaViolation(f"{where}: bad pole form")
-                vt = orient / math.sqrt(r2 - 1.0)
-                return CoHyperplane(np.concatenate([vt * pole, [vt]]))
-            if "direction" in rec:
-                d = _floats(rec["direction"], n, where)
-                return CoHyperplane(np.concatenate([d, [0.0]]))
-            return CoHyperplane(_floats(_need(rec, "normal", where), n + 1, where))
-        if kind == "hypersphere":
-            radius = _scalar(rec, "radius", where)
-            if "ball_centre" in rec:
-                centre = ball_to_hyperboloid(_floats(rec["ball_centre"], n, where))
-            else:
-                centre = HPoint(_floats(_need(rec, "centre", where), n + 1, where))
-            return Hypersphere(centre, radius)
-        if kind == "sphere_e":
-            centre = _floats(_need(rec, "centre", where), n, where)
-            radius = _scalar(rec, "radius", where)
-            eps = _scalar(rec, "eps", where, unit=True)
-            return CoSphereE(centre, radius, eps)
+        return _build(kind, key, [rec], n, where)[0]
     except SchemaViolation:
         raise
     except (GeometryError, ValueError, TypeError, OverflowError) as exc:
         raise SchemaViolation(f"{where}: {exc}") from exc
-    raise SchemaViolation(f"{where}: unknown record type {kind!r}")
+
+
+def _objects(records: list, n: int) -> list:
+    """The objects of a scene, each record form built in one pass.
+
+    A failed pass does not say which record is bad, so the records then run
+    through the same code one at a time, and the first bad one raises with
+    its own message, named objects[i].
+    """
+    try:
+        forms: dict = {}
+        for i, rec in enumerate(records):
+            forms.setdefault(_form(rec, ""), []).append(i)
+        objects = [None] * len(records)
+        for (kind, key), rows in forms.items():
+            built = _build(kind, key, [records[i] for i in rows], n, "")
+            for i, obj in zip(rows, built):
+                objects[i] = obj
+        return objects
+    except (GeometryError, ValueError, TypeError, OverflowError):
+        return [_record_to_object(rec, n, f"objects[{i}]") for i, rec in enumerate(records)]
 
 
 def object_to_record(obj, disk: bool = False) -> dict:
@@ -282,9 +328,7 @@ def parse_scene(doc, theorem: Optional[str] = None) -> Scene:
     records = doc.get("objects")
     if not isinstance(records, list) or not records:
         raise SchemaViolation("objects must be a non-empty list")
-    objects = [
-        _record_to_object(rec, n, f"objects[{i}]") for i, rec in enumerate(records)
-    ]
+    objects = _objects(records, n)
     if theorem == "relation":
         if len(objects) != 4:
             raise SchemaViolation("relation scenes need exactly 4 objects")
@@ -446,11 +490,12 @@ def _run_ptolemy2(scene: Scene, tol: float, search: bool, disk: bool, classify: 
     }
 
 
-def _casey_fields(res, normals, disk: bool, classify: bool) -> dict:
+def _casey_fields(res, normals: Callable[[], np.ndarray], disk: bool, classify: bool) -> dict:
     """Report fields of a casey or casey_e result.
 
-    normals yields the unflipped hyperplane normals of the family; classify
-    checks the witnesses against them flipped by the reported signs.
+    normals() gives the (m, d) array of the family's unflipped hyperplane
+    normals; classify checks the witnesses against it flipped by the
+    reported signs.
     """
     fields = {"signs": list(res.signs)}
     if not classify:
@@ -458,7 +503,7 @@ def _casey_fields(res, normals, disk: bool, classify: bool) -> dict:
         return fields
     residual = None
     if res.case is not None:
-        flipped = [CoHyperplane(s * normal) for s, normal in zip(res.signs, normals)]
+        flipped = np.array(res.signs, dtype=float)[:, None] * normals()
         report = casey_witness_check(res.case, flipped)
         residual = report.residual
         fields["witness_check"] = {
@@ -472,15 +517,14 @@ def _casey_fields(res, normals, disk: bool, classify: bool) -> dict:
 
 def _run_casey(scene: Scene, tol: float, search: bool, disk: bool, classify: bool):
     res = casey_test(scene.objects, tol, search=search)
-    normals = (h.normal for h in scene.objects)
-    return res.verdict, _casey_fields(res, normals, disk, classify)
+    fields = _casey_fields(res, lambda: np.stack([h.normal for h in scene.objects]), disk, classify)
+    return res.verdict, fields
 
 
 def _run_casey_e(scene: Scene, tol: float, search: bool, disk: bool, classify: bool):
     res = corollary_d_test(scene.objects, tol, search=search)
     # the witnesses certify the hyperplane lifts of the spheres
-    normals = (sphere_lift(sph).normal for sph in scene.objects)
-    fields = _casey_fields(res, normals, disk, classify)
+    fields = _casey_fields(res, lambda: sphere_lifts(scene.objects), disk, classify)
     if classify:
         fields["euclidean"] = _euclidean_doc(res.euclidean, disk)
     return res.verdict, fields

@@ -28,7 +28,7 @@ from .lorentz import (
     norm_sq,
     null_basis,
 )
-from .models import horosphere_point, normal_to_sphere_or_plane, sphere_lift
+from .models import horosphere_point, normal_to_sphere_or_plane, sphere_lifts
 from .objects import (
     CoHyperplane,
     CoSphereE,
@@ -526,7 +526,7 @@ def _gen_spheres_tangent(n: int, count: int, seed: int, params: dict):
         keys = [np.concatenate([s.centre, [s.radius, s.eps]]) for s in config.objects]
         if _min_pairwise(keys) < 1e-3:
             return False
-        lifts = [sphere_lift(s) for s in config.objects]
+        lifts = CoHyperplane.rows(sphere_lifts(config.objects))
         if not _spectrum_ok(sigma_matrix(lifts), 1):
             return False
         return _spectrum_ok(tau_matrix(list(config.objects)), 1)

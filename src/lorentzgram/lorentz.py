@@ -10,7 +10,8 @@ hyperbolic n-space is the sheet {<x, x> = -1, x_{n+1} > 0}.
 
 Each vector is validated once.  as_vector is the one validator, called
 where a vector enters from outside (the public functions here, the object
-constructors); code that already holds a validated array takes <x, y> as
+constructors; a scene's families enter as arrays that the command line
+checks whole); code that already holds a validated array takes <x, y> as
 _dot(x, y), the same arithmetic as inner without validating again.
 
 The module also owns the degeneracy test used by every theorem in the
@@ -128,6 +129,12 @@ def gram(vectors: Sequence) -> np.ndarray:
     return X
 
 
+def _require_finite(*matrices: np.ndarray) -> None:
+    """Raise InvalidInput unless every entry of the matrices is finite."""
+    if not all(np.isfinite(M).all() for M in matrices):
+        raise InvalidInput("matrix entries must be finite")
+
+
 @dataclass(frozen=True, eq=False)
 class DegeneracyVerdict:
     """Outcome of the singular-value degeneracy test.
@@ -176,8 +183,7 @@ def degeneracy(matrix: np.ndarray, tol: float = DEFAULT_TOL) -> DegeneracyVerdic
     M = np.asarray(matrix, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise InvalidInput(f"expected a square matrix, got shape {M.shape}")
-    if not np.isfinite(M).all():
-        raise InvalidInput("matrix entries must be finite")
+    _require_finite(M)
     scale = max(float(np.abs(M).max()), 1.0)
     if float(np.abs(M - M.T).max()) > 1e-12 * scale:
         raise NotSymmetric("matrix is not symmetric within 1e-12 relative")

@@ -7,7 +7,7 @@ dimension up.
 from __future__ import annotations
 
 import math
-from typing import Optional, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -20,6 +20,7 @@ from .objects import (
     EuclideanPlane,
     Horosphere,
     HPoint,
+    _check_normals,
 )
 
 _SQRT2 = math.sqrt(2.0)
@@ -31,16 +32,50 @@ def hyperboloid_to_ball(p: Union[HPoint, np.ndarray]) -> np.ndarray:
     return x[:-1] / (1.0 + x[-1])
 
 
+def ball_points(B: np.ndarray) -> np.ndarray:
+    """Inverse projection of each row of a (k, n) array of ball points to
+    hyperboloid coordinates; raises OutsideBall within 1e-12 of the boundary.
+
+    |b|^2 is each row's own dot product, so a row converts to the same bits
+    alone as in a family.
+    """
+    r2 = np.array([b @ b for b in B], dtype=float)
+    if (r2 >= (1.0 - 1e-12) ** 2).any():
+        raise OutsideBall("point is not strictly inside the unit ball")
+    return np.concatenate([2.0 * B, (1.0 + r2)[:, None]], axis=1) / (1.0 - r2)[:, None]
+
+
 def ball_to_hyperboloid(b) -> HPoint:
-    """Inverse projection; raises OutsideBall within 1e-12 of the boundary."""
+    """Inverse projection of one ball point; see ball_points."""
     bv = np.asarray(b, dtype=float)
     if bv.ndim != 1:
         raise InvalidInput("ball point must be a 1-d coordinate vector")
-    r2 = float(bv @ bv)
-    if r2 >= (1.0 - 1e-12) ** 2:
-        raise OutsideBall("point is not strictly inside the unit ball")
-    denom = 1.0 - r2
-    return HPoint(np.concatenate([2.0 * bv, [1.0 + r2]]) / denom)
+    return HPoint(ball_points(bv[None])[0])
+
+
+def ball_normals(P: np.ndarray, orientation=None) -> np.ndarray:
+    """Unit normals of hyperplanes given in the ball model, one per row.
+
+    Without orientation the rows are directions d of hyperplanes through the
+    origin, with normal (d, 0).  With orientation (k signs +-1) they are the
+    poles p, |p| > 1, of hyperplanes off the origin, with normal
+    o (p, 1) / sqrt(|p|^2 - 1).
+    """
+    if orientation is None:
+        return np.concatenate([P, np.zeros((P.shape[0], 1))], axis=1)
+    r2 = np.array([p @ p for p in P], dtype=float)
+    if (r2 <= 1.0).any():
+        raise InvalidInput("bad pole form")
+    vt = np.asarray(orientation) / np.sqrt(r2 - 1.0)
+    return np.concatenate([vt[:, None] * P, vt[:, None]], axis=1)
+
+
+def ball_reps(D: np.ndarray, scale) -> np.ndarray:
+    """Horosphere representatives s (d, 1) from ideal centres d on the unit
+    sphere (rows) and k scales s."""
+    return np.asarray(scale, dtype=float)[:, None] * np.concatenate(
+        [D, np.ones((D.shape[0], 1))], axis=1
+    )
 
 
 def ball_distance(b1, b2) -> float:
@@ -118,6 +153,29 @@ def horosphere_point(h: Horosphere, zeta) -> HPoint:
     return HPoint(alpha * h.rep + beta * m + F @ zv)
 
 
+def _lift_rows(C: np.ndarray, radii, eps) -> np.ndarray:
+    # |c|^2 is each row's own dot product and r^2 Python's pow, so that a
+    # sphere lifts to the same bits alone as in a family
+    a = np.array([c @ c - r**2 for c, r in zip(C, radii)], dtype=float)
+    scale = np.array(eps, dtype=float) / np.array(radii, dtype=float)
+    V = np.concatenate([C, ((a - 1.0) / 2.0)[:, None], ((a + 1.0) / 2.0)[:, None]], axis=1)
+    return V * scale[:, None]
+
+
+def sphere_lifts(spheres: Sequence[CoSphereE]) -> np.ndarray:
+    """Hyperplane normals of a family of cooriented spheres of R^n, one row
+    each of a (k, n+2) array, checked unit spacelike in one pass.
+
+    Row i is sphere_lift(spheres[i]).normal.  An unrepresentable lift (a
+    radius so small that the normal overflows) raises InvalidInput.
+    """
+    ss = list(spheres)
+    C = np.stack([s.centre for s in ss])
+    V = _lift_rows(C, [s.radius for s in ss], [s.eps for s in ss])
+    _check_normals(V)
+    return V
+
+
 def sphere_lift(s: CoSphereE) -> CoHyperplane:
     """Lift a cooriented sphere of R^n to a hyperplane normal in R^{n+1,1}.
 
@@ -125,10 +183,7 @@ def sphere_lift(s: CoSphereE) -> CoHyperplane:
     a unit spacelike vector; inner products of lifts equal minus the
     inversive distance of the spheres.
     """
-    c = s.centre
-    a = float(c @ c) - s.radius**2
-    v = np.concatenate([c, [(a - 1.0) / 2.0, (a + 1.0) / 2.0]]) * (s.eps / s.radius)
-    return CoHyperplane(v)
+    return CoHyperplane(_lift_rows(s.centre[None], [s.radius], [s.eps])[0])
 
 
 def normal_to_sphere_or_plane(v, tol: float = 1e-9) -> Union[CoSphereE, EuclideanPlane]:

@@ -17,6 +17,7 @@ Conventions fixed here:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -25,7 +26,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidInput, NoCommonTangent
-from .lorentz import DEFAULT_TOL, SignClass, _dot, as_vector, classify, gram, inner
+from .lorentz import DEFAULT_TOL, as_vector, gram, inner, metric_diag
 
 HOROSPHERE_LEVEL = -1.0 / math.sqrt(2.0)
 
@@ -48,6 +49,79 @@ def _safe_acosh(x: float) -> float:
     return math.acosh(max(x, 1.0))
 
 
+# ---------------------------------------------------------------------------
+# validators: each checks every row of a (k, d) array in one pass and raises
+# its type's message when some row fails.  The constructors are their
+# one-row case, and the rows() class methods their family case.
+
+
+@functools.cache
+def _signature(dim: int) -> np.ndarray:
+    d = metric_diag(dim)
+    d.flags.writeable = False
+    return d
+
+
+def _check_norms(V: np.ndarray, target: float, message: str) -> None:
+    """Every row v of V must have <v, v> within _CHECK_TOL (1 + |v|_inf^2)
+    of target.
+
+    The squares are floats, not Python numbers: a row whose |v|_inf^2
+    overflows is not representable, and fails like any other.  Such a row
+    has an infinite or nan <v, v>, so a family whose every <v, v> is within
+    _CHECK_TOL of target passes without the scales.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        W = V * V
+        norms = (W @ _signature(V.shape[1])).tolist()
+        if all(abs(q - target) <= _CHECK_TOL for q in norms):
+            return
+        squares = W.max(axis=1).tolist()
+    for q, s in zip(norms, squares):
+        if not (abs(q - target) <= _CHECK_TOL * (1.0 + s) and s < math.inf):
+            raise InvalidInput(message)
+
+
+def _check_points(X: np.ndarray) -> None:
+    _check_norms(X, -1.0, "point is not on the unit hyperboloid")
+    if not all(t > 0 for t in X[:, -1].tolist()):
+        raise InvalidInput("point is on the backward sheet")
+
+
+def _check_reps(R: np.ndarray) -> None:
+    _check_norms(R, 0.0, "representative must be lightlike")
+    if not all(t > 0 for t in R[:, -1].tolist()):
+        raise InvalidInput("representative must be forward pointing")
+
+
+def _check_normals(N: np.ndarray) -> None:
+    _check_norms(N, 1.0, "normal must be unit spacelike")
+
+
+def _check_radii(radii) -> None:
+    if not all(r > 0 for r in radii):
+        raise InvalidInput("radius must be positive")
+
+
+def _check_spheres(C: np.ndarray, radii, eps) -> None:
+    if not np.isfinite(C).all():
+        raise InvalidInput("centre must be finite")
+    _check_radii(radii)
+    if not all(e in (1, -1) for e in eps):
+        raise InvalidInput("eps must be +1 or -1")
+
+
+def _views(cls, **columns) -> list:
+    """Objects of cls whose fields take one row each of the checked columns,
+    built without the constructor, which would check them again."""
+    k = len(next(iter(columns.values())))
+    objs = [object.__new__(cls) for _ in range(k)]
+    for name, column in columns.items():
+        for obj, value in zip(objs, column):
+            obj.__dict__[name] = value
+    return objs
+
+
 @dataclass(frozen=True, eq=False)
 class HPoint:
     """Point on the forward hyperboloid sheet {<x,x> = -1, x_last > 0}."""
@@ -56,12 +130,15 @@ class HPoint:
 
     def __init__(self, coords):
         v = as_vector(coords)
-        scale = 1.0 + float(np.abs(v).max()) ** 2
-        if abs(_dot(v, v) + 1.0) > _CHECK_TOL * scale:
-            raise InvalidInput("point is not on the unit hyperboloid")
-        if v[-1] <= 0:
-            raise InvalidInput("point is on the backward sheet")
+        _check_points(v[None])
         object.__setattr__(self, "coords", _frozen(v))
+
+    @classmethod
+    def rows(cls, X: np.ndarray) -> list["HPoint"]:
+        """One point per row of a finite (k, n+1) array, checked in one pass;
+        the coordinates are row views of one read-only copy."""
+        _check_points(X)
+        return _views(cls, coords=_frozen(X))
 
     @property
     def n(self) -> int:
@@ -81,11 +158,15 @@ class Horosphere:
 
     def __init__(self, rep):
         v = as_vector(rep)
-        if classify(v, _CHECK_TOL) is not SignClass.LIGHTLIKE:
-            raise InvalidInput("representative must be lightlike")
-        if v[-1] <= 0:
-            raise InvalidInput("representative must be forward pointing")
+        _check_reps(v[None])
         object.__setattr__(self, "rep", _frozen(v))
+
+    @classmethod
+    def rows(cls, R: np.ndarray) -> list["Horosphere"]:
+        """One horosphere per row of a finite (k, n+1) array of representatives,
+        checked in one pass; the representatives are row views of one copy."""
+        _check_reps(R)
+        return _views(cls, rep=_frozen(R))
 
     @property
     def n(self) -> int:
@@ -100,10 +181,15 @@ class CoHyperplane:
 
     def __init__(self, normal):
         v = as_vector(normal)
-        scale = 1.0 + float(np.abs(v).max()) ** 2
-        if abs(_dot(v, v) - 1.0) > _CHECK_TOL * scale:
-            raise InvalidInput("normal must be unit spacelike")
+        _check_normals(v[None])
         object.__setattr__(self, "normal", _frozen(v))
+
+    @classmethod
+    def rows(cls, N: np.ndarray) -> list["CoHyperplane"]:
+        """One hyperplane per row of a finite (k, n+1) array of normals,
+        checked in one pass; the normals are row views of one copy."""
+        _check_normals(N)
+        return _views(cls, normal=_frozen(N))
 
     @property
     def n(self) -> int:
@@ -123,8 +209,7 @@ class Hypersphere:
     def __init__(self, centre: HPoint, radius: float):
         if not isinstance(centre, HPoint):
             centre = HPoint(centre)
-        if not (radius > 0):
-            raise InvalidInput("radius must be positive")
+        _check_radii([radius])
         object.__setattr__(self, "centre", centre)
         object.__setattr__(self, "radius", float(radius))
 
@@ -142,9 +227,7 @@ class EquidistantBranch:
 
     def __init__(self, normal, offset: float):
         v = as_vector(normal)
-        scale = 1.0 + float(np.abs(v).max()) ** 2
-        if abs(_dot(v, v) - 1.0) > _CHECK_TOL * scale:
-            raise InvalidInput("normal must be unit spacelike")
+        _check_normals(v[None])
         if offset == 0:
             raise InvalidInput("offset must be nonzero (zero offset is the hyperplane itself)")
         object.__setattr__(self, "normal", _frozen(v))
@@ -167,15 +250,19 @@ class CoSphereE:
         c = np.asarray(centre, dtype=float)
         if c.ndim != 1 or c.shape[0] < 1:
             raise InvalidInput("centre must be a 1-d coordinate vector")
-        if not np.isfinite(c).all():
-            raise InvalidInput("centre must be finite")
-        if not (radius > 0):
-            raise InvalidInput("radius must be positive")
-        if eps not in (1, -1):
-            raise InvalidInput("eps must be +1 or -1")
+        _check_spheres(c[None], [radius], [eps])
         object.__setattr__(self, "centre", _frozen(c))
         object.__setattr__(self, "radius", float(radius))
         object.__setattr__(self, "eps", int(eps))
+
+    @classmethod
+    def rows(cls, C: np.ndarray, radii, eps) -> list["CoSphereE"]:
+        """One sphere per row of a (k, n) array of centres with k radii and
+        k signs, checked in one pass; the centres are row views of one copy."""
+        _check_spheres(C, radii, eps)
+        return _views(
+            cls, centre=_frozen(C), radius=[float(r) for r in radii], eps=[int(e) for e in eps]
+        )
 
     @property
     def n(self) -> int:

@@ -57,8 +57,9 @@ from .lorentz import (
     metric_diag,
     norm_sq,
     null_basis,
+    _require_finite,
 )
-from .models import lightlike_to_boundary, normal_to_sphere_or_plane, sphere_lift
+from .models import lightlike_to_boundary, normal_to_sphere_or_plane, sphere_lifts
 from .objects import (
     HOROSPHERE_LEVEL,
     CoHyperplane,
@@ -114,9 +115,11 @@ def _tau_parts(spheres: Sequence[CoSphereE]) -> tuple[np.ndarray, np.ndarray]:
         raise DimensionMismatch("spheres live in different dimensions")
     c = np.stack([s.centre for s in spheres])
     r = np.array([s.radius for s in spheres])
-    d2 = np.sum((c[:, None, :] - c[None, :, :]) ** 2, axis=-1)
-    same = d2 - np.float_power(r[:, None] - r[None, :], 2.0)
-    opposite = d2 - np.float_power(r[:, None] + r[None, :], 2.0)
+    # far or huge spheres overflow to inf here; casey_e rejects that before its search
+    with np.errstate(over="ignore", invalid="ignore"):
+        d2 = np.sum((c[:, None, :] - c[None, :, :]) ** 2, axis=-1)
+        same = d2 - np.float_power(r[:, None] - r[None, :], 2.0)
+        opposite = d2 - np.float_power(r[:, None] + r[None, :], 2.0)
     return same, opposite
 
 
@@ -1080,6 +1083,7 @@ def casey_test(
     if m > MAX_FAMILY:
         raise InvalidInput(f"family too large for sign search (max {MAX_FAMILY})")
     G = gram(ns)
+    _require_finite(G)  # before the search, whose stacked eigensolves need it
     signs, verdict, case = np.ones(m), None, None
     if search:
         signs, _, verdict, case = _sign_search(
@@ -1102,9 +1106,12 @@ def _common_value_gap(values, size: float) -> float:
 
 
 def casey_witness_check(
-    case: CaseyCase, hyperplanes: Sequence[CoHyperplane], tol: float = 1e-7
+    case: CaseyCase, hyperplanes: Union[Sequence[CoHyperplane], np.ndarray], tol: float = 1e-7
 ) -> WitnessReport:
     """Verify a classification witness against the defining equations.
+
+    The family is given as cooriented hyperplanes or as the (m, n+1) array
+    of their normals.
 
     The residual is the largest violation over the family; unit-norm
     defects of the witness vectors count towards it.  The equations see
@@ -1115,7 +1122,9 @@ def casey_witness_check(
     inclination case the bounds 0 <= lambda < 1 and linear independence of
     the pair are checked separately and can fail the report outright.
     """
-    return _witness_report(case, np.stack([h.normal for h in hyperplanes]), tol)
+    if not isinstance(hyperplanes, np.ndarray):
+        hyperplanes = np.stack([h.normal for h in hyperplanes])
+    return _witness_report(case, hyperplanes, tol)
 
 
 def _witness_report(case: CaseyCase, ns: np.ndarray, tol: float = 1e-7) -> WitnessReport:
@@ -1236,13 +1245,14 @@ def corollary_d_test(
         raise InvalidInput(f"family too large for sign search (max {MAX_FAMILY})")
     m = len(ss)
     parts = _tau_parts(ss)
+    _require_finite(*parts)  # before the search, whose stacked eigensolves need it
     eps = np.array([s.eps for s in ss], dtype=float)
     radii = np.array([s.radius for s in ss])
 
     @functools.cache
     def lifts() -> np.ndarray:
         # only a degenerate tau matrix needs the lifts
-        return np.stack([sphere_lift(s).normal for s in ss])
+        return sphere_lifts(ss)
 
     def lift_kernel(verdict: DegeneracyVerdict) -> np.ndarray:
         k = radii * verdict.kernel

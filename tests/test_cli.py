@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import lorentzgram as lg
 from lorentzgram import cli
 from lorentzgram.cli import THEOREMS, _build_parser, main
 from lorentzgram.errors import GeometryError, SchemaViolation
@@ -361,14 +362,54 @@ class TestCanonicalJson:
         assert out == '{"error":"GeometryError","message":"report contains a non-finite number"}\n'
 
 
-def casey_scene(first: dict) -> dict:
-    """A casey scene at n = 2 whose first record is `first`."""
-    return {
-        "schema": "lorentz-gram/1", "dimension": 2, "theorem": "casey",
-        "objects": [first] + [
-            {"type": "hyperplane", "normal": v} for v in ([0.0, 1.0, 0.0], [-1.0, 0.0, 0.0])
-        ],
-    }
+# the places of a bad record: first or last of a plain normal family, or
+# second of a family that mixes the normal, pole and direction forms
+POSITIONS = (0, 2, "mixed")
+
+
+def casey_scene(bad: dict, at=0) -> dict:
+    """A casey scene at n = 2 whose record at position `at` is `bad`."""
+    normals = [{"type": "hyperplane", "normal": v}
+               for v in ([0.0, 1.0, 0.0], [-1.0, 0.0, 0.0])]
+    if at == "mixed":
+        # four records where casey at n = 2 takes three: a record error comes
+        # before the count check, and a family of valid records fails that
+        records = [normals[1], bad,
+                   {"type": "hyperplane", "pole": [2.0, 0.0], "orientation": -1},
+                   {"type": "hyperplane", "direction": [0.6, 0.8]}]
+    else:
+        records = normals[:at] + [bad] + normals[at:]
+    return {"schema": "lorentz-gram/1", "dimension": 2, "theorem": "casey", "objects": records}
+
+
+def bad_index(at) -> int:
+    return 1 if at == "mixed" else at
+
+
+REJECTED = [
+    ([True, 0.0, 0.0], "expected a list of numbers"),
+    ([1.0, False, 0.0], "expected a list of numbers"),
+    (["1", 0.0, 0.0], "expected a list of numbers"),
+    ([None, 0.0, 0.0], "expected a list of numbers"),
+    ([[1.0], 0.0, 0.0], "expected a list of numbers"),
+    ((1.0, 0.0, 0.0), "expected a list of numbers"),
+    (1.0, "expected a list of numbers"),
+    ([float("nan"), 0.0, 0.0], "numbers must be finite"),
+    ([1.0, float("inf"), 0.0], "numbers must be finite"),
+    ([1.0, 0.0], "expected length 3, got 2"),
+    ([1.0, 0.0, 0.0, 0.0], "expected length 3, got 4"),
+    ([], "expected length 3, got 0"),
+    ([2.0, 0.0, 0.0], "normal must be unit spacelike"),
+]
+
+CONSTRUCTOR_MESSAGES = [
+    ({"type": "point", "coords": [0.5, 0.0, 1.0]}, "point is not on the unit hyperboloid"),
+    ({"type": "horosphere", "rep": [1.0, 0.0, 2.0]}, "representative must be lightlike"),
+    ({"type": "hyperplane", "direction": [2.0, 0.0]}, "normal must be unit spacelike"),
+    # <v, v> is 0 here, but |v|_inf^2 overflows, so the vector is not representable
+    ({"type": "hyperplane", "normal": [1e200, 0.0, 1e200]}, "normal must be unit spacelike"),
+    ({"type": "point", "coords": [1e200, 0.0, 1e200]}, "point is not on the unit hyperboloid"),
+]
 
 
 class TestSceneNumbers:
@@ -384,35 +425,106 @@ class TestSceneNumbers:
         assert got.dtype == float
         assert got.tolist() == [float(x) for x in normal]
 
-    @pytest.mark.parametrize("normal, message", [
-        ([True, 0.0, 0.0], "expected a list of numbers"),
-        ([1.0, False, 0.0], "expected a list of numbers"),
-        (["1", 0.0, 0.0], "expected a list of numbers"),
-        ([None, 0.0, 0.0], "expected a list of numbers"),
-        ([[1.0], 0.0, 0.0], "expected a list of numbers"),
-        ((1.0, 0.0, 0.0), "expected a list of numbers"),
-        (1.0, "expected a list of numbers"),
-        ([float("nan"), 0.0, 0.0], "numbers must be finite"),
-        ([1.0, float("inf"), 0.0], "numbers must be finite"),
-        ([1.0, 0.0], "expected length 3, got 2"),
-        ([1.0, 0.0, 0.0, 0.0], "expected length 3, got 4"),
-        ([], "expected length 3, got 0"),
-        ([2.0, 0.0, 0.0], "normal must be unit spacelike"),
-    ])
-    def test_rejected(self, normal, message):
+    @staticmethod
+    def rejects(record: dict, message: str, at) -> None:
         with pytest.raises(SchemaViolation) as err:
-            cli.parse_scene(casey_scene({"type": "hyperplane", "normal": normal}))
-        assert str(err.value) == f"objects[0]: {message}"
+            cli.parse_scene(casey_scene(record, at))
+        assert str(err.value) == f"objects[{bad_index(at)}]: {message}"
 
-    @pytest.mark.parametrize("record, message", [
-        ({"type": "point", "coords": [0.5, 0.0, 1.0]}, "point is not on the unit hyperboloid"),
-        ({"type": "horosphere", "rep": [1.0, 0.0, 2.0]}, "representative must be lightlike"),
-        ({"type": "hyperplane", "direction": [2.0, 0.0]}, "normal must be unit spacelike"),
-    ])
+    @pytest.mark.parametrize("normal, message", REJECTED)
+    def test_rejected(self, normal, message):
+        self.rejects({"type": "hyperplane", "normal": normal}, message, 0)
+
+    @pytest.mark.parametrize("at", POSITIONS[1:])
+    @pytest.mark.parametrize("normal, message", REJECTED)
+    def test_rejected_later(self, normal, message, at):
+        self.rejects({"type": "hyperplane", "normal": normal}, message, at)
+
+    @pytest.mark.parametrize("record, message", CONSTRUCTOR_MESSAGES)
     def test_constructor_messages(self, record, message):
+        self.rejects(record, message, 0)
+
+    @pytest.mark.parametrize("at", POSITIONS[1:])
+    @pytest.mark.parametrize("record, message", CONSTRUCTOR_MESSAGES)
+    def test_constructor_messages_later(self, record, message, at):
+        self.rejects(record, message, at)
+
+    def test_first_bad_record_is_named(self):
+        # both bad records sit in forms that are built apart; the error
+        # names the earlier one, as one record at a time would
+        scene = casey_scene({"type": "hyperplane", "pole": [0.5, 0.0], "orientation": 1}, "mixed")
+        scene["objects"][3] = {"type": "hyperplane", "normal": [2.0, 0.0, 0.0]}
         with pytest.raises(SchemaViolation) as err:
-            cli.parse_scene(casey_scene(record))
-        assert str(err.value) == f"objects[0]: {message}"
+            cli.parse_scene(scene)
+        assert str(err.value) == "objects[1]: bad pole form"
+        scene["objects"][0] = {"type": "hyperplane", "normal": [2.0, 0.0, 0.0]}
+        with pytest.raises(SchemaViolation) as err:
+            cli.parse_scene(scene)
+        assert str(err.value) == "objects[0]: normal must be unit spacelike"
+
+
+def parsed_reference(rec: dict):
+    """The object the public constructors build from one scene record."""
+    if rec["type"] == "point":
+        if "ball" in rec:
+            return lg.ball_to_hyperboloid(rec["ball"])
+        return lg.HPoint(rec["coords"])
+    if rec["type"] == "horosphere":
+        if "centre_dir" in rec:
+            return lg.Horosphere(rec["scale"] * np.concatenate([rec["centre_dir"], [1.0]]))
+        return lg.Horosphere(rec["rep"])
+    if rec["type"] == "hyperplane":
+        if "pole" in rec:
+            pole = np.asarray(rec["pole"], dtype=float)
+            vt = rec["orientation"] / math.sqrt(float(pole @ pole) - 1.0)
+            return lg.CoHyperplane(np.concatenate([vt * pole, [vt]]))
+        if "direction" in rec:
+            return lg.CoHyperplane(np.concatenate([rec["direction"], [0.0]]))
+        return lg.CoHyperplane(rec["normal"])
+    if rec["type"] == "hypersphere":
+        if "ball_centre" in rec:
+            return lg.Hypersphere(lg.ball_to_hyperboloid(rec["ball_centre"]), rec["radius"])
+        return lg.Hypersphere(lg.HPoint(rec["centre"]), rec["radius"])
+    return lg.CoSphereE(rec["centre"], rec["radius"], rec["eps"])
+
+
+def object_bytes(obj) -> tuple:
+    """Every field of an object, arrays as their bytes."""
+    out = []
+    for value in vars(obj).values():
+        if isinstance(value, lg.HPoint):
+            value = value.coords
+        out.append(value.tobytes() if isinstance(value, np.ndarray) else (type(value), value))
+    return tuple(out)
+
+
+class TestFamilyParity:
+    @pytest.mark.parametrize("disk", [False, True])
+    @pytest.mark.parametrize("kind", [k.value for k in GenKind])
+    def test_family_pass_matches_constructors(self, kind, disk):
+        # a family built in one array pass holds, bit for bit, the objects
+        # the one-row constructors build from its records
+        checked = 0
+        for n in range(2, 7):
+            for seed in (0, 1):
+                config = generate(GenSpec(kind, n, seed=seed))
+                doc = json.loads(cli.canonical_json(cli.config_to_scene_doc(config, disk=disk)))
+                scene = cli.parse_scene(doc)
+                records = doc["objects"] + ([doc["surface"]] if "surface" in doc else [])
+                objects = scene.objects + ([scene.surface] if scene.surface else [])
+                for rec, obj in zip(records, objects, strict=True):
+                    ref = parsed_reference(rec)
+                    assert type(obj) is type(ref)
+                    assert object_bytes(obj) == object_bytes(ref)
+                    checked += 1
+        assert checked >= 30
+
+    def test_family_objects_are_read_only(self):
+        config = generate(GenSpec("generic_points", 3, seed=1))
+        doc = json.loads(cli.canonical_json(cli.config_to_scene_doc(config)))
+        for p in cli.parse_scene(doc).objects:
+            with pytest.raises(ValueError):
+                p.coords[0] = 7.0
 
 
 class TestDiskModel:
@@ -539,7 +651,42 @@ class TestErrors:
         code, doc = run_doc(capsys, "verify", scene)
         assert code == 2
 
-    @pytest.mark.parametrize("record, field, text", [
+    @staticmethod
+    def scalar_field_scene(tmp_path, record, field, text, at) -> str:
+        """A casey_e scene of four spheres whose record at `at` has `field`
+        spelt as the JSON `text`; at "mixed", objects[1] of a hyperplane
+        family of normal, pole and direction records."""
+        spheres = [{"type": "sphere_e", "centre": [3.0 * i, 0.0], "radius": 1.0, "eps": 1}
+                   for i in range(4)]
+        bad = {
+            "sphere_e": dict(spheres[bad_index(at)]),
+            "horosphere": {"type": "horosphere", "centre_dir": [0.6, 0.8], "scale": 1.0},
+            "hyperplane": {"type": "hyperplane", "pole": [2.0, 0.0], "orientation": 1},
+        }[record]
+        bad[field] = "@"
+        if at == "mixed":
+            doc = casey_scene(bad, at)
+        else:
+            doc = {"schema": "lorentz-gram/1", "dimension": 2, "theorem": "casey_e",
+                   "objects": spheres[:at] + [bad] + spheres[at + 1:]}
+        path = tmp_path / "scene.json"
+        path.write_text(json.dumps(doc).replace('"@"', text))
+        return str(path)
+
+    def scalar_field(self, capsys, tmp_path, record, field, text, at):
+        # scalars must be finite non-bool numbers, eps and orientation +-1
+        # integers; the JSON text goes in verbatim so that 1e400 stays 1e400
+        code, doc = run_doc(capsys, "verify", self.scalar_field_scene(tmp_path, record, field, text, at))
+        assert code == (1 if text == "2" and at != "mixed" else 2)
+        if code == 1:
+            assert doc["verdict"]["degenerate"] is False
+        elif text == "2":
+            assert doc["message"] == "casey scenes hold hyperplane records only"
+        else:
+            assert doc["error"] == "SchemaViolation"
+            assert doc["message"].startswith(f"objects[{bad_index(at)}]: {field} ")
+
+    SCALAR_FIELDS = [
         ("sphere_e", "eps", "1.7"),
         ("sphere_e", "eps", "true"),
         ("sphere_e", "radius", '"2"'),
@@ -549,30 +696,16 @@ class TestErrors:
         ("horosphere", "scale", '"1"'),
         ("hyperplane", "orientation", "1.5"),
         ("sphere_e", "radius", "2"),
-    ])
+    ]
+
+    @pytest.mark.parametrize("record, field, text", SCALAR_FIELDS)
     def test_scalar_fields(self, capsys, tmp_path, record, field, text):
-        # scalars must be finite non-bool numbers, eps and orientation +-1
-        # integers; the JSON text goes in verbatim so that 1e400 stays 1e400
-        spheres = [{"type": "sphere_e", "centre": [3.0 * i, 0.0], "radius": 1.0, "eps": 1}
-                   for i in range(4)]
-        first = {
-            "sphere_e": dict(spheres[0]),
-            "horosphere": {"type": "horosphere", "centre_dir": [0.6, 0.8], "scale": 1.0},
-            "hyperplane": {"type": "hyperplane", "pole": [2.0, 0.0], "orientation": 1},
-        }[record]
-        first[field] = "@"
-        doc = {"schema": "lorentz-gram/1", "dimension": 2, "theorem": "casey_e",
-               "objects": [first] + spheres[1:]}
-        path = tmp_path / "scene.json"
-        path.write_text(json.dumps(doc).replace('"@"', text))
-        code, doc = run_doc(capsys, "verify", str(path))
-        if text == "2":
-            assert code == 1
-            assert doc["verdict"]["degenerate"] is False
-        else:
-            assert code == 2
-            assert doc["error"] == "SchemaViolation"
-            assert doc["message"].startswith(f"objects[0]: {field} ")
+        self.scalar_field(capsys, tmp_path, record, field, text, 0)
+
+    @pytest.mark.parametrize("at", POSITIONS[1:])
+    @pytest.mark.parametrize("record, field, text", SCALAR_FIELDS)
+    def test_scalar_fields_later(self, capsys, tmp_path, record, field, text, at):
+        self.scalar_field(capsys, tmp_path, record, field, text, at)
 
     def test_wrong_object_count(self, capsys, tmp_path):
         scene = write_scene(tmp_path, {
@@ -705,6 +838,46 @@ class TestBatch:
                                "--n", "2", "--seed", "21")
         code, doc = run_doc(capsys, "verify", scene, "--scenes-dir", str(tmp_path))
         assert code == 2
+
+
+def overflow_scene(kind: str) -> dict:
+    """Four sphere_e records at n = 2 whose numbers overflow in the program:
+    "tiny" radii make the lifts' squares overflow, "far" centres the tau
+    matrix."""
+    if kind == "tiny":
+        spheres = [([float(i), 0.0], 1e-300) for i in range(4)]
+    else:
+        spheres = [([1e200 * i, 0.0], 1.0) for i in range(4)]
+    return {"schema": "lorentz-gram/1", "dimension": 2, "theorem": "casey_e",
+            "objects": [{"type": "sphere_e", "centre": c, "radius": r, "eps": 1}
+                        for c, r in spheres]}
+
+
+class TestOverflow:
+    # finite input whose numbers overflow exits 2 with an error report, never
+    # with a traceback and the exit code 1 that means "not degenerate"
+    @pytest.mark.parametrize("search", ["--search-signs", "--no-search-signs"])
+    @pytest.mark.parametrize("command", ["verify", "classify"])
+    @pytest.mark.parametrize("kind, message", [
+        ("tiny", "normal must be unit spacelike"),
+        ("far", "matrix entries must be finite"),
+    ])
+    def test_exits_two(self, capsys, tmp_path, kind, message, command, search):
+        path = write_scene(tmp_path, overflow_scene(kind))
+        code, doc = run_doc(capsys, command, path, search)
+        assert code == 2
+        assert doc == {"error": "InvalidInput", "message": message}
+
+    @pytest.mark.parametrize("kind", ["tiny", "far"])
+    def test_batch_reports_both(self, capsys, tmp_path, kind):
+        write_scene(tmp_path, overflow_scene(kind), name="a_overflow.json")
+        generate_scene(capsys, tmp_path, "--kind", "spheres_through_point", "--n", "2",
+                       "--seed", "1", name="b_valid.json")
+        code, doc = run_doc(capsys, "verify", "--scenes-dir", str(tmp_path))
+        assert code == 2
+        reports = doc["reports"]
+        assert reports["a_overflow.json"]["error"] == "InvalidInput"
+        assert reports["b_valid.json"]["verdict"]["degenerate"] is True
 
 
 class TestConsoleScript:

@@ -46,11 +46,33 @@ class TestValidation:
          "normal must be unit spacelike"),
         (lg.HPoint, [0.0, float("nan"), 1.0], "coordinates must be finite"),
         (lg.CoHyperplane, [1.0, 0.0], "need at least 3 coordinates, got 2"),
+        # |v|_inf^2 overflows, so the check cannot be taken: the vector fails it
+        (lg.HPoint, [1e200, 0.0, 1e200], "point is not on the unit hyperboloid"),
+        (lg.Horosphere, [1e200, 0.0, 1e200], "representative must be lightlike"),
+        (lg.CoHyperplane, [1e200, 0.0, 1e200], "normal must be unit spacelike"),
     ])
     def test_constructor_messages(self, make, coords, message):
         # each constructor validates its vector once, through as_vector
         with pytest.raises(lg.InvalidInput) as err:
             make(coords)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("make, good, bad, message", [
+        (lg.HPoint, [0.0, 0.0, 1.0], [0.0, 0.0, -1.0], "point is on the backward sheet"),
+        (lg.Horosphere, [1.0, 0.0, 1.0], [1.0, 0.0, 2.0], "representative must be lightlike"),
+        (lg.CoHyperplane, [1.0, 0.0, 0.0], [1e200, 0.0, 1e200], "normal must be unit spacelike"),
+    ])
+    def test_rows_are_the_family_case(self, make, good, bad, message):
+        # one check over the rows, then read-only row views of one array
+        objs = make.rows(np.array([good, good]))
+        single = make(good)
+        for obj in objs:
+            (value,) = vars(obj).values()
+            assert value.tobytes() == next(iter(vars(single).values())).tobytes()
+            with pytest.raises(ValueError):
+                value[0] = 7.0
+        with pytest.raises(lg.InvalidInput) as err:
+            make.rows(np.array([good, bad, good]))
         assert str(err.value) == message
 
     def test_hypersphere_radius(self):

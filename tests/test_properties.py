@@ -119,6 +119,19 @@ class TestTau:
         via_lift = -4.0 * r1 * r2 * lg.sigma(lg.sphere_lift(a), lg.sphere_lift(b))
         assert abs(direct - via_lift) <= 1e-9 * max(1.0, abs(direct))
 
+    @given(st.integers(1, 9).flatmap(lambda n: st.lists(
+        st.tuples(st.lists(st.floats(-1e3, 1e3), min_size=n, max_size=n),
+                  st.floats(1e-3, 1e3), st.sampled_from([1, -1])),
+        min_size=1, max_size=16)))
+    @settings(max_examples=200)
+    def test_family_lifts_match_single_lifts(self, family):
+        # the array lift of a family holds each sphere's own lift, bit for bit
+        spheres = [lg.CoSphereE(c, r, e) for c, r, e in family]
+        lifts = lg.sphere_lifts(spheres)
+        assert lifts.shape == (len(spheres), spheres[0].n + 2)
+        for row, s in zip(lifts, spheres):
+            assert row.tobytes() == lg.sphere_lift(s).normal.tobytes()
+
 
 class TestCaseySigns:
     @given(st.integers(0, 10_000),
