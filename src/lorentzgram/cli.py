@@ -54,7 +54,7 @@ import numpy as np
 from .errors import GeometryError, SchemaViolation
 from .generators import Configuration, GenKind, GenSpec, generate
 from .lorentz import DEFAULT_TOL, DegeneracyVerdict, degeneracy
-from .models import ball_normals, ball_points, ball_reps, hyperboloid_to_ball, sphere_lifts
+from .models import ball_normals, ball_points, ball_reps, hyperboloid_to_ball
 from .objects import (
     CoHyperplane,
     CoSphereE,
@@ -66,6 +66,7 @@ from .objects import (
 )
 from .theorems import (
     CaseyCase,
+    _ptolemy2_fit,
     casey_test,
     casey_witness_check,
     corollary_d_test,
@@ -74,7 +75,6 @@ from .theorems import (
     lambda_sq_matrix,
     penner_test,
     ptolemy1_test,
-    ptolemy2_classify,
     ptolemy2_test,
     tau_matrix,
 )
@@ -473,7 +473,7 @@ def _run_ptolemy2(scene: Scene, tol: float, search: bool, disk: bool, classify: 
         return verdict, {}
     if not verdict.is_degenerate:
         return verdict, {"fit": None, "case": None}
-    fit = ptolemy2_classify(scene.objects, tol)
+    fit = _ptolemy2_fit(scene.objects, verdict, tol)
     return verdict, {
         "fit": {
             "kind": fit.kind.value,
@@ -495,7 +495,7 @@ def _casey_fields(res, normals: Callable[[], np.ndarray], disk: bool, classify: 
 
     normals() gives the (m, d) array of the family's unflipped hyperplane
     normals; classify checks the witnesses against it flipped by the
-    reported signs.
+    reported signs, unless the search already did.
     """
     fields = {"signs": list(res.signs)}
     if not classify:
@@ -503,8 +503,10 @@ def _casey_fields(res, normals: Callable[[], np.ndarray], disk: bool, classify: 
         return fields
     residual = None
     if res.case is not None:
-        flipped = np.array(res.signs, dtype=float)[:, None] * normals()
-        report = casey_witness_check(res.case, flipped)
+        report = res.witness_report
+        if report is None:
+            flipped = np.array(res.signs, dtype=float)[:, None] * normals()
+            report = casey_witness_check(res.case, flipped)
         residual = report.residual
         fields["witness_check"] = {
             "residual": report.residual,
@@ -524,7 +526,7 @@ def _run_casey(scene: Scene, tol: float, search: bool, disk: bool, classify: boo
 def _run_casey_e(scene: Scene, tol: float, search: bool, disk: bool, classify: bool):
     res = corollary_d_test(scene.objects, tol, search=search)
     # the witnesses certify the hyperplane lifts of the spheres
-    fields = _casey_fields(res, lambda: sphere_lifts(scene.objects), disk, classify)
+    fields = _casey_fields(res, lambda: res.lifts, disk, classify)
     if classify:
         fields["euclidean"] = _euclidean_doc(res.euclidean, disk)
     return res.verdict, fields

@@ -20,15 +20,14 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .errors import GeometryError, InfeasibleParams, InvalidInput
-from .lorentz import (
-    first_nonzero_positive,
-    gram,
-    inner,
-    metric_diag,
-    norm_sq,
-    null_basis,
+from .lorentz import _dot, first_nonzero_positive, gram, metric_diag, norm_sq, null_basis
+from .models import (
+    _chart_inverse,
+    _horosphere_frame,
+    _sphere_parts,
+    normal_to_sphere_or_plane,
+    sphere_lifts,
 )
-from .models import horosphere_point, normal_to_sphere_or_plane, sphere_lifts
 from .objects import (
     CoHyperplane,
     CoSphereE,
@@ -134,17 +133,29 @@ def _spectrum_ok(M: np.ndarray, deficiency: int) -> bool:
 
 
 def _min_pairwise(vectors: Sequence[np.ndarray]) -> float:
-    worst = math.inf
-    for i in range(len(vectors)):
-        for j in range(i + 1, len(vectors)):
-            worst = min(worst, float(np.max(np.abs(vectors[i] - vectors[j]))))
-    return worst
+    """Least max-norm distance between two of a family of finite vectors
+    (the rows of a (k, d) array), inf below two."""
+    V = np.asarray(vectors)
+    i, j = np.triu_indices(V.shape[0], 1)
+    if not i.size:
+        return math.inf
+    return float(np.abs(V[i] - V[j]).max(axis=1).min())
+
+
+def _family(cls, rows: list) -> tuple:
+    """The objects of cls (HPoint, Horosphere or CoHyperplane) with the
+    given coordinate rows, checked in one pass."""
+    return tuple(cls.rows(np.stack(rows)))
+
+
+# The generators' vectors are finite by construction, so their Lorentzian
+# products are taken as _dot, without validating each vector again.
 
 
 def _random_spacelike_unit(rng: SplitMix64, dim: int) -> np.ndarray:
     while True:
         v = rng.normals(dim)
-        q = norm_sq(v)
+        q = _dot(v, v)
         if q > 0.05 * float(v @ v):
             return v / math.sqrt(q)
 
@@ -155,10 +166,11 @@ def _random_lightlike(rng: SplitMix64, dim: int) -> np.ndarray:
     return s * np.concatenate([d, [1.0]])
 
 
-def _random_point(rng: SplitMix64, dim: int, spread: float) -> HPoint:
+def _random_point(rng: SplitMix64, dim: int, spread: float) -> np.ndarray:
+    """Coordinates of a random point of the hyperboloid."""
     spatial = spread * rng.normals(dim - 1)
     last = math.sqrt(1.0 + float(spatial @ spatial))
-    return HPoint(np.concatenate([spatial, [last]]))
+    return np.concatenate([spatial, [last]])
 
 
 def _orthocomplement_frame(vectors: np.ndarray, dim: int) -> tuple[np.ndarray, np.ndarray]:
@@ -183,39 +195,44 @@ def _orthocomplement_frame(vectors: np.ndarray, dim: int) -> tuple[np.ndarray, n
     return time, space
 
 
-def _surface_point(
-    rng: SplitMix64, surface, spread: float
-) -> HPoint:
+def _surface_frame(surface) -> tuple[np.ndarray, np.ndarray]:
+    """The frame _surface_point places points of the surface in: the chart
+    frame of a horosphere, else the orthocomplement frame of the centre or
+    normal.  It draws no random numbers, so a family computes it once."""
+    if isinstance(surface, Horosphere):
+        return _horosphere_frame(surface)
+    if isinstance(surface, Hypersphere):
+        x = surface.centre.coords
+    elif isinstance(surface, (CoHyperplane, EquidistantBranch)):
+        x = surface.normal
+    else:
+        raise InvalidInput(f"cannot sample points on {type(surface).__name__}")
+    return _orthocomplement_frame(x[None, :], x.shape[0])
+
+
+def _surface_point(rng: SplitMix64, surface, frame, spread: float) -> np.ndarray:
+    """Coordinates of a random point of the surface, whose _surface_frame
+    is frame."""
     if isinstance(surface, Horosphere):
         k = surface.rep.shape[0] - 2
-        return horosphere_point(surface, spread * rng.normals(k))
+        return _chart_inverse(surface, frame, spread * rng.normals(k))
+    f_time, F = frame
     if isinstance(surface, Hypersphere):
-        dim = surface.centre.coords.shape[0]
-        _, F = _orthocomplement_frame(surface.centre.coords[None, :], dim)
         u = rng.unit_vector(F.shape[1])
-        x = math.cosh(surface.radius) * surface.centre.coords + math.sinh(
+        return math.cosh(surface.radius) * surface.centre.coords + math.sinh(
             surface.radius
         ) * (F @ u)
-        return HPoint(x)
+    y = spread * rng.normals(F.shape[1])
+    h = math.sqrt(1.0 + float(y @ y)) * f_time[:, 0] + F @ y
     if isinstance(surface, CoHyperplane):
-        dim = surface.normal.shape[0]
-        f_time, F = _orthocomplement_frame(surface.normal[None, :], dim)
-        y = spread * rng.normals(F.shape[1])
-        x = math.sqrt(1.0 + float(y @ y)) * f_time[:, 0] + F @ y
-        return HPoint(x)
-    if isinstance(surface, EquidistantBranch):
-        dim = surface.normal.shape[0]
-        f_time, F = _orthocomplement_frame(surface.normal[None, :], dim)
-        y = spread * rng.normals(F.shape[1])
-        h = math.sqrt(1.0 + float(y @ y)) * f_time[:, 0] + F @ y
-        lam = surface.offset
-        return HPoint(lam * surface.normal + math.hypot(lam, 1.0) * h)
-    raise InvalidInput(f"cannot sample points on {type(surface).__name__}")
+        return h
+    lam = surface.offset
+    return lam * surface.normal + math.hypot(lam, 1.0) * h
 
 
 def _points_family(rng: SplitMix64, surface, count: int, spread: float) -> tuple:
-    points = tuple(_surface_point(rng, surface, spread) for _ in range(count))
-    return points
+    frame = _surface_frame(surface)
+    return _family(HPoint, [_surface_point(rng, surface, frame, spread) for _ in range(count)])
 
 
 def _attempts(builder, check):
@@ -243,7 +260,7 @@ def _gen_points_on_surface(kind: GenKind, n: int, count: int, seed: int, params:
             radius = float(params.get("radius", 0.0)) or rng.uniform_in(0.3, 1.5)
             if radius <= 0:
                 raise InfeasibleParams("hypersphere radius must be positive")
-            surface = Hypersphere(_random_point(rng, dim, 0.6), radius)
+            surface = Hypersphere(HPoint(_random_point(rng, dim, 0.6)), radius)
         elif kind is GenKind.POINTS_ON_HYPERPLANE:
             surface = CoHyperplane(_random_spacelike_unit(rng, dim))
         else:
@@ -271,15 +288,15 @@ def _gen_horospheres_on_boundary(n: int, count: int, seed: int, params: dict):
     def build():
         w = first_nonzero_positive(_random_spacelike_unit(rng, dim))
         f_time, F = _orthocomplement_frame(w[None, :], dim)
-        horos = []
+        reps = []
         for _ in range(count):
             u = rng.unit_vector(F.shape[1])
             s = math.exp(rng.uniform_in(-0.7, 0.7))
-            horos.append(Horosphere(s * (f_time[:, 0] + F @ u)))
+            reps.append(s * (f_time[:, 0] + F @ u))
         return Configuration(
             GenKind.HOROSPHERES_ON_HYPERPLANE_BOUNDARY,
             n,
-            tuple(horos),
+            _family(Horosphere, reps),
             witness=CoHyperplane(w),
             params=dict(params, seed=seed),
         )
@@ -307,11 +324,11 @@ def _gen_hyperplanes_tangent(n: int, count: int, seed: int, params: dict):
         for _ in range(count):
             u = rng.unit_vector(F.shape[1])
             t = math.exp(rng.uniform_in(-0.7, 0.7))
-            normals.append(CoHyperplane(w + t * (f_time[:, 0] + F @ u)))
+            normals.append(w + t * (f_time[:, 0] + F @ u))
         return Configuration(
             GenKind.HYPERPLANES_TANGENT_AT_INFINITY,
             n,
-            tuple(normals),
+            _family(CoHyperplane, normals),
             witness=w,
             params=dict(params, seed=seed),
         )
@@ -338,14 +355,14 @@ def _gen_hyperplanes_ideal_point(n: int, count: int, seed: int, params: dict):
             while True:
                 y = rng.normals(dim - 1)
                 cand = basis @ y
-                q = norm_sq(cand)
+                q = _dot(cand, cand)
                 if q > 0.05 * float(cand @ cand):
-                    normals.append(CoHyperplane(cand / math.sqrt(q)))
+                    normals.append(cand / math.sqrt(q))
                     break
         return Configuration(
             GenKind.HYPERPLANES_COMMON_IDEAL_POINT,
             n,
-            tuple(normals),
+            _family(CoHyperplane, normals),
             witness=v,
             params=dict(params, seed=seed),
         )
@@ -377,11 +394,11 @@ def _gen_hyperplanes_orth_equal(n: int, count: int, seed: int, params: dict):
             while True:
                 y = rng.normals(rest.shape[1])
                 q_dir = rest @ y
-                q = norm_sq(q_dir)
+                q = _dot(q_dir, q_dir)
                 if q > 0.05 * float(q_dir @ q_dir):
                     q_dir = q_dir / math.sqrt(q)
                     break
-            normals.append(CoHyperplane(lam * w_star + math.sqrt(1.0 - lam * lam) * q_dir))
+            normals.append(lam * w_star + math.sqrt(1.0 - lam * lam) * q_dir)
         return normals, u, first_nonzero_positive(w_star), lam
 
     def build_plane():
@@ -398,7 +415,7 @@ def _gen_hyperplanes_orth_equal(n: int, count: int, seed: int, params: dict):
         v0 = math.cosh(theta) * w_star + math.sinh(theta) * f
         v = first_nonzero_positive(alpha * v0 + beta * u)
         ts = [theta + r, theta - r] + [theta + r if rng.sign() > 0 else theta - r] * (count - 2)
-        normals = [CoHyperplane(math.cosh(t) * w_star + math.sinh(t) * f) for t in ts]
+        normals = [math.cosh(t) * w_star + math.sinh(t) * f for t in ts]
         return normals, u, v, lam
 
     def build():
@@ -406,7 +423,7 @@ def _gen_hyperplanes_orth_equal(n: int, count: int, seed: int, params: dict):
         return Configuration(
             GenKind.HYPERPLANES_ORTH_EQUAL,
             n,
-            tuple(normals),
+            _family(CoHyperplane, normals),
             witness=(u, v, lam),
             params=dict(params, seed=seed, inclination=lam),
         )
@@ -428,7 +445,7 @@ def _gen_generic_points(n: int, count: int, seed: int, params: dict):
     dim = n + 1
 
     def build():
-        points = tuple(_random_point(rng, dim, spread) for _ in range(count))
+        points = _family(HPoint, [_random_point(rng, dim, spread) for _ in range(count)])
         return Configuration(GenKind.GENERIC_POINTS, n, points, params=dict(params, seed=seed))
 
     def check(config):
@@ -446,7 +463,7 @@ def _gen_generic_horospheres(n: int, count: int, seed: int, params: dict):
     dim = n + 1
 
     def build():
-        horos = tuple(Horosphere(_random_lightlike(rng, dim)) for _ in range(count))
+        horos = _family(Horosphere, [_random_lightlike(rng, dim) for _ in range(count)])
         return Configuration(GenKind.GENERIC_HOROSPHERES, n, horos, params=dict(params, seed=seed))
 
     def check(config):
@@ -463,9 +480,9 @@ def _gen_generic_hyperplanes(n: int, count: int, seed: int, params: dict):
     dim = n + 1
 
     def build():
-        normals = tuple(
-            CoHyperplane(first_nonzero_positive(_random_spacelike_unit(rng, dim)))
-            for _ in range(count)
+        normals = _family(
+            CoHyperplane,
+            [first_nonzero_positive(_random_spacelike_unit(rng, dim)) for _ in range(count)],
         )
         return Configuration(
             GenKind.GENERIC_HYPERPLANES, n, normals, params=dict(params, seed=seed)
@@ -473,7 +490,7 @@ def _gen_generic_hyperplanes(n: int, count: int, seed: int, params: dict):
 
     def check(config):
         ns = np.stack([h.normal for h in config.objects])
-        if _min_pairwise(list(ns)) < 1e-3:
+        if _min_pairwise(ns) < 1e-3:
             return False
         return _robust_under_every_sign(gram(ns))
 
@@ -502,19 +519,19 @@ def _gen_spheres_tangent(n: int, count: int, seed: int, params: dict):
             if isinstance(witness, CoSphereE) and 0.05 < witness.radius < 20.0:
                 break
         f_time, F = _orthocomplement_frame(w[None, :], dim)
-        spheres = []
+        parts = []
         for _ in range(count):
             u = rng.unit_vector(F.shape[1])
             t = math.exp(rng.uniform_in(-0.7, 0.7))
-            lift = w + t * (f_time[:, 0] + F @ u)
-            obj = normal_to_sphere_or_plane(lift)
-            if not isinstance(obj, CoSphereE) or not 1e-3 < obj.radius < 50.0:
+            sphere = _sphere_parts(w + t * (f_time[:, 0] + F @ u))
+            if sphere is None or not 1e-3 < sphere[1] < 50.0:
                 return None
-            spheres.append(obj)
+            parts.append(sphere)
+        centres, radii, eps = zip(*parts)
         return Configuration(
             GenKind.SPHERES_TANGENT_TO_CIRCLE,
             n,
-            tuple(spheres),
+            tuple(CoSphereE.rows(np.stack(centres), radii, eps)),
             surface=witness,
             witness=w,
             params=dict(params, seed=seed),
@@ -539,15 +556,16 @@ def _gen_spheres_through_point(n: int, count: int, seed: int, params: dict):
 
     def build():
         meet = 1.5 * rng.normals(n)
-        spheres = []
+        centres, radii, eps = [], [], []
         for _ in range(count):
             d = math.exp(rng.uniform_in(-1.0, 1.0))
-            centre = meet + d * rng.unit_vector(n)
-            spheres.append(CoSphereE(centre, d, rng.sign()))
+            centres.append(meet + d * rng.unit_vector(n))
+            radii.append(d)
+            eps.append(rng.sign())
         return Configuration(
             GenKind.SPHERES_THROUGH_POINT,
             n,
-            tuple(spheres),
+            tuple(CoSphereE.rows(np.stack(centres), radii, eps)),
             witness=meet,
             params=dict(params, seed=seed),
         )

@@ -22,6 +22,7 @@ is scale-robust where a raw determinant threshold is not.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence
@@ -57,11 +58,15 @@ def metric_diag(dim: int) -> np.ndarray:
 
 
 def inner(x, y) -> float:
-    """Lorentzian inner product, minus sign on the last coordinate."""
+    """Lorentzian inner product, minus sign on the last coordinate.
+
+    Raises InvalidInput when the product of finite vectors is not
+    representable (it overflows).
+    """
     xv, yv = as_vector(x), as_vector(y)
     if xv.shape != yv.shape:
         raise DimensionMismatch(f"lengths {xv.shape[0]} and {yv.shape[0]} differ")
-    return _dot(xv, yv)
+    return _finite_dot(xv, yv)
 
 
 def inners(rows, y) -> list[float]:
@@ -77,6 +82,16 @@ def inners(rows, y) -> list[float]:
 
 def _dot(xv: np.ndarray, yv: np.ndarray) -> float:
     return float(np.dot(xv[:-1], yv[:-1]) - xv[-1] * yv[-1])
+
+
+def _finite_dot(xv: np.ndarray, yv: np.ndarray) -> float:
+    """_dot of two validated vectors, raising InvalidInput in place of an
+    overflow warning when the product is not finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        q = _dot(xv, yv)
+    if not math.isfinite(q):
+        raise InvalidInput("inner product is not representable")
+    return q
 
 
 def norm_sq(x) -> float:
@@ -100,7 +115,8 @@ def classify(x, tol: float = DEFAULT_TOL) -> SignClass:
     if tol <= 0:
         raise InvalidInput("tol must be positive")
     v = as_vector(x)
-    q = _dot(v, v)
+    q = _finite_dot(v, v)
+    # |x|_inf^2 is one of the terms of the finite q, so it is finite too
     scale = 1.0 + float(np.abs(v).max()) ** 2
     if abs(q) <= tol * scale:
         return SignClass.LIGHTLIKE

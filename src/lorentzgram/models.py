@@ -142,15 +142,21 @@ def horosphere_chart(h: Horosphere, p: HPoint) -> np.ndarray:
     return F.T @ (p.coords * metric_diag(h.rep.shape[0]))
 
 
-def horosphere_point(h: Horosphere, zeta) -> HPoint:
-    """Point of the horosphere with the given chart coordinates (chart inverse)."""
-    zv = np.asarray(zeta, dtype=float)
-    m, F = _horosphere_frame(h)
+def _chart_inverse(h: Horosphere, frame: tuple[np.ndarray, np.ndarray], zv: np.ndarray) -> np.ndarray:
+    """Coordinates of the point of h with chart coordinates zv, given h's
+    _horosphere_frame; a family on one horosphere shares the frame."""
+    m, F = frame
     if zv.shape[0] != F.shape[1]:
         raise DimensionMismatch("chart coordinates have the wrong length")
     alpha = (float(zv @ zv) + 1.0) / _SQRT2
     beta = 1.0 / _SQRT2
-    return HPoint(alpha * h.rep + beta * m + F @ zv)
+    return alpha * h.rep + beta * m + F @ zv
+
+
+def horosphere_point(h: Horosphere, zeta) -> HPoint:
+    """Point of the horosphere with the given chart coordinates (chart inverse)."""
+    zv = np.asarray(zeta, dtype=float)
+    return HPoint(_chart_inverse(h, _horosphere_frame(h), zv))
 
 
 def _lift_rows(C: np.ndarray, radii, eps) -> np.ndarray:
@@ -193,11 +199,20 @@ def normal_to_sphere_or_plane(v, tol: float = 1e-9) -> Union[CoSphereE, Euclidea
     finite-sphere preimage and decode as an affine hyperplane of R^n.
     """
     w = as_vector(v)
+    parts = _sphere_parts(w, tol)
+    if parts is None:
+        return EuclideanPlane(w[:-2], (w[-2] + w[-1]) / 2.0)
+    return CoSphereE(*parts)
+
+
+def _sphere_parts(w: np.ndarray, tol: float = 1e-9) -> Optional[tuple[np.ndarray, float, int]]:
+    """(centre, radius, eps) of the sphere that lifts to the finite normal w,
+    or None for an affine hyperplane; see normal_to_sphere_or_plane."""
     k = float(w[-1] - w[-2])
     scale = float(np.max(np.abs(w)))
     if abs(k) <= tol * max(scale, 1.0):
-        return EuclideanPlane(w[:-2], (w[-2] + w[-1]) / 2.0)
-    return CoSphereE(w[:-2] / k, 1.0 / abs(k), 1 if k > 0 else -1)
+        return None
+    return w[:-2] / k, 1.0 / abs(k), 1 if k > 0 else -1
 
 
 def lightlike_to_boundary(w, tol: float = 1e-12) -> Optional[np.ndarray]:

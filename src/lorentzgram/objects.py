@@ -321,16 +321,17 @@ def same_centre(a: Horosphere, b: Horosphere, tol: float = DEFAULT_TOL) -> bool:
     return bool(_concentric(np.stack([a.rep, b.rep]), tol)[0, 1])
 
 
-def _lambda_sq(reps) -> np.ndarray:
+def _lambda_sq(reps, concentric: Optional[np.ndarray] = None) -> np.ndarray:
     """Squared lambda lengths -<rep_i, rep_j> of a family of representatives,
-    zero on concentric pairs and the diagonal.
+    zero on concentric pairs and the diagonal; concentric is their
+    _concentric matrix when the caller has it.
 
     A value below zero is clamped to +0.0 within the domain slack; beyond it
     the first one in row-major order raises InvalidInput.
     """
     A = -gram(reps)
     R = np.stack(reps)
-    A[_concentric(R)] = 0.0
+    A[_concentric(R) if concentric is None else concentric] = 0.0
     rmax = np.max(np.abs(R), axis=1)
     bad = A < -_DOMAIN_SLACK * np.maximum(np.outer(rmax, rmax), 1.0)
     if np.any(bad):

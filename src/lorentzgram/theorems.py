@@ -227,8 +227,9 @@ def penner_test(horospheres: Sequence[Horosphere], tol: float = DEFAULT_TOL) -> 
         raise InvalidInput("penner_test expects horospheres")
     reps = np.stack([h.rep for h in hs])
     _check_family(reps, reps.shape[1])
-    all_same = bool(np.all(_concentric(reps)[0]))
-    verdict = degeneracy(lambda_sq_matrix(hs), tol)
+    concentric = _concentric(reps)
+    all_same = bool(np.all(concentric[0]))
+    verdict = degeneracy(_lambda_sq(reps, concentric), tol)
     if not verdict.is_degenerate or all_same:
         return PennerResult(verdict, None, all_same, None)
     D = metric_diag(reps.shape[1])
@@ -409,7 +410,12 @@ def ptolemy2_classify(points: Sequence[HPoint], tol: float = DEFAULT_TOL) -> Umb
     at a looser tol alone, are fitted at tol.
     """
     ps = [p if isinstance(p, HPoint) else HPoint(p) for p in points]
-    verdict = ptolemy2_test(ps, tol)
+    return _ptolemy2_fit(ps, ptolemy2_test(ps, tol), tol)
+
+
+def _ptolemy2_fit(ps: Sequence[HPoint], verdict: DegeneracyVerdict, tol: float) -> UmbilicalFit:
+    """ptolemy2_classify of the points ps, whose ptolemy2_test at tol gave
+    verdict."""
     if not verdict.is_degenerate:
         raise NotDegenerate("points are not degenerate at this tolerance")
     coords = np.stack([p.coords for p in ps])
@@ -426,9 +432,10 @@ def _fit_from_span(coords: np.ndarray, tol: float) -> UmbilicalFit:
     fit at tol."""
     m, dim = coords.shape
     lifted = np.concatenate([np.ones((m, 1)), coords], axis=1)
-    svals = np.linalg.svd(lifted, compute_uv=False)
+    # one full SVD gives the nullity and the basis null_basis would give
+    _, svals, vt = np.linalg.svd(lifted)
     nullity = max(1, int(np.sum(svals <= tol * max(svals[0], 1.0))))
-    basis = null_basis(lifted, nullity=nullity)
+    basis = vt[dim + 1 - nullity :].T
     candidates = basis * metric_diag(dim + 1)[:, None]
     eigvals, eigvecs = np.linalg.eigh(gram(candidates.T))
     if eigvals[-1] <= tol:
@@ -483,18 +490,22 @@ class CaseyCase:
     inclination: Optional[float] = None
 
 
-@dataclass(frozen=True, eq=False)
-class CaseyResult:
-    signs: tuple[int, ...]
-    verdict: DegeneracyVerdict
-    case: Optional[CaseyCase]
-
-
 @dataclass(frozen=True)
 class WitnessReport:
     residual: float
     passed: bool
     failures: tuple[str, ...]
+
+
+@dataclass(frozen=True, eq=False)
+class CaseyResult:
+    """witness_report is casey_witness_check of case on the normals flipped
+    by signs when the search already ran it, else None."""
+
+    signs: tuple[int, ...]
+    verdict: DegeneracyVerdict
+    case: Optional[CaseyCase]
+    witness_report: Optional[WitnessReport] = None
 
 
 def _signed_sigma(G: np.ndarray, signs: np.ndarray) -> np.ndarray:
@@ -984,10 +995,11 @@ def _kernel_case(ns: np.ndarray, kernel: np.ndarray, tol: float) -> CaseyCase:
     # v ~ 0: the differences n_i - n_last span at most n-1 dimensions, so
     # their orthogonal complement holds at least a plane to choose from
     diffs = ns[:-1] - ns[-1]
-    svals = np.linalg.svd(diffs * D, compute_uv=False)
+    # one full SVD gives the nullity and the basis null_basis would give
+    _, svals, vt = np.linalg.svd(diffs * D)
     smax = max(float(svals[0]), 1.0) if svals.size else 1.0
     nullity = max(2, dim - int(np.sum(svals > tol * smax)))
-    B = null_basis(diffs * D, nullity=nullity)
+    B = vt[dim - nullity :].T
     c = B.T @ (D * ns[-1])
     cnorm = float(np.linalg.norm(c))
     if cnorm <= tol * (1.0 + float(np.max(np.abs(ns)))):
@@ -1027,15 +1039,18 @@ def _kernel_case(ns: np.ndarray, kernel: np.ndarray, tol: float) -> CaseyCase:
     )
 
 
-def _checked_case(ns: np.ndarray, kernel: np.ndarray, tol: float) -> Optional[CaseyCase]:
+def _checked_case(
+    ns: np.ndarray, kernel: np.ndarray, tol: float
+) -> Optional[tuple[CaseyCase, WitnessReport]]:
     """The case classified from a kernel of the sigma matrix of the normals
-    ns (coorientations applied), or None when the classification fails or
-    its witness does not pass casey_witness_check."""
+    ns (coorientations applied) with its casey_witness_check report, or None
+    when the classification fails or the report does not pass."""
     try:
         case = _classify_from_kernel(ns, kernel, tol)
     except GeometryError:
         return None
-    return case if _witness_report(case, ns).passed else None
+    report = _witness_report(case, ns)
+    return (case, report) if report.passed else None
 
 
 def casey_classify(hyperplanes: Sequence[CoHyperplane], tol: float = DEFAULT_TOL) -> CaseyCase:
@@ -1084,18 +1099,19 @@ def casey_test(
         raise InvalidInput(f"family too large for sign search (max {MAX_FAMILY})")
     G = gram(ns)
     _require_finite(G)  # before the search, whose stacked eigensolves need it
-    signs, verdict, case = np.ones(m), None, None
+    signs, verdict, checked = np.ones(m), None, None
     if search:
-        signs, _, verdict, case = _sign_search(
+        signs, _, verdict, checked = _sign_search(
             lambda s: _signed_sigma(G, s), m, tol,
             lambda s, v: _checked_case(ns * s[:, None], v.kernel, tol),
             _sigma_rank_one(G),
         )
     if verdict is None:
         verdict = degeneracy(_signed_sigma(G, signs), tol)
+    case, report = checked or (None, None)
     if case is None and verdict.is_degenerate:
         case = _classify_from_kernel(ns * signs[:, None], verdict.kernel, tol)
-    return CaseyResult(signs=tuple(int(s) for s in signs), verdict=verdict, case=case)
+    return CaseyResult(tuple(int(s) for s in signs), verdict, case, report)
 
 
 def _common_value_gap(values, size: float) -> float:
@@ -1192,10 +1208,15 @@ class EuclideanCaseyCase:
 
 @dataclass(frozen=True, eq=False)
 class CoroDResult:
+    """lifts is sphere_lifts of the spheres when a case was classified on
+    them, else None; witness_report is as in CaseyResult, on the lifts."""
+
     signs: tuple[int, ...]
     verdict: DegeneracyVerdict
     case: Optional[CaseyCase]
     euclidean: Optional[EuclideanCaseyCase]
+    lifts: Optional[np.ndarray] = None
+    witness_report: Optional[WitnessReport] = None
 
 
 def _euclidean_case(case: CaseyCase) -> EuclideanCaseyCase:
@@ -1258,16 +1279,20 @@ def corollary_d_test(
         k = radii * verdict.kernel
         return k / np.linalg.norm(k)
 
-    signs, verdict, case = np.ones(m), None, None
+    signs, verdict, checked = np.ones(m), None, None
     if search:
-        signs, _, verdict, case = _sign_search(
+        signs, _, verdict, checked = _sign_search(
             lambda sg: _signed_tau(parts, eps * sg), m, tol,
             lambda sg, v: _checked_case(lifts() * sg[:, None], lift_kernel(v), tol),
             _tau_rank_one(parts, eps, radii),
         )
     if verdict is None:
         verdict = degeneracy(_signed_tau(parts, eps * signs), tol)
+    case, report = checked or (None, None)
     if case is None and verdict.is_degenerate:
         case = _classify_from_kernel(lifts() * signs[:, None], lift_kernel(verdict), tol)
-    euclidean = None if case is None else _euclidean_case(case)
-    return CoroDResult(tuple(int(s) for s in signs), verdict, case, euclidean)
+    if case is None:
+        return CoroDResult(tuple(int(s) for s in signs), verdict, None, None)
+    return CoroDResult(
+        tuple(int(s) for s in signs), verdict, case, _euclidean_case(case), lifts(), report
+    )

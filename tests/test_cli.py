@@ -4,6 +4,7 @@ and the generate -> verify -> classify pipeline."""
 import hashlib
 import json
 import math
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -525,6 +526,38 @@ class TestFamilyParity:
         for p in cli.parse_scene(doc).objects:
             with pytest.raises(ValueError):
                 p.coords[0] = 7.0
+
+
+class TestPtolemy2Fit:
+    @pytest.mark.parametrize("tol", [1e-9, 1e-6, 0.1])
+    def test_runner_fit_equals_classify(self, tol):
+        # the runner fits from its own verdict; the fit is ptolemy2_classify's
+        fitted = 0
+        kinds = ("points_on_horosphere", "points_on_hypersphere", "points_on_hyperplane",
+                 "points_on_equidistant", "generic_points")
+        for kind in kinds:
+            for n in range(2, 10):
+                for seed in (0, 1):
+                    config = generate(GenSpec(kind, n, seed=seed))
+                    scene = cli.Scene(n, "ptolemy2", list(config.objects), None)
+                    try:
+                        want = lg.ptolemy2_classify(config.objects, tol)
+                    except lg.NotDegenerate:
+                        _, fields = THEOREMS["ptolemy2"].run(scene, tol, True, False, True)
+                        assert fields["fit"] is None
+                        continue
+                    except GeometryError as exc:
+                        with pytest.raises(type(exc), match=re.escape(str(exc))):
+                            THEOREMS["ptolemy2"].run(scene, tol, True, False, True)
+                        continue
+                    _, fields = THEOREMS["ptolemy2"].run(scene, tol, True, False, True)
+                    fit = fields["fit"]
+                    assert fit["kind"] == want.kind.value
+                    assert fit["datum"].tobytes() == want.datum.tobytes()
+                    assert np.float64(fit["offset"]).tobytes() == np.float64(want.offset).tobytes()
+                    assert np.float64(fit["residual"]).tobytes() == np.float64(want.residual).tobytes()
+                    fitted += 1
+        assert fitted >= 64
 
 
 class TestDiskModel:

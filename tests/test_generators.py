@@ -1,13 +1,17 @@
 """Generator contracts: bitwise determinism, incidence by construction,
 margin guarantees, and perturbation behavior."""
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lorentzgram as lg
 from lorentzgram import generators, theorems
+from lorentzgram.cli import canonical_json, config_to_scene_doc
 
 ALL_KINDS = [k.value for k in lg.GenKind]
 
@@ -267,3 +271,76 @@ class TestPerturb:
         for p, q in zip(cfg.objects, moved.objects):
             gap = float(np.max(np.abs(p.coords - q.coords)))
             assert 0.0 < gap < 1e-4
+
+
+# sha256 per kind over golden_grid: generation must reproduce these bytes
+# exactly, whatever the order of its array operations.  They were taken with
+# numpy 2.4.6 on OpenBLAS 0.3.31 (x86-64, Haswell kernels); a BLAS or LAPACK
+# build that rounds a frame's SVD or eigh differently gives other bytes.
+GOLDEN_DIGESTS = {
+    "points_on_horosphere": "26352cdf280950c101c010fcc876bc2fa320beb92a40b3a82cbce3fb0eac9662",
+    "points_on_hypersphere": "1fa6a4924ec6d1c47902eabe04a490f3946189f8756026e0580e847b1377b3b4",
+    "points_on_hyperplane": "622611a263a75a520d98fbc3b65f0d125ee5af6c045317ddfcb3112a47a4d107",
+    "points_on_equidistant": "5d49664a0cda36cb36261a05f7b1e326e8d10da99c1a46cfe2d09dac21f8094d",
+    "horospheres_on_hyperplane_boundary": "d04df7f166c82f63267ad92fa78311f2ae9bdea2c534a37a4051cba25a39e7e9",
+    "hyperplanes_tangent_at_infinity": "a4313e3e6809a290d5b9eb031fbede36df35584e2cbd85312d374989d3b6f78e",
+    "hyperplanes_common_ideal_point": "ff76c5c59f41adcccb2156e5c43d8f73c8a64f6003862d9390da9d2262513515",
+    "hyperplanes_orth_equal": "94ba46b639abfafc6d0fdefad6560c53efc4d2b9515810fcc5b0cb5c53389876",
+    "generic_points": "729e2a9cfb247127759cc52e6af73ffcbd66a460ea625dce749b00e3f9ea6b42",
+    "generic_horospheres": "d02455b0dd82fd5f2b4d22ff67ecaf3aee574be23d66cde285308c3ab56787df",
+    "generic_hyperplanes": "29be34a27581fa11fcdb5802b0e64429af7355794eb9e8d2ee92afbf46ae8415",
+    "spheres_tangent_to_circle": "b5890f7d3624ed43344c05187f75b95d77e2e20ce574923af6deb2648eb7c175",
+    "spheres_through_point": "e02f180feeb28eb9758b50c4df36440e78dfe0949bf7531068f9c442e61fe6a4",
+}
+GOLDEN_PARAMS = ({}, {"spread": 0.5, "radius": 0.8, "offset": 0.4})
+
+
+def golden_grid(kind: str):
+    """Each spec of the grid (n = 2..15, seeds 0-2, each of GOLDEN_PARAMS)
+    with the canonical JSON of its scene, hyperboloid then ball records, or
+    the message of the error it raises."""
+    for n in range(2, 16):
+        for seed in range(3):
+            for params in GOLDEN_PARAMS:
+                try:
+                    cfg = lg.generate(lg.GenSpec(kind, n, seed=seed, params=params))
+                except lg.GeometryError as exc:
+                    yield f"{type(exc).__name__}: {exc}\n"
+                    continue
+                for disk in (False, True):
+                    yield canonical_json(config_to_scene_doc(cfg, disk=disk))
+
+
+class TestGoldenBytes:
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_generated_bytes_are_pinned(self, kind):
+        digest = hashlib.sha256()
+        for text in golden_grid(kind):
+            digest.update(text.encode())
+        assert digest.hexdigest() == GOLDEN_DIGESTS[kind]
+
+    def test_grid_covers_rejected_specs(self):
+        # the n + 2 kinds exceed MAX_FAMILY at n = 15, and their message is pinned
+        rejected = [t for t in golden_grid("generic_points") if not t.startswith("{")]
+        assert rejected == ["InfeasibleParams: family too large (max 16)\n"] * 6
+
+
+def min_pairwise_loop(vectors) -> float:
+    """The per-pair loop the array expression of _min_pairwise replaced."""
+    worst = math.inf
+    for i in range(len(vectors)):
+        for j in range(i + 1, len(vectors)):
+            worst = min(worst, float(np.max(np.abs(vectors[i] - vectors[j]))))
+    return worst
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 17).flatmap(lambda k: st.integers(1, 6).flatmap(
+    lambda d: st.lists(st.lists(st.floats(-1e300, 1e300), min_size=d, max_size=d),
+                       min_size=k, max_size=k))))
+def test_min_pairwise_matches_the_pair_loop(rows):
+    vectors = [np.array(r) for r in rows]
+    want = np.float64(min_pairwise_loop(vectors)).tobytes()
+    assert np.float64(generators._min_pairwise(vectors)).tobytes() == want
+    if rows:
+        assert np.float64(generators._min_pairwise(np.array(rows))).tobytes() == want

@@ -83,6 +83,39 @@ class TestInner:
             as_vector([1.0, math.nan, 0.0])
 
 
+# finite vectors whose Lorentzian products overflow: inf - inf, inf, -inf
+UNREPRESENTABLE = [[1e200, 0.0, 1e200], [1e155, 1e155, 0.0], [0.0, 0.0, 1e160]]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestUnrepresentable:
+    """An inner product that overflows raises InvalidInput, with no
+    RuntimeWarning on the way."""
+
+    @pytest.mark.parametrize("v", UNREPRESENTABLE)
+    def test_norm_sq(self, v):
+        with pytest.raises(lg.InvalidInput, match="not representable"):
+            lg.norm_sq(v)
+
+    @pytest.mark.parametrize("v", UNREPRESENTABLE)
+    def test_inner(self, v):
+        with pytest.raises(lg.InvalidInput, match="not representable"):
+            lg.inner(v, v)
+        with pytest.raises(lg.InvalidInput, match="not representable"):
+            lg.inner(v, [1e200, 1e200, 1e200])
+
+    @pytest.mark.parametrize("v", UNREPRESENTABLE)
+    def test_classify(self, v):
+        with pytest.raises(lg.InvalidInput, match="not representable"):
+            lg.classify(v)
+
+    def test_large_representable_products_are_unchanged(self):
+        v = np.array([1e150, 0.0, 1e150])
+        assert lg.norm_sq(v) == 0.0
+        assert lg.classify(v) is lg.SignClass.LIGHTLIKE
+        assert lg.inner([1e200, 0.0, 1.0], [1e-200, 0.0, 1.0]) == 0.0
+
+
 class TestClassify:
     def test_frozen(self):
         assert lg.classify([1.0, 0.0, 1.0]) is lg.SignClass.LIGHTLIKE

@@ -1131,3 +1131,49 @@ class TestCorollaryD:
         a = lg.CoSphereE([0.0, 0.0], 1.0, 1)
         with pytest.raises(lg.DimensionMismatch):
             lg.corollary_d_test([a, a, a])
+
+
+class TestCarriedWitnessReport:
+    """With the search on, a certified hit carries the witness report the
+    search ran, which equals a fresh casey_witness_check on the normals (or
+    lifts) flipped by the reported signs."""
+
+    @pytest.mark.parametrize("kind", [
+        "hyperplanes_tangent_at_infinity", "hyperplanes_common_ideal_point",
+        "hyperplanes_orth_equal", "generic_hyperplanes",
+        "spheres_tangent_to_circle", "spheres_through_point",
+    ])
+    def test_carried_report_equals_a_fresh_check(self, kind):
+        carried = 0
+        for n in range(2, 10):
+            for seed in (0, 1):
+                cfg = lg.generate(lg.GenSpec(kind, n, seed=seed))
+                spheres = isinstance(cfg.objects[0], lg.CoSphereE)
+                if spheres:
+                    res = lg.corollary_d_test(cfg.objects)
+                    normals = lg.sphere_lifts(cfg.objects)
+                else:
+                    res = lg.casey_test(cfg.objects)
+                    normals = np.stack([h.normal for h in cfg.objects])
+                if res.case is None:
+                    assert res.witness_report is None
+                    continue
+                if spheres:
+                    assert res.lifts.tobytes() == normals.tobytes()
+                if res.witness_report is None:  # a lone hit, classified after the search
+                    continue
+                flipped = np.array(res.signs, dtype=float)[:, None] * normals
+                fresh = lg.casey_witness_check(res.case, flipped)
+                got = res.witness_report
+                assert np.float64(got.residual).tobytes() == np.float64(fresh.residual).tobytes()
+                assert (got.passed, got.failures) == (fresh.passed, fresh.failures)
+                carried += 1
+        # a tangent-to-circle family has one degenerate coorientation, a lone
+        # hit, and a generic family none
+        if kind not in ("generic_hyperplanes", "spheres_tangent_to_circle"):
+            assert carried > 0
+
+    def test_no_report_without_the_search(self):
+        cfg = lg.generate(lg.GenSpec("hyperplanes_tangent_at_infinity", 3, seed=1))
+        res = lg.casey_test(cfg.objects, search=False)
+        assert res.case is not None and res.witness_report is None
