@@ -24,7 +24,8 @@ interchangeably: points as {"ball": [...]}, horospheres as
 
 Reports are emitted as canonical JSON (sorted keys, minimal separators)
 on stdout.  Every report carries "command", "input_digest" (sha256 of
-the scene bytes), "tol", and a nested "verdict" block {"degenerate",
+the scene's canonical JSON re-encoding, so reformatting a scene keeps
+its digest), "tol", and a nested "verdict" block {"degenerate",
 "det", "sigma_min", "sigma_max"}; classify adds a "case" block {"name",
 "witnesses", "residual"} where one applies, and the relation command
 nests its quantities under "relation".  Passing --emit-disk to verify

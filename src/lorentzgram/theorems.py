@@ -521,6 +521,7 @@ def _signed_sigma(G: np.ndarray, signs: np.ndarray) -> np.ndarray:
 
 
 _SIGN_BLOCK = 128  # sign vectors per stacked eigensolve; larger blocks only cost memory
+_GIVEN = np.zeros(1, dtype=np.int64)  # row 0 of _sign_blocks order: every sign +1
 _EPS = float(np.finfo(float).eps)
 
 
@@ -531,25 +532,39 @@ def _sign_blocks(m: int, rows: Optional[np.ndarray] = None):
     if rows is None:
         rows = np.arange(1 << (m - 1))
     for start in range(0, rows.size, _SIGN_BLOCK):
-        k = rows[start : start + _SIGN_BLOCK]
-        signs = np.ones((k.size, m))
-        signs[:, 1:] = _signs_of(k, m - 1)
-        yield signs
+        # every k is below 2^(m-1), so its leading sign is +1
+        yield _signs_of(rows[start : start + _SIGN_BLOCK], m)
+
+
+_PLUS_MINUS = np.array([1.0, -1.0])
 
 
 def _signs_of(k: np.ndarray, length: int) -> np.ndarray:
     """The sign vectors of the given length numbered k: entry i is -1 when
     bit length - 1 - i of k is set."""
-    return 1.0 - 2.0 * ((k[:, None] >> np.arange(length - 1, -1, -1)) & 1)
+    return _PLUS_MINUS[(k[:, None] >> np.arange(length - 1, -1, -1)) & 1]
+
+
+@functools.cache
+def _sign_table(length: int) -> np.ndarray:
+    """_signs_of every k below 2^length, read-only."""
+    table = _signs_of(np.arange(1 << length), length)
+    table.flags.writeable = False
+    return table
+
+
+def _spectrum_ends(matrices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For each matrix of a (k, m, m) stack, the smallest |eigenvalue| and
+    the largest floored at 1, from one stacked eigensolve."""
+    sigmas = np.abs(np.linalg.eigvalsh(matrices))
+    return sigmas.min(axis=1), np.maximum(sigmas.max(axis=1), 1.0)
 
 
 def _sign_spectra(matrices_of, m: int, rows: Optional[np.ndarray] = None):
-    """Per block of _sign_blocks(m, rows): the signs, and for each row the
-    smallest |eigenvalue| and the largest floored at 1, from one stacked
-    eigensolve of matrices_of(signs)."""
+    """Per block of _sign_blocks(m, rows): the signs and the _spectrum_ends
+    of matrices_of(signs)."""
     for signs in _sign_blocks(m, rows):
-        sigmas = np.abs(np.linalg.eigvalsh(matrices_of(signs)))
-        yield signs, sigmas.min(axis=1), np.maximum(sigmas.max(axis=1), 1.0)
+        yield (signs, *_spectrum_ends(matrices_of(signs)))
 
 
 def _screen(tol: float, m: int) -> float:
@@ -568,6 +583,8 @@ def _scan_signs(
     later block is solved.  Otherwise the vector of least ratio wins with
     verdict and witness None, the earliest on ties: argmin takes the
     first within a block, and a later block must be strictly smaller.
+    _sign_search runs it on row 0 alone, the given coorientation, before
+    it runs it on the rows the certificate keeps.
 
     sole states that rows hold every vector that can be degenerate.  A lone
     degenerate vector then wins without certify, with witness None: it is
@@ -576,11 +593,13 @@ def _scan_signs(
     """
     screen = _screen(tol, m)
     best_signs, best_ratio = None, None
-    for signs, smin, smax in _sign_spectra(matrices_of, m, rows):
+    for signs in _sign_blocks(m, rows):
+        matrices = matrices_of(signs)
+        smin, smax = _spectrum_ends(matrices)
         ratios = smin / smax
-        hits = np.flatnonzero(ratios <= screen)
+        (hits,) = (ratios <= screen).nonzero()
         for i in hits:
-            verdict = degeneracy(matrices_of(signs[i : i + 1])[0], tol)
+            verdict = degeneracy(matrices[i], tol)
             if not verdict.is_degenerate:
                 continue
             if sole and hits.size == 1:
@@ -588,7 +607,7 @@ def _scan_signs(
             witness = certify(signs[i], verdict)
             if witness is not None:
                 return signs[i].copy(), float(ratios[i]), verdict, witness
-        i = int(np.argmin(ratios))
+        i = int(ratios.argmin())
         if best_ratio is None or ratios[i] < best_ratio:
             best_signs, best_ratio = signs[i].copy(), float(ratios[i])
     return best_signs, best_ratio, None, None
@@ -634,30 +653,41 @@ def _sign_search(matrices_of, m: int, tol: float, certify, rank_one=None):
     matrices_of maps a (k, m) block of sign vectors to the (k, m, m) stack
     of their matrices.  rank_one = (M, rho, b) states that the matrix of s
     has the spectrum of M + rho (s*b)(s*b)^T; with it, and m past _stacked,
-    only the vectors the _SignPencil certificate cannot rule out are
-    solved.  The vectors that may be degenerate come from one pass with
-    Weyl's bound and are solved in order, in growing chunks, so that a hit
-    early in the order ends the search.  When none qualifies,
-    _SignPencil.least finds the least ratio.  The answer is that of
-    solving every vector in order.
+    the given coorientation (row 0, every sign +1) is solved first, and it
+    ends the search when it qualifies.  Otherwise only the vectors the
+    _SignPencil certificate cannot rule out are solved.  The vectors that
+    may be degenerate come from one pass with Weyl's bound and are solved
+    in order, in growing chunks, so that a hit early in the order ends the
+    search.  When none qualifies, _SignPencil.least finds the least ratio.
+    Row 0 is solved once.  The answer is that of solving every vector in
+    order.
     """
     tol = min(tol, DEFAULT_TOL)
     if rank_one is None or _stacked(m):
         return _scan_signs(matrices_of, m, tol, certify, sole=_stacked(m))
+    # the given coorientation is first in the order: when it qualifies,
+    # the certificate is never built
+    given = _scan_signs(matrices_of, m, tol, certify, _GIVEN)
+    if given[2] is not None:
+        return given
+    best = given[1]
     pencil = _SignPencil(*rank_one)
-    candidates = pencil.uncertain(_screen(tol, m), per_row=False)
-    best = math.inf
-    for rows in _growing(candidates):
+    screen = _screen(tol, m)
+    candidates = pencil.uncertain(screen, per_row=False)
+    for rows in _growing(candidates[candidates > 0]):
         found = _scan_signs(matrices_of, m, tol, certify, rows, sole=candidates.size == 1)
         if found[2] is not None:
             return found
         best = min(best, found[1])
+    if candidates.size == 1 and candidates[0] == 0 and given[1] <= screen:
+        # the lone candidate is the least ratio, whatever certify said
+        return given
 
     def ratios(rows):
         return np.concatenate([lo / hi for _, lo, hi in _sign_spectra(matrices_of, m, rows)])
 
     # every vector that can qualify was tried: the least ratio is left
-    row, ratio = pencil.least(best, ratios)
+    row, ratio = pencil.least(best, ratios, given[1])
     return next(_sign_blocks(m, np.array([row])))[0], ratio, None, None
 
 
@@ -716,14 +746,18 @@ class _SignPencil:
         self.rho = rho
         # y for every sign vector, the sum of the rows of V = b*Q with the
         # signs s: the high and the low bits of the row index are summed
-        # apart, and the halves added by broadcasting
+        # apart, and the halves added by broadcasting.  The table is built
+        # transposed, so that y2 is Fortran-ordered and a matvec over every
+        # row runs along the rows
         V = b[:, None] * Q
         h = (m - 1) // 2
-        high = V[0] + _signs_of(np.arange(1 << h), h) @ V[1 : h + 1]
-        low = _signs_of(np.arange(1 << (m - 1 - h)), m - 1 - h) @ V[h + 1 :]
-        Y = (high[:, None, :] + low[None, :, :]).reshape(-1, m)
-        self.y2 = np.square(Y, out=Y)
-        n = len(Y)
+        high = V[0] + _sign_table(h) @ V[1 : h + 1]
+        low = _sign_table(m - 1 - h) @ V[h + 1 :]
+        Y = np.empty((m, len(high), len(low)))
+        Y[:] = high.T[:, :, None]
+        Y += low.T[:, None, :]
+        self.y2 = np.square(Y, out=Y).reshape(m, -1).T
+        n = len(self.y2)
         # every row has sum y_i^2 = |b|^2 but for rounding; mass bounds it
         self.mass = float(b @ b) * (1.0 + 1e-9)
         scale = float(np.max(np.abs(self.lam))) + abs(rho) * self.mass
@@ -732,26 +766,26 @@ class _SignPencil:
         self.gamma = 2.0 * (m + 4) * _EPS  # relative rounding of a sum of m terms
         self.smax = np.full(n, np.nan)  # Newton bounds, filled on demand
 
-    def _count(self, y2: np.ndarray, mu):
+    def _count(self, y2: np.ndarray, mu: np.ndarray):
         """Eigenvalues below mu for the rows y2, and whether each count is
-        untrusted.  mu is one value at least 2 eta off every lam_i, which
-        costs a matvec, or one value per row."""
+        untrusted, as (rows, k) arrays.  mu is k values shared by every
+        row, each at least 2 eta off every lam_i, which costs a matvec
+        apiece, or one row of k values per row."""
         lam = self.lam
         j = np.searchsorted(lam, mu)  # lam_i < mu exactly for i < j
-        if np.ndim(mu) == 0:
+        # the lam_i nearest mu are its neighbours in the sorted lam
+        gap = np.minimum(np.abs(lam[np.maximum(j - 1, 0)] - mu),
+                         np.abs(lam[np.minimum(j, lam.size - 1)] - mu))
+        d = lam - mu[..., None]
+        if mu.ndim == 1:
             # einsum, not BLAS: a threaded gemv over every row stalls when
             # another process holds the second core
-            s = np.einsum("ij,j->i", y2, 1.0 / (lam - mu))
-            gap = float(np.min(np.abs(lam - mu)))
+            s = np.einsum("ij,kj->ik", y2, np.reciprocal(d, out=d))
             near = False
         else:
-            # the lam_i nearest mu are its neighbours in the sorted lam
-            gap = np.minimum(np.abs(lam[np.maximum(j - 1, 0)] - mu),
-                             np.abs(lam[np.minimum(j, lam.size - 1)] - mu))
             near = gap < 2.0 * self.eta
-            d = lam - mu[:, None]
             d[near] = 1.0
-            s = np.einsum("ij,ij->i", y2, np.reciprocal(d, out=d))
+            s = np.einsum("ij,ikj->ik", y2, np.reciprocal(d, out=d))
         h = -1.0 / self.rho - s
         count = j + (h < 0) - (self.rho > 0)
         # sum y_i^2 / |lam_i - mu| <= mass / gap bounds the terms of h; a
@@ -763,9 +797,9 @@ class _SignPencil:
     def _clear(self, y2: np.ndarray, T) -> np.ndarray:
         """Mask of the rows y2 certified to have no eigenvalue in [-T, T),
         for one T or one per row."""
-        up, up_untrusted = self._count(y2, T)
-        down, down_untrusted = self._count(y2, -T)
-        return (up == down) & ~(up_untrusted | down_untrusted)
+        T = np.asarray(T)
+        count, untrusted = self._count(y2, np.stack([T, -T], axis=-1))
+        return (count[:, 0] == count[:, 1]) & ~(untrusted[:, 0] | untrusted[:, 1])
 
     def _off_spectrum(self, T: float) -> float:
         """T widened until +-T sit at least 2 eta from every lam_i."""
@@ -848,8 +882,8 @@ class _SignPencil:
                 d = d + psi * (r * psi - 1.0) / np.einsum("ij,ij->i", y2, q * q)
             d = d * (1.0 + 1e-6) + 2.0 * self.eta
             outer = lam[end] - d if self.rho < 0 else lam[end] + d
-            count, untrusted = self._count(y2, outer)
-            certified = (count == (0 if self.rho < 0 else lam.size)) & ~untrusted
+            count, untrusted = self._count(y2, outer[:, None])
+            certified = (count[:, 0] == (0 if self.rho < 0 else lam.size)) & ~untrusted[:, 0]
             bound = self._smax_from(d, self._inner[rows])
             self.smax[rows] = np.where(certified, np.minimum(bound, self._chord[rows]), self._chord[rows])
         return self.smax[rows]
@@ -884,22 +918,23 @@ class _SignPencil:
             rows = rows[~self._clear(y2, T)]
         return rows
 
-    def least(self, best: float, solve) -> tuple[int, float]:
+    def least(self, best: float, solve, given: float) -> tuple[int, float]:
         """The row of least exact ratio, the earliest on ties, and its ratio.
 
-        solve(rows) returns the exact ratios of the listed rows, and best
-        is the least exact ratio of rows solved before (inf for none).
-        Each round solves the _SEEDS unsolved rows of least estimated
-        ratio and keeps the rows that uncertain(best) cannot place above
-        the new best.  Rounds stop at _FEW rows, or when one drops no
-        row; the unsolved rows left are then solved.  The estimate is
-        |h(0)|, proportional to |det K_s| by the determinant lemma, over
-        the chord bound on smax.
+        solve(rows) returns the exact ratios of the listed rows, given is
+        the exact ratio of row 0, and best is the least exact ratio of rows
+        solved before, given included.  Each round solves the _SEEDS
+        unsolved rows of least estimated ratio and keeps the rows that
+        uncertain(best) cannot place above the new best.  Rounds stop at
+        _FEW rows, or when one drops no row; the unsolved rows left are
+        then solved.  The estimate is |h(0)|, proportional to |det K_s| by
+        the determinant lemma, over the chord bound on smax.
         """
         lam = np.where(np.abs(self.lam) < self.eta, self.eta, self.lam)
         score = np.abs(1.0 / self.rho + np.einsum("ij,j->i", self.y2, 1.0 / lam))
         score /= np.maximum(self._chord, 1.0)
         ratios = np.full(len(self.y2), np.nan)
+        ratios[0] = given
         rows = np.arange(len(self.y2))
         while rows.size > _FEW:
             fresh = rows[np.isnan(ratios[rows])]

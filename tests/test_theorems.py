@@ -902,6 +902,76 @@ class TestPrunedSignSearch:
         assert res.verdict.is_degenerate
         assert 0 < sum(solved) <= 16, sum(solved)
 
+    DEGENERATE_KINDS = ("hyperplanes_tangent_at_infinity", "hyperplanes_common_ideal_point",
+                        "hyperplanes_orth_equal") + SPHERE_KINDS
+
+    @staticmethod
+    def family(kind, m, seed):
+        spheres = kind.startswith("spheres_")
+        objs = list(lg.generate(lg.GenSpec(kind, m - (2 if spheres else 1), seed=seed)).objects)
+        assert len(objs) == m
+        return objs, (lg.corollary_d_test if spheres else lg.casey_test)
+
+    @staticmethod
+    def given_matrix(objs):
+        """The matrix of the given coorientation, row 0 of the search."""
+        if isinstance(objs[0], lg.CoSphereE):
+            return lg.tau_matrix(objs)
+        return theorems._signed_sigma(lg.gram([h.normal for h in objs]), np.ones(len(objs)))
+
+    def test_given_coorientation_ends_the_search(self, monkeypatch):
+        # a degenerate family as generated is certified at row 0, so the
+        # certificate is never built and one matrix is solved
+        eigvalsh, solved, pencils = np.linalg.eigvalsh, [], []
+
+        def counting(a):
+            solved.append(1 if a.ndim == 2 else a.shape[0])
+            return eigvalsh(a)
+
+        class CountingPencil(theorems._SignPencil):
+            def __init__(self, *args):
+                pencils.append(1)
+                super().__init__(*args)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        monkeypatch.setattr(theorems, "_SignPencil", CountingPencil)
+        for kind in self.DEGENERATE_KINDS:
+            for m in (7, 12, lg.MAX_FAMILY):
+                objs, test = self.family(kind, m, 0)
+                solved.clear()
+                pencils.clear()
+                res = test(objs)
+                assert res.signs == (1,) * m, (kind, m)
+                assert res.witness_report is not None and res.witness_report.passed, (kind, m)
+                assert (len(pencils), sum(solved)) == (0, 1), (kind, m)
+
+    def test_given_coorientation_is_solved_once(self, monkeypatch):
+        # row 0 is solved first; when it does not end the search, its ratio
+        # is reused, and neither the candidate scan nor the least-ratio
+        # rounds solve it again
+        rng = np.random.default_rng(39)
+        cases = []
+        for kind in self.CASEY_KINDS + self.SPHERE_KINDS:
+            for m in (7, 12, lg.MAX_FAMILY):
+                objs, test = self.family(kind, m, 1)
+                if kind != "generic_hyperplanes":
+                    flip = (lambda s: s.with_eps(-s.eps)) if kind in self.SPHERE_KINDS \
+                        else (lambda h: h.flipped())
+                    objs = random_flips(objs, rng, flip)
+                cases.append(((kind, m), objs, test))
+        eigvalsh, given = np.linalg.eigvalsh, []
+
+        def counting(a):
+            given.append(int(np.sum(np.all(a == target, axis=(-2, -1)))))
+            return eigvalsh(a)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        for label, objs, test in cases:
+            target = self.given_matrix(objs)
+            given.clear()
+            test(objs)
+            assert sum(given) == 1, (label, sum(given))
+
 
 ALL_DEGENERATE_KINDS = ("hyperplanes_common_ideal_point", "spheres_through_point")
 
@@ -1144,33 +1214,39 @@ class TestCarriedWitnessReport:
         "spheres_tangent_to_circle", "spheres_through_point",
     ])
     def test_carried_report_equals_a_fresh_check(self, kind):
+        # every size up to MAX_FAMILY objects: from 7 objects the given
+        # coorientation is decided first, and a certified one carries its
+        # report out of that first solve
+        rng = np.random.default_rng(44)
+        spheres = kind.startswith("spheres_")
         carried = 0
-        for n in range(2, 10):
+        for n in range(2, lg.MAX_FAMILY - (1 if spheres else 0)):
             for seed in (0, 1):
-                cfg = lg.generate(lg.GenSpec(kind, n, seed=seed))
-                spheres = isinstance(cfg.objects[0], lg.CoSphereE)
-                if spheres:
-                    res = lg.corollary_d_test(cfg.objects)
-                    normals = lg.sphere_lifts(cfg.objects)
-                else:
-                    res = lg.casey_test(cfg.objects)
-                    normals = np.stack([h.normal for h in cfg.objects])
-                if res.case is None:
-                    assert res.witness_report is None
-                    continue
-                if spheres:
-                    assert res.lifts.tobytes() == normals.tobytes()
-                if res.witness_report is None:  # a lone hit, classified after the search
-                    continue
-                flipped = np.array(res.signs, dtype=float)[:, None] * normals
-                fresh = lg.casey_witness_check(res.case, flipped)
-                got = res.witness_report
-                assert np.float64(got.residual).tobytes() == np.float64(fresh.residual).tobytes()
-                assert (got.passed, got.failures) == (fresh.passed, fresh.failures)
-                carried += 1
-        # a tangent-to-circle family has one degenerate coorientation, a lone
-        # hit, and a generic family none
-        if kind not in ("generic_hyperplanes", "spheres_tangent_to_circle"):
+                objs = list(lg.generate(lg.GenSpec(kind, n, seed=seed)).objects)
+                flip = (lambda s: s.with_eps(-s.eps)) if spheres else (lambda h: h.flipped())
+                for given in (objs, random_flips(objs, rng, flip)):
+                    if spheres:
+                        res = lg.corollary_d_test(given)
+                        normals = lg.sphere_lifts(given)
+                    else:
+                        res = lg.casey_test(given)
+                        normals = np.stack([h.normal for h in given])
+                    if res.case is None:
+                        assert res.witness_report is None
+                        continue
+                    if spheres:
+                        assert res.lifts.tobytes() == normals.tobytes()
+                    if res.witness_report is None:  # a lone hit, classified after the search
+                        continue
+                    flipped = np.array(res.signs, dtype=float)[:, None] * normals
+                    fresh = lg.casey_witness_check(res.case, flipped)
+                    got = res.witness_report
+                    assert np.float64(got.residual).tobytes() == np.float64(fresh.residual).tobytes()
+                    assert (got.passed, got.failures) == (fresh.passed, fresh.failures)
+                    carried += 1
+        # a generic family has no degenerate coorientation; every other kind
+        # is certified at its given coorientation from 7 objects
+        if kind != "generic_hyperplanes":
             assert carried > 0
 
     def test_no_report_without_the_search(self):
