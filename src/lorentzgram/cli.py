@@ -31,7 +31,11 @@ its digest), "tol", and a nested "verdict" block {"degenerate",
 nests its quantities under "relation".  Passing --emit-disk to verify
 or classify re-renders every object and witness in the report in
 ball-model coordinates.  Exit status: 0 when the tested family is
-degenerate, 1 when it is not, 2 on any error.
+degenerate, 1 when it is not, 2 on any error.  --tol decides the
+verdict alone; witnesses are read off at a fixed threshold of 1e-9.  A
+degenerate family with no witness structure there reports a null case
+("case_kind", or "case" and ptolemy2's "fit") and NO_STRUCTURE in
+"reason", and exits 0.
 
 Each theorem is one row of the THEOREMS table: the record type its
 objects carry, its object count at dimension n, and a runner that calls
@@ -52,7 +56,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .errors import GeometryError, SchemaViolation
+from .errors import GeometryError, NoReliableKernel, NormalSearchFailed, SchemaViolation
 from .generators import Configuration, GenKind, GenSpec, generate
 from .lorentz import DEFAULT_TOL, DegeneracyVerdict, degeneracy
 from .models import ball_normals, ball_points, ball_reps, hyperboloid_to_ball
@@ -468,13 +472,20 @@ def _run_ptolemy1(scene: Scene, tol: float, search: bool, disk: bool, classify: 
     return res.verdict, _witness_fields(res, disk)
 
 
+# the "reason" of a degenerate report with a null case
+NO_STRUCTURE = "degenerate at tol, but no witness structure at the fixed threshold 1e-9"
+
+
 def _run_ptolemy2(scene: Scene, tol: float, search: bool, disk: bool, classify: bool):
     verdict = ptolemy2_test(scene.objects, tol)
     if not classify:
         return verdict, {}
     if not verdict.is_degenerate:
         return verdict, {"fit": None, "case": None}
-    fit = _ptolemy2_fit(scene.objects, verdict, tol)
+    try:
+        fit = _ptolemy2_fit(scene.objects)
+    except (NoReliableKernel, NormalSearchFailed):
+        return verdict, {"fit": None, "case": None, "reason": NO_STRUCTURE}
     return verdict, {
         "fit": {
             "kind": fit.kind.value,
@@ -499,6 +510,8 @@ def _casey_fields(res, normals: Callable[[], np.ndarray], disk: bool, classify: 
     reported signs, unless the search already did.
     """
     fields = {"signs": list(res.signs)}
+    if res.case is None and res.verdict.is_degenerate:
+        fields["reason"] = NO_STRUCTURE
     if not classify:
         fields["case_kind"] = None if res.case is None else res.case.kind.value
         return fields

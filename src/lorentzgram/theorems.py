@@ -74,6 +74,8 @@ from .objects import (
 )
 
 MAX_FAMILY = 16  # sign searches enumerate 2^(count-1) assignments
+_STRUCTURE = 1e-9  # every threshold of a witness's structure; tol decides verdicts alone
+_WITNESS_TOL = 1e-7  # largest residual casey_witness_check passes
 
 
 # ---------------------------------------------------------------------------
@@ -357,43 +359,37 @@ class UmbilicalFit:
         return EquidistantBranch(self.datum, self.offset)
 
 
-def _fit_from_direction(coords: np.ndarray, y: np.ndarray, tol: float) -> UmbilicalFit:
+def _fit_from_direction(coords: np.ndarray, y: np.ndarray) -> UmbilicalFit:
     """Normalize a common direction <p_i, y> = const into an UmbilicalFit."""
-    if float(np.max(np.abs(y))) <= tol:
+    if float(np.max(np.abs(y))) <= _STRUCTURE:
         raise NoReliableKernel("fitted direction vanishes")
-    kind = classify(y, tol)
-    levels = coords @ (y * metric_diag(coords.shape[1]))
-    if kind is SignClass.LIGHTLIKE:
+    sign = classify(y, _STRUCTURE)
+    D = metric_diag(coords.shape[1])
+    if sign is SignClass.LIGHTLIKE:
+        levels = coords @ (y * D)
         if y[-1] < 0:
             y, levels = -y, -levels
         m = float(np.mean(levels))
         if m >= 0:
             raise NoReliableKernel("lightlike fit has nonnegative level")
-        rep = y / (-m * math.sqrt(2.0))
-        datum, offset = rep, HOROSPHERE_LEVEL
-    elif kind is SignClass.TIMELIKE:
+        kind, datum, offset = SurfaceKind.HOROSPHERE, y / (-m * math.sqrt(2.0)), HOROSPHERE_LEVEL
+    elif sign is SignClass.TIMELIKE:
         c = y / math.sqrt(-norm_sq(y))
         if c[-1] < 0:
             c = -c
-        s = float(np.mean(coords @ (c * metric_diag(coords.shape[1]))))
+        s = float(np.mean(coords @ (c * D)))
         if s > -1.0 + 1e-12:
             raise NoReliableKernel("timelike fit puts points at imaginary radius")
-        datum, offset, kind_out = c, s, SurfaceKind.HYPERSPHERE
-        residual = float(np.max(np.abs(coords @ (datum * metric_diag(coords.shape[1])) - offset)))
-        return UmbilicalFit(kind_out, datum, offset, residual)
+        kind, datum, offset = SurfaceKind.HYPERSPHERE, c, s
     else:
         v = y / math.sqrt(norm_sq(y))
-        m = float(np.mean(coords @ (v * metric_diag(coords.shape[1]))))
-        if abs(m) <= tol:
-            datum, offset = first_nonzero_positive(v), 0.0
-            residual = float(np.max(np.abs(coords @ (datum * metric_diag(coords.shape[1])))))
-            return UmbilicalFit(SurfaceKind.HYPERPLANE, datum, offset, residual)
-        if m < 0:
-            v, m = -v, -m
-        residual = float(np.max(np.abs(coords @ (v * metric_diag(coords.shape[1])) - m)))
-        return UmbilicalFit(SurfaceKind.EQUIDISTANT_BRANCH, v, m, residual)
-    residual = float(np.max(np.abs(coords @ (datum * metric_diag(coords.shape[1])) - offset)))
-    return UmbilicalFit(SurfaceKind.HOROSPHERE, datum, offset, residual)
+        m = float(np.mean(coords @ (v * D)))
+        if abs(m) <= _STRUCTURE:
+            kind, datum, offset = SurfaceKind.HYPERPLANE, first_nonzero_positive(v), 0.0
+        else:
+            kind, datum, offset = SurfaceKind.EQUIDISTANT_BRANCH, (v if m > 0 else -v), abs(m)
+    residual = float(np.max(np.abs(coords @ (datum * D) - offset)))
+    return UmbilicalFit(kind, datum, offset, residual)
 
 
 def ptolemy2_classify(points: Sequence[HPoint], tol: float = DEFAULT_TOL) -> UmbilicalFit:
@@ -403,52 +399,39 @@ def ptolemy2_classify(points: Sequence[HPoint], tol: float = DEFAULT_TOL) -> Umb
     lightlike one dimension up; a spacelike normal of their span decomposes
     into the surface datum and its offset.
 
-    The structure (the span's nullity, the normal, the kind of the fitted
-    direction) is decided at min(tol, DEFAULT_TOL), as in
-    _classify_from_kernel: a looser threshold calls the normal of an exact
-    family lightlike or zero.  Only points with no fit there, degenerate
-    at a looser tol alone, are fitted at tol.
+    tol decides degeneracy alone.  The structure (the span's nullity, the
+    normal, the kind of the fitted direction) is decided at a fixed
+    threshold of 1e-9: points degenerate at a looser tol alone may have no
+    fit there, and raise NoReliableKernel or NormalSearchFailed.
     """
     ps = [p if isinstance(p, HPoint) else HPoint(p) for p in points]
-    return _ptolemy2_fit(ps, ptolemy2_test(ps, tol), tol)
-
-
-def _ptolemy2_fit(ps: Sequence[HPoint], verdict: DegeneracyVerdict, tol: float) -> UmbilicalFit:
-    """ptolemy2_classify of the points ps, whose ptolemy2_test at tol gave
-    verdict."""
-    if not verdict.is_degenerate:
+    if not ptolemy2_test(ps, tol).is_degenerate:
         raise NotDegenerate("points are not degenerate at this tolerance")
+    return _ptolemy2_fit(ps)
+
+
+def _ptolemy2_fit(ps: Sequence[HPoint]) -> UmbilicalFit:
+    """ptolemy2_classify of the points ps, already found degenerate."""
     coords = np.stack([p.coords for p in ps])
-    try:
-        return _fit_from_span(coords, min(tol, DEFAULT_TOL))
-    except (NoReliableKernel, NormalSearchFailed):
-        if tol <= DEFAULT_TOL:
-            raise
-        return _fit_from_span(coords, tol)
-
-
-def _fit_from_span(coords: np.ndarray, tol: float) -> UmbilicalFit:
-    """ptolemy2_classify with its nullity count and every threshold of the
-    fit at tol."""
     m, dim = coords.shape
     lifted = np.concatenate([np.ones((m, 1)), coords], axis=1)
     # one full SVD gives the nullity and the basis null_basis would give
     _, svals, vt = np.linalg.svd(lifted)
-    nullity = max(1, int(np.sum(svals <= tol * max(svals[0], 1.0))))
+    nullity = max(1, int(np.sum(svals <= _STRUCTURE * max(svals[0], 1.0))))
     basis = vt[dim + 1 - nullity :].T
     candidates = basis * metric_diag(dim + 1)[:, None]
     eigvals, eigvecs = np.linalg.eigh(gram(candidates.T))
-    if eigvals[-1] <= tol:
+    if eigvals[-1] <= _STRUCTURE:
         raise NormalSearchFailed("span admits no spacelike normal")
     w = candidates @ eigvecs[:, -1]
     w = w / math.sqrt(eigvals[-1])
     v = w[1:]
-    if float(np.max(np.abs(v))) <= tol * max(1.0, abs(w[0])):
+    if float(np.max(np.abs(v))) <= _STRUCTURE * max(1.0, abs(w[0])):
         raise NoReliableKernel("normal has no component in the original space")
-    return _fit_from_direction(coords, v, tol)
+    return _fit_from_direction(coords, v)
 
 
-def fit_umbilical(points: Sequence[HPoint], tol: float = DEFAULT_TOL) -> UmbilicalFit:
+def fit_umbilical(points: Sequence[HPoint]) -> UmbilicalFit:
     """Fit the umbilical hypersurface through n+1 points directly.
 
     Solves <p_i - p_1, y> = 0 for a common direction y and classifies it.
@@ -460,7 +443,7 @@ def fit_umbilical(points: Sequence[HPoint], tol: float = DEFAULT_TOL) -> Umbilic
     _check_family(coords, coords.shape[1])
     diffs = coords[1:] - coords[0]
     h = null_basis(diffs * metric_diag(coords.shape[1]), nullity=1)[:, 0]
-    return _fit_from_direction(coords, h, tol)
+    return _fit_from_direction(coords, h)
 
 
 # ---------------------------------------------------------------------------
@@ -988,7 +971,7 @@ def _case_iii(u: np.ndarray, w: np.ndarray, alpha: float) -> CaseyCase:
     )
 
 
-def _classify_from_kernel(ns: np.ndarray, kernel: np.ndarray, tol: float) -> CaseyCase:
+def _classify_from_kernel(ns: np.ndarray, kernel: np.ndarray) -> CaseyCase:
     """Turn a kernel vector of the sigma matrix into a geometric witness.
 
     Follows the converse construction: the weighted sum v of the normals
@@ -997,29 +980,19 @@ def _classify_from_kernel(ns: np.ndarray, kernel: np.ndarray, tol: float) -> Cas
     two-dimensional complement of the normal differences supplies the
     witness pair.
 
-    The structure (v ~ 0, lightlike, rank) is decided at min(tol,
-    DEFAULT_TOL): a looser threshold calls an exact family's tangent
-    witness lightlike or zero.  Only a kernel that has none of the
-    structures there, of a family degenerate at a looser tol alone, is
-    classified at tol.
+    The structure (v ~ 0, lightlike, rank) is decided at the fixed
+    threshold _STRUCTURE whatever tol called the matrix degenerate: a
+    looser threshold calls an exact family's tangent witness lightlike or
+    zero.  A kernel with none of the structures there raises
+    NoReliableKernel.
     """
-    try:
-        return _kernel_case(ns, kernel, min(tol, DEFAULT_TOL))
-    except NoReliableKernel:
-        if tol <= DEFAULT_TOL:
-            raise
-        return _kernel_case(ns, kernel, tol)
-
-
-def _kernel_case(ns: np.ndarray, kernel: np.ndarray, tol: float) -> CaseyCase:
-    """_classify_from_kernel with every structural threshold at tol."""
     dim = ns.shape[1]
     D = metric_diag(dim)
     v = ns.T @ kernel
     vscale = float(np.sum(np.abs(kernel)) * np.max(np.abs(ns)))
-    if float(np.max(np.abs(v))) > tol * (1.0 + vscale):
+    if float(np.max(np.abs(v))) > _STRUCTURE * (1.0 + vscale):
         nu = norm_sq(v)
-        if abs(nu) <= tol * (1.0 + float(np.max(np.abs(v))) ** 2):
+        if abs(nu) <= _STRUCTURE * (1.0 + float(np.max(np.abs(v))) ** 2):
             return CaseyCase(CaseyCaseKind.COMMON_IDEAL_POINT, ideal_point=_forward_unit(v))
         if nu < 0:
             raise NoReliableKernel("weighted normal combination is timelike")
@@ -1033,18 +1006,18 @@ def _kernel_case(ns: np.ndarray, kernel: np.ndarray, tol: float) -> CaseyCase:
     # one full SVD gives the nullity and the basis null_basis would give
     _, svals, vt = np.linalg.svd(diffs * D)
     smax = max(float(svals[0]), 1.0) if svals.size else 1.0
-    nullity = max(2, dim - int(np.sum(svals > tol * smax)))
+    nullity = max(2, dim - int(np.sum(svals > _STRUCTURE * smax)))
     B = vt[dim - nullity :].T
     c = B.T @ (D * ns[-1])
     cnorm = float(np.linalg.norm(c))
-    if cnorm <= tol * (1.0 + float(np.max(np.abs(ns)))):
+    if cnorm <= _STRUCTURE * (1.0 + float(np.max(np.abs(ns)))):
         u, w, alpha = B[:, 0], B[:, 1], float(c[1])
     else:
         coeff = null_basis(c[None, :], nullity=B.shape[1] - 1)[:, 0]
         u = B @ coeff
         w = B @ (c / cnorm)
         alpha = cnorm
-    cls = classify(u, tol)
+    cls = classify(u, _STRUCTURE)
     if cls is SignClass.LIGHTLIKE:
         return CaseyCase(CaseyCaseKind.COMMON_IDEAL_POINT, ideal_point=_forward_unit(u))
     if cls is SignClass.SPACELIKE:
@@ -1053,16 +1026,16 @@ def _kernel_case(ns: np.ndarray, kernel: np.ndarray, tol: float) -> CaseyCase:
     u = u / math.sqrt(-norm_sq(u))
     y = w + inner(w, u) * u
     qy = norm_sq(y)
-    if qy <= tol:
+    if qy <= _STRUCTURE:
         raise NoReliableKernel("projected witness direction degenerates")
     y = y / math.sqrt(qy)
     alpha = alpha / math.sqrt(qy)
-    if abs(abs(alpha) - 1.0) <= tol:
+    if abs(abs(alpha) - 1.0) <= _STRUCTURE:
         return CaseyCase(
             CaseyCaseKind.TANGENT_HYPERPLANE_AT_INFINITY,
             tangent_normal=first_nonzero_positive(y),
         )
-    if abs(alpha) <= tol:
+    if abs(alpha) <= _STRUCTURE:
         return _case_iii(y, u, 0.0)
     if abs(alpha) > 1.0:
         raise NoReliableKernel("inclination outside the unit interval")
@@ -1074,18 +1047,42 @@ def _kernel_case(ns: np.ndarray, kernel: np.ndarray, tol: float) -> CaseyCase:
     )
 
 
-def _checked_case(
-    ns: np.ndarray, kernel: np.ndarray, tol: float
-) -> Optional[tuple[CaseyCase, WitnessReport]]:
+def _checked_case(ns: np.ndarray, kernel: np.ndarray) -> Optional[tuple[CaseyCase, WitnessReport]]:
     """The case classified from a kernel of the sigma matrix of the normals
     ns (coorientations applied) with its casey_witness_check report, or None
     when the classification fails or the report does not pass."""
     try:
-        case = _classify_from_kernel(ns, kernel, tol)
+        case = _classify_from_kernel(ns, kernel)
     except GeometryError:
         return None
-    report = _witness_report(case, ns)
+    report = casey_witness_check(case, ns)
     return (case, report) if report.passed else None
+
+
+def _searched_case(matrices_of, m: int, tol: float, search: bool, frame, rank_one):
+    """(signs, verdict, case, witness_report) of casey_test or
+    corollary_d_test, whose matrices over sign vectors are matrices_of.
+
+    frame(signs, verdict) gives the flipped normals and the kernel vector
+    of their sigma matrix.  A degenerate verdict with no certified case
+    from the search is classified from them; case is None when the kernel
+    has no structure at _STRUCTURE, as at a looser tol alone.
+    """
+    signs, verdict, checked = np.ones(m), None, None
+    if search:
+        signs, _, verdict, checked = _sign_search(
+            matrices_of, m, tol, lambda s, v: _checked_case(*frame(s, v)), rank_one
+        )
+    if verdict is None:
+        verdict = degeneracy(matrices_of(signs), tol)
+    case, report = checked or (None, None)
+    if case is None and verdict.is_degenerate:
+        ns, kernel = frame(signs, verdict)
+        try:
+            case = _classify_from_kernel(ns, kernel)
+        except NoReliableKernel:
+            pass
+    return tuple(int(s) for s in signs), verdict, case, report
 
 
 def casey_classify(hyperplanes: Sequence[CoHyperplane], tol: float = DEFAULT_TOL) -> CaseyCase:
@@ -1104,9 +1101,9 @@ def casey_classify(hyperplanes: Sequence[CoHyperplane], tol: float = DEFAULT_TOL
     if not verdict.is_degenerate:
         raise NotDegenerate("sigma matrix is not degenerate at this tolerance")
     residual = float(np.max(np.abs(C @ verdict.kernel)))
-    if residual > max(tol, 1e-7) * (verdict.sigma_max + 1.0):
+    if residual > _WITNESS_TOL * (verdict.sigma_max + 1.0):
         raise NoReliableKernel("kernel residual too large to classify")
-    return _classify_from_kernel(ns, verdict.kernel, tol)
+    return _classify_from_kernel(ns, verdict.kernel)
 
 
 def casey_test(
@@ -1122,7 +1119,8 @@ def casey_test(
     that is degenerate at tol by near-cancellation, with no witness, does
     not count.  When no flip qualifies, the flip of least singular value
     ratio is reported, the earliest on ties.  When the reported flip is
-    degenerate, the case classification runs on the flipped normals.
+    degenerate, the case classification runs on the flipped normals; case
+    is None when it finds no structure (see _classify_from_kernel).
     """
     hps = list(hyperplanes)
     if not all(isinstance(h, CoHyperplane) for h in hps):
@@ -1134,19 +1132,10 @@ def casey_test(
         raise InvalidInput(f"family too large for sign search (max {MAX_FAMILY})")
     G = gram(ns)
     _require_finite(G)  # before the search, whose stacked eigensolves need it
-    signs, verdict, checked = np.ones(m), None, None
-    if search:
-        signs, _, verdict, checked = _sign_search(
-            lambda s: _signed_sigma(G, s), m, tol,
-            lambda s, v: _checked_case(ns * s[:, None], v.kernel, tol),
-            _sigma_rank_one(G),
-        )
-    if verdict is None:
-        verdict = degeneracy(_signed_sigma(G, signs), tol)
-    case, report = checked or (None, None)
-    if case is None and verdict.is_degenerate:
-        case = _classify_from_kernel(ns * signs[:, None], verdict.kernel, tol)
-    return CaseyResult(tuple(int(s) for s in signs), verdict, case, report)
+    return CaseyResult(*_searched_case(
+        lambda s: _signed_sigma(G, s), m, tol, search,
+        lambda s, v: (ns * s[:, None], v.kernel), _sigma_rank_one(G),
+    ))
 
 
 def _common_value_gap(values, size: float) -> float:
@@ -1157,7 +1146,9 @@ def _common_value_gap(values, size: float) -> float:
 
 
 def casey_witness_check(
-    case: CaseyCase, hyperplanes: Union[Sequence[CoHyperplane], np.ndarray], tol: float = 1e-7
+    case: CaseyCase,
+    hyperplanes: Union[Sequence[CoHyperplane], np.ndarray],
+    tol: float = _WITNESS_TOL,
 ) -> WitnessReport:
     """Verify a classification witness against the defining equations.
 
@@ -1173,13 +1164,9 @@ def casey_witness_check(
     inclination case the bounds 0 <= lambda < 1 and linear independence of
     the pair are checked separately and can fail the report outright.
     """
-    if not isinstance(hyperplanes, np.ndarray):
-        hyperplanes = np.stack([h.normal for h in hyperplanes])
-    return _witness_report(case, hyperplanes, tol)
-
-
-def _witness_report(case: CaseyCase, ns: np.ndarray, tol: float = 1e-7) -> WitnessReport:
-    """casey_witness_check on the (m, n+1) array ns of the normals."""
+    ns = hyperplanes
+    if not isinstance(ns, np.ndarray):
+        ns = np.stack([h.normal for h in ns])
     failures: list[str] = []
     if case.kind is CaseyCaseKind.TANGENT_HYPERPLANE_AT_INFINITY:
         w = as_vector(case.tangent_normal)
@@ -1285,9 +1272,10 @@ def corollary_d_test(
     equals -4 R C R for the sigma matrix C and radius diagonal R.  So R k
     spans the kernel of C for the kernel k of tau; the hyperplane
     classification runs on it and is translated back to Euclidean terms.
-    The coorientation search follows casey_test: the first flip whose tau
-    matrix is degenerate at tol (capped at DEFAULT_TOL for the search) and
-    whose witness checks on the flipped lifts, else the flip of least ratio.
+    The coorientation search and a case of None follow casey_test: the
+    first flip whose tau matrix is degenerate at tol (capped at DEFAULT_TOL
+    for the search) and whose witness checks on the flipped lifts, else the
+    flip of least ratio.
     """
     ss = list(spheres)
     if not all(isinstance(s, CoSphereE) for s in ss):
@@ -1310,24 +1298,14 @@ def corollary_d_test(
         # only a degenerate tau matrix needs the lifts
         return sphere_lifts(ss)
 
-    def lift_kernel(verdict: DegeneracyVerdict) -> np.ndarray:
+    def frame(sg: np.ndarray, verdict: DegeneracyVerdict):
         k = radii * verdict.kernel
-        return k / np.linalg.norm(k)
+        return lifts() * sg[:, None], k / np.linalg.norm(k)
 
-    signs, verdict, checked = np.ones(m), None, None
-    if search:
-        signs, _, verdict, checked = _sign_search(
-            lambda sg: _signed_tau(parts, eps * sg), m, tol,
-            lambda sg, v: _checked_case(lifts() * sg[:, None], lift_kernel(v), tol),
-            _tau_rank_one(parts, eps, radii),
-        )
-    if verdict is None:
-        verdict = degeneracy(_signed_tau(parts, eps * signs), tol)
-    case, report = checked or (None, None)
-    if case is None and verdict.is_degenerate:
-        case = _classify_from_kernel(lifts() * signs[:, None], lift_kernel(verdict), tol)
-    if case is None:
-        return CoroDResult(tuple(int(s) for s in signs), verdict, None, None)
-    return CoroDResult(
-        tuple(int(s) for s in signs), verdict, case, _euclidean_case(case), lifts(), report
+    signs, verdict, case, report = _searched_case(
+        lambda sg: _signed_tau(parts, eps * sg), m, tol, search,
+        frame, _tau_rank_one(parts, eps, radii),
     )
+    if case is None:
+        return CoroDResult(signs, verdict, None, None)
+    return CoroDResult(signs, verdict, case, _euclidean_case(case), lifts(), report)

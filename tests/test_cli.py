@@ -1,6 +1,7 @@
 """End-to-end CLI contract: exit codes, canonical output, scene validation,
 and the generate -> verify -> classify pipeline."""
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -663,6 +664,62 @@ class TestSearchFlag:
         code, rep = run_doc(capsys, "verify", flipped)
         assert code == 0
         assert rep["signs"] == [1, -1, 1, 1]
+
+
+def assert_null_case_has_reason(code, rep, command):
+    """A degenerate report exits 0; its case is null exactly when it gives
+    the reason."""
+    assert code in (0, 1)
+    assert code == (0 if rep["verdict"]["degenerate"] else 1)
+    case = rep["case_kind"] if command == "verify" else rep["case"]
+    if rep["verdict"]["degenerate"] and case is None:
+        assert rep["reason"] == cli.NO_STRUCTURE
+    else:
+        assert "reason" not in rep
+
+
+class TestLooseTolerance:
+    # tol decides the verdict; a family degenerate at a loose tol with no
+    # witness structure at the fixed threshold reports a null case and a
+    # reason, and never exits 2
+    @pytest.mark.parametrize("command", ["verify", "classify"])
+    def test_degenerate_without_structure_exits_zero(self, capsys, tmp_path, command):
+        scene = generate_scene(
+            capsys, tmp_path, "--kind", "hyperplanes_tangent_at_infinity",
+            "--n", "4", "--seed", "6")
+        doc = json.loads(Path(scene).read_text())
+        doc["objects"][1]["normal"] = [-x for x in doc["objects"][1]["normal"]]
+        flipped = write_scene(tmp_path, doc, "flipped.json")
+        code, rep = run_doc(capsys, command, flipped, "--tol", "0.1", "--no-search-signs")
+        assert code == 0
+        assert rep["verdict"]["degenerate"] is True
+        assert rep["case_kind" if command == "verify" else "case"] is None
+        assert rep["reason"] == cli.NO_STRUCTURE
+
+    @pytest.mark.parametrize("tol", ["1e-3", "0.1"])
+    @pytest.mark.parametrize("kind", [
+        "hyperplanes_tangent_at_infinity", "hyperplanes_orth_equal", "spheres_tangent_to_circle",
+    ])
+    def test_every_flip_pattern_exits_zero_or_one(self, capsys, tmp_path, kind, tol):
+        path = tmp_path / "scene.json"
+        for n in (2, 3):
+            for seed in range(4):
+                config = generate(GenSpec(kind, n, seed=seed))
+                for mask in range(16):
+                    if mask >> len(config.objects):
+                        continue
+                    objs = [
+                        (o.flipped() if isinstance(o, lg.CoHyperplane) else o.with_eps(-o.eps))
+                        if mask >> i & 1 else o
+                        for i, o in enumerate(config.objects)
+                    ]
+                    flipped = dataclasses.replace(config, objects=tuple(objs))
+                    for disk in (False, True):
+                        path.write_text(cli.canonical_json(cli.config_to_scene_doc(flipped, disk)))
+                        for command in ("verify", "classify"):
+                            code, rep = run_doc(
+                                capsys, command, str(path), "--tol", tol, "--no-search-signs")
+                            assert_null_case_has_reason(code, rep, command)
 
 
 class TestErrors:

@@ -553,10 +553,11 @@ class TestCasey:
         lifts = [lg.CoHyperplane(g * lg.sphere_lift(s).normal) for s, g in zip(ss, res.signs)]
         assert lg.casey_witness_check(res.case, lifts).passed
         # a generic family degenerate at this tol alone has no structure at
-        # DEFAULT_TOL; it is classified at tol, not refused
+        # the fixed threshold: it gets no case, rather than one whose
+        # witness fails
         gs = lg.generate(lg.GenSpec("generic_hyperplanes", 3, seed=0)).objects
         res = lg.casey_test(gs, tol)
-        assert res.verdict.is_degenerate and res.case is not None
+        assert res.verdict.is_degenerate and res.case is None
 
     def test_witness_check_rejects_bad_cases(self):
         bad = lg.CaseyCase(lg.CaseyCaseKind.COMMON_IDEAL_POINT,
@@ -612,7 +613,7 @@ def random_flips(objects, rng, flip):
     return [flip(o) if i and rng.random() < 0.5 else o for i, o in enumerate(objects)]
 
 
-def search_certify(objs, tol=lg.DEFAULT_TOL):
+def search_certify(objs):
     """The certify argument casey_test or corollary_d_test hands the search."""
     if isinstance(objs[0], lg.CoSphereE):
         lifts = np.stack([lg.sphere_lift(s).normal for s in objs])
@@ -620,10 +621,10 @@ def search_certify(objs, tol=lg.DEFAULT_TOL):
 
         def certify(sg, verdict):
             k = radii * verdict.kernel
-            return theorems._checked_case(lifts * sg[:, None], k / np.linalg.norm(k), tol)
+            return theorems._checked_case(lifts * sg[:, None], k / np.linalg.norm(k))
         return certify
     ns = np.stack([h.normal for h in objs])
-    return lambda s, verdict: theorems._checked_case(ns * s[:, None], verdict.kernel, tol)
+    return lambda s, verdict: theorems._checked_case(ns * s[:, None], verdict.kernel)
 
 
 def certify_any(signs, verdict):
