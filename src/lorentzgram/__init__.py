@@ -7,6 +7,11 @@ cooriented hyperplanes and cooriented Euclidean spheres are tested for
 incidence with a common umbilical hypersurface by checking whether the
 matrix of their pairwise invariants is singular, and the witnessing
 surface is recovered from the kernel.
+
+The generators (``generate``, ``GenSpec``, ``Configuration``,
+``default_count``, ``perturb``) and their random stream ``SplitMix64``
+are imported on first use, so a program that only tests families does
+not load them.
 """
 
 from .errors import (
@@ -24,7 +29,7 @@ from .errors import (
     OutsideBall,
     SchemaViolation,
 )
-from .generators import Configuration, GenKind, GenSpec, default_count, generate, perturb
+from .genkind import GenKind
 from .lorentz import (
     DEFAULT_TOL,
     DegeneracyVerdict,
@@ -76,7 +81,6 @@ from .objects import (
     tangent_length,
     tau,
 )
-from .rng import SplitMix64
 from .theorems import (
     MAX_FAMILY,
     Alternative,
@@ -110,6 +114,31 @@ from .theorems import (
 )
 
 __version__ = "0.1.0"
+
+# name -> the submodule that defines it, imported when the name is first read
+_LAZY = {
+    "Configuration": "generators",
+    "GenSpec": "generators",
+    "default_count": "generators",
+    "generate": "generators",
+    "perturb": "generators",
+    "SplitMix64": "rng",
+}
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = getattr(import_module(f"{__name__}.{_LAZY[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list:
+    return sorted({*globals(), *_LAZY})
+
 
 __all__ = [
     "DEFAULT_TOL",

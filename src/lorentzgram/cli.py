@@ -50,14 +50,15 @@ import argparse
 import hashlib
 import json
 import math
+import os
 import sys
 from pathlib import Path
-from typing import Callable, NamedTuple, Optional
+from typing import TYPE_CHECKING, Callable, NamedTuple, NoReturn, Optional
 
 import numpy as np
 
 from .errors import GeometryError, NoReliableKernel, NormalSearchFailed, SchemaViolation
-from .generators import Configuration, GenKind, GenSpec, generate
+from .genkind import GenKind
 from .lorentz import DEFAULT_TOL, DegeneracyVerdict, degeneracy
 from .models import ball_normals, ball_points, ball_reps, hyperboloid_to_ball
 from .objects import (
@@ -83,6 +84,9 @@ from .theorems import (
     ptolemy2_test,
     tau_matrix,
 )
+
+if TYPE_CHECKING:
+    from .generators import Configuration
 
 SCHEMA = "lorentz-gram/1"
 
@@ -126,6 +130,10 @@ def canonical_json(doc: dict) -> str:
 
 def _emit(doc: dict) -> None:
     sys.stdout.write(canonical_json(doc) + "\n")
+
+
+def _error_doc(exc: Exception) -> dict:
+    return {"error": type(exc).__name__, "message": str(exc)}
 
 
 # ---------------------------------------------------------------------------
@@ -681,6 +689,9 @@ def _parse_params(pairs) -> dict:
 
 
 def cmd_generate(args) -> tuple[dict, int]:
+    # the generators load only for this command
+    from .generators import GenSpec, generate
+
     params = _parse_params(args.params)
     for key in _PARAM_KEYS:
         # a dedicated flag wins over the same key given through --params
@@ -759,7 +770,7 @@ def _run_batch(args, theorem: Optional[str]) -> int:
     directory = Path(args.scenes_dir)
     if not directory.is_dir():
         raise SchemaViolation(f"not a directory: {directory}")
-    reports = {}
+    texts = {}
     worst = 0
     for path in sorted(directory.glob("*.json")):
         try:
@@ -767,11 +778,14 @@ def _run_batch(args, theorem: Optional[str]) -> int:
             report, code = cmd_verify(
                 scene, digest, args.tol, args.search_signs, args.emit_disk
             )
+            # encoded here, so that a non-finite number fails its own scene alone
+            texts[path.name] = canonical_json(report)
         except (GeometryError, OSError) as exc:
-            report, code = {"error": type(exc).__name__, "message": str(exc)}, 2
-        reports[path.name] = report
+            texts[path.name], code = canonical_json(_error_doc(exc)), 2
         worst = max(worst, code)
-    _emit({"schema": SCHEMA, "command": "verify", "reports": reports})
+    # the canonical JSON of {"schema", "command", "reports"}, each report encoded once
+    reports = ",".join(f"{canonical_json(name)}:{texts[name]}" for name in sorted(texts))
+    sys.stdout.write(f'{{"command":"verify","reports":{{{reports}}},"schema":"{SCHEMA}"}}\n')
     return worst
 
 
@@ -813,9 +827,28 @@ def main(argv=None) -> int:
         _emit(doc)
         return code
     except (GeometryError, OSError) as exc:
-        _emit({"error": type(exc).__name__, "message": str(exc)})
+        _emit(_error_doc(exc))
         return 2
 
 
+def entry() -> NoReturn:
+    """The ``lorentzgram`` console script and ``python -m lorentzgram.cli``.
+
+    Runs main() on the process arguments, flushes stdout and stderr and
+    ends the process with main's exit code through os._exit, without the
+    interpreter's teardown, which costs a short command more than its
+    work.  atexit hooks therefore do not run.  A flush that fails exits
+    120, as the interpreter's own shutdown does; an exception that escapes
+    main() propagates and ends the process the usual way.
+    """
+    code = main()
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            stream.flush()
+        except (OSError, ValueError):
+            code = 120
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

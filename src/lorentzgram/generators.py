@@ -14,12 +14,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from enum import Enum
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
 from .errors import GeometryError, InfeasibleParams, InvalidInput
+from .genkind import GenKind
 from .lorentz import _dot, first_nonzero_positive, gram, metric_diag, norm_sq, null_basis
 from .models import (
     _chart_inverse,
@@ -53,22 +53,6 @@ MAX_ATTEMPTS = 100
 
 DEGENERATE_MARGIN = 1e-10  # expected kernel eigenvalues must sit below this
 ROBUST_MARGIN = 1e-5  # the rest of the spectrum must sit above this
-
-
-class GenKind(Enum):
-    POINTS_ON_HOROSPHERE = "points_on_horosphere"
-    POINTS_ON_HYPERSPHERE = "points_on_hypersphere"
-    POINTS_ON_HYPERPLANE = "points_on_hyperplane"
-    POINTS_ON_EQUIDISTANT = "points_on_equidistant"
-    HOROSPHERES_ON_HYPERPLANE_BOUNDARY = "horospheres_on_hyperplane_boundary"
-    HYPERPLANES_TANGENT_AT_INFINITY = "hyperplanes_tangent_at_infinity"
-    HYPERPLANES_COMMON_IDEAL_POINT = "hyperplanes_common_ideal_point"
-    HYPERPLANES_ORTH_EQUAL = "hyperplanes_orth_equal"
-    GENERIC_POINTS = "generic_points"
-    GENERIC_HOROSPHERES = "generic_horospheres"
-    GENERIC_HYPERPLANES = "generic_hyperplanes"
-    SPHERES_TANGENT_TO_CIRCLE = "spheres_tangent_to_circle"
-    SPHERES_THROUGH_POINT = "spheres_through_point"
 
 
 @dataclass(frozen=True)

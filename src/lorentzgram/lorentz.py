@@ -203,13 +203,22 @@ def degeneracy(matrix: np.ndarray, tol: float = DEFAULT_TOL) -> DegeneracyVerdic
     scale = max(float(np.abs(M).max()), 1.0)
     if float(np.abs(M - M.T).max()) > 1e-12 * scale:
         raise NotSymmetric("matrix is not symmetric within 1e-12 relative")
-    S = (M + M.T) / 2.0
+    return _verdict((M + M.T) / 2.0, tol)
+
+
+def _verdict(S: np.ndarray, tol: float) -> DegeneracyVerdict:
+    """degeneracy's verdict on S, which must be finite and exactly symmetric,
+    and tol, which must be positive: the caller has checked both.  Code that
+    built S so by construction calls this directly."""
     eigvals, eigvecs = np.linalg.eigh(S)
     sigmas = np.abs(eigvals)
     i_min = int(np.argmin(sigmas))
     sigma_min = float(sigmas[i_min])
     sigma_max = float(sigmas.max())
-    det_value = float(eigvals.prod())
+    # finite eigenvalues whose product overflows give an infinite det, which
+    # the report encoder refuses; it is not a warning
+    with np.errstate(over="ignore"):
+        det_value = float(eigvals.prod())
     is_degenerate = sigma_min <= tol * max(sigma_max, 1.0)
     kernel = _canonical_sign(eigvecs[:, i_min].copy()) if is_degenerate else None
     return DegeneracyVerdict(

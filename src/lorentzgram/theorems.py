@@ -58,6 +58,7 @@ from .lorentz import (
     norm_sq,
     null_basis,
     _require_finite,
+    _verdict,
 )
 from .models import lightlike_to_boundary, normal_to_sphere_or_plane, sphere_lifts
 from .objects import (
@@ -563,7 +564,8 @@ def _scan_signs(
     """(signs, ratio, verdict, witness) over _sign_blocks(m, rows), solved
     block by block.  The first vector whose matrix degeneracy(., tol) calls
     degenerate and that certify qualifies (see _sign_search) wins, and no
-    later block is solved.  Otherwise the vector of least ratio wins with
+    later block is solved; the matrices are finite and exactly symmetric by
+    construction, so its _verdict is taken without degeneracy's checks.  Otherwise the vector of least ratio wins with
     verdict and witness None, the earliest on ties: argmin takes the
     first within a block, and a later block must be strictly smaller.
     _sign_search runs it on row 0 alone, the given coorientation, before
@@ -582,7 +584,7 @@ def _scan_signs(
         ratios = smin / smax
         (hits,) = (ratios <= screen).nonzero()
         for i in hits:
-            verdict = degeneracy(matrices[i], tol)
+            verdict = _verdict(matrices[i], tol)
             if not verdict.is_degenerate:
                 continue
             if sole and hits.size == 1:
@@ -1066,15 +1068,19 @@ def _searched_case(matrices_of, m: int, tol: float, search: bool, frame, rank_on
     frame(signs, verdict) gives the flipped normals and the kernel vector
     of their sigma matrix.  A degenerate verdict with no certified case
     from the search is classified from them; case is None when the kernel
-    has no structure at _STRUCTURE, as at a looser tol alone.
+    has no structure at _STRUCTURE, as at a looser tol alone.  The matrices
+    are finite and exactly symmetric by construction, so their verdicts skip
+    degeneracy's input checks.
     """
+    if tol <= 0:
+        raise InvalidInput("tol must be positive")
     signs, verdict, checked = np.ones(m), None, None
     if search:
         signs, _, verdict, checked = _sign_search(
             matrices_of, m, tol, lambda s, v: _checked_case(*frame(s, v)), rank_one
         )
     if verdict is None:
-        verdict = degeneracy(matrices_of(signs), tol)
+        verdict = _verdict(matrices_of(signs), tol)
     case, report = checked or (None, None)
     if case is None and verdict.is_degenerate:
         ns, kernel = frame(signs, verdict)

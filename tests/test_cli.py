@@ -5,6 +5,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
 import re
 import subprocess
 import sys
@@ -929,6 +930,31 @@ class TestBatch:
         code, doc = run_doc(capsys, "verify", scene, "--scenes-dir", str(tmp_path))
         assert code == 2
 
+    def test_non_finite_report_fails_its_scene_alone(self, capsys, tmp_path):
+        write_scene(tmp_path, huge_points_scene(), name="a_huge.json")
+        generic = generate_scene(capsys, tmp_path, "--kind", "generic_points", "--n", "3",
+                                 "--seed", "1", name="b_generic.json")
+        code, doc = run_doc(capsys, "verify", "--scenes-dir", str(tmp_path))
+        assert code == 2
+        assert doc["reports"]["a_huge.json"] == NON_FINITE
+        _, single = run_doc(capsys, "verify", generic)
+        assert doc["reports"]["b_generic.json"] == single
+        assert single["verdict"]["degenerate"] is False
+
+
+def huge_points_scene() -> dict:
+    """Ten points of H^8 with coordinates near 1e20: a valid ptolemy2 scene
+    whose matrix is finite but whose determinant overflows."""
+    objects = []
+    for i in range(10):
+        x = [1e20 * math.sin(1.0 + i * (j + 2)) for j in range(8)]
+        objects.append({"type": "point", "coords": x + [math.sqrt(1.0 + sum(v * v for v in x))]})
+    return {"schema": "lorentz-gram/1", "dimension": 8, "theorem": "ptolemy2",
+            "objects": objects}
+
+
+NON_FINITE = {"error": "GeometryError", "message": "report contains a non-finite number"}
+
 
 def overflow_scene(kind: str) -> dict:
     """Four sphere_e records at n = 2 whose numbers overflow in the program:
@@ -958,6 +984,14 @@ class TestOverflow:
         assert code == 2
         assert doc == {"error": "InvalidInput", "message": message}
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_det_is_an_error_report(self, capsys, tmp_path):
+        # the determinant's product overflows; a RuntimeWarning there would,
+        # under -W error, end the command in a traceback with exit 1
+        code, doc = run_doc(capsys, "verify", write_scene(tmp_path, huge_points_scene()))
+        assert code == 2
+        assert doc == NON_FINITE
+
     @pytest.mark.parametrize("kind", ["tiny", "far"])
     def test_batch_reports_both(self, capsys, tmp_path, kind):
         write_scene(tmp_path, overflow_scene(kind), name="a_overflow.json")
@@ -986,3 +1020,100 @@ class TestConsoleScript:
             capture_output=True, text=True)
         assert check.returncode == 1
         assert json.loads(check.stdout)["verdict"]["degenerate"] is False
+
+    def test_unknown_kind_exits_two(self, capsys):
+        assert main(["generate", "--kind", "no_such_kind", "--n", "3"]) == 2
+        err = capsys.readouterr().err
+        assert "invalid choice: 'no_such_kind'" in err
+        assert all(kind.value in err for kind in GenKind)
+
+
+SRC = str(Path(lg.__file__).resolve().parents[1])
+
+
+def python(*args, **kwargs) -> subprocess.CompletedProcess:
+    """A fresh interpreter that imports the package under test, its stdout
+    block-buffered as in a plain run, so that a full sink fails the flush
+    at exit and not a write inside main()."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = SRC
+    return subprocess.run([sys.executable, *args], env=env, **kwargs)
+
+
+class TestProcess:
+    """What a command-line process imports and how it ends."""
+
+    def test_verify_loads_no_generator_code(self, capsys, tmp_path):
+        scene = generate_scene(capsys, tmp_path, "--kind", "generic_points", "--n", "3",
+                               "--seed", "1")
+        probe = ("import json, sys; from lorentzgram.cli import main; main(['verify', sys.argv[1]]); "
+                 "json.dump([m for m in sys.modules if m.startswith('lorentzgram.')], sys.stderr)")
+        out = python("-c", probe, scene, capture_output=True, text=True)
+        assert out.returncode == 0, out.stderr
+        loaded = json.loads(out.stderr)
+        assert "lorentzgram.cli" in loaded
+        assert "lorentzgram.generators" not in loaded and "lorentzgram.rng" not in loaded
+
+    def test_package_loads_generators_on_first_use(self):
+        probe = ("import sys, lorentzgram as lg; before = 'lorentzgram.generators' in sys.modules; "
+                 "assert 'generate' in dir(lg) and 'SplitMix64' in dir(lg); "
+                 "from lorentzgram.generators import generate; "
+                 "print(before, lg.generate is generate, lg.GenKind is lg.generators.GenKind)")
+        out = python("-c", probe, capture_output=True, text=True)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.split() == ["False", "True", "True"]
+
+    @pytest.fixture
+    def scenes(self, capsys, tmp_path):
+        """argv of an exit-0, an exit-1 and an exit-2 verify and of a batch
+        over the three scenes."""
+        directory = tmp_path / "batch"
+        directory.mkdir()
+        degenerate = generate_scene(capsys, directory, "--kind", "spheres_through_point",
+                                    "--n", "3", "--seed", "1", name="a_degenerate.json")
+        generic = generate_scene(capsys, directory, "--kind", "generic_horospheres",
+                                 "--n", "3", "--seed", "1", name="b_generic.json")
+        huge = write_scene(directory, huge_points_scene(), name="c_huge.json")
+        return {
+            0: ["verify", degenerate],
+            1: ["verify", generic],
+            2: ["verify", huge],
+            "batch": ["verify", "--scenes-dir", str(directory)],
+        }
+
+    @pytest.mark.parametrize("case", [0, 1, 2, "batch"])
+    @pytest.mark.parametrize("sink", ["file", "pipe"])
+    def test_module_matches_in_process(self, capsys, tmp_path, scenes, case, sink):
+        argv = scenes[case]
+        want_code, want = main(argv), capsys.readouterr().out.encode()
+        assert want_code == (2 if case == "batch" else case)
+        command = ["-m", "lorentzgram.cli", *argv]
+        if sink == "pipe":
+            out = python(*command, stdout=subprocess.PIPE)
+            code, got = out.returncode, out.stdout
+        else:
+            path = tmp_path / "report.json"
+            with open(path, "wb") as sink_file:
+                code = python(*command, stdout=sink_file).returncode
+            got = path.read_bytes()
+        assert (code, got) == (want_code, want)
+
+    def test_failed_flush_exits_120(self, scenes):
+        with open("/dev/full", "wb") as full:
+            out = python("-m", "lorentzgram.cli", *scenes[1], stdout=full,
+                         stderr=subprocess.PIPE)
+        assert out.returncode == 120
+
+    def test_exit_skips_teardown_unless_main_raises(self, scenes):
+        # a normal exit leaves atexit hooks unrun; an exception escaping main
+        # ends the process through the interpreter's shutdown, hooks and all
+        setup = ("import atexit, sys, lorentzgram.cli as cli; "
+                 "atexit.register(print, 'atexit ran', file=sys.stderr); ")
+        out = python("-c", setup + "cli.entry()", *scenes[1], capture_output=True, text=True)
+        assert out.returncode == 1
+        assert json.loads(out.stdout)["verdict"]["degenerate"] is False
+        assert "atexit ran" not in out.stderr
+        raising = setup + "cli.main = lambda argv=None: 1 // 0; cli.entry()"
+        out = python("-c", raising, capture_output=True, text=True)
+        assert out.returncode == 1
+        assert "ZeroDivisionError" in out.stderr and "atexit ran" in out.stderr
