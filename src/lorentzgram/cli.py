@@ -27,21 +27,22 @@ on stdout.  Every report carries "command", "input_digest" (sha256 of
 the scene's canonical JSON re-encoding, so reformatting a scene keeps
 its digest), "tol", and a nested "verdict" block {"degenerate",
 "det", "sigma_min", "sigma_max"}; classify adds a "case" block {"name",
-"witnesses", "residual"} where one applies, and the relation command
-nests its quantities under "relation".  Passing --emit-disk to verify
-or classify re-renders every object and witness in the report in
-ball-model coordinates.  Exit status: 0 when the tested family is
-degenerate, 1 when it is not, 2 on any error.  --tol decides the
-verdict alone; witnesses are read off at a fixed threshold of 1e-9.  A
-degenerate family with no witness structure there reports a null case
-("case_kind", or "case" and ptolemy2's "fit") and NO_STRUCTURE in
-"reason", and exits 0.
+"witnesses", "residual"} where one applies, and relation scenes nest
+their quantities under "relation".  Passing --emit-disk to verify or
+classify re-renders every object and witness in the report in
+ball-model coordinates.  Exit status, for every command: 0 when the
+tested family is degenerate, 1 when it is not, 2 on invalid input or
+when no verdict is possible, 120 when stdout cannot be written.  --tol
+decides the verdict alone; witnesses are read off at a fixed threshold
+of 1e-9.  A degenerate family with no witness structure there reports a
+null case ("case_kind", or "case" and ptolemy2's "fit") and NO_STRUCTURE
+in "reason", and exits 0.
 
-Each theorem is one row of the THEOREMS table: the record type its
-objects carry, its object count at dimension n, and a runner that calls
-the theorem test and returns the verdict with the theorem's report
-fields.  Scene parsing, the --theorem choices, verify, classify and the
-theorem that generate writes into a scene all read that table.
+Each theorem is one row of the THEOREMS table: the record types its
+objects may carry, one per scene, its object count at dimension n, and a
+runner that calls the theorem test and returns the verdict with the
+theorem's report fields.  Scene parsing, the --theorem choices and every
+command read that table; relation is verify on a relation scene.
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ import numpy as np
 
 from .errors import GeometryError, NoReliableKernel, NormalSearchFailed, SchemaViolation
 from .genkind import GenKind
-from .lorentz import DEFAULT_TOL, DegeneracyVerdict, degeneracy
+from .lorentz import DEFAULT_TOL, degeneracy
 from .models import ball_normals, ball_points, ball_reps, hyperboloid_to_ball
 from .objects import (
     CoHyperplane,
@@ -82,7 +83,7 @@ from .theorems import (
     penner_test,
     ptolemy1_test,
     ptolemy2_test,
-    tau_matrix,
+    relation_tangents,
 )
 
 if TYPE_CHECKING:
@@ -126,10 +127,6 @@ def canonical_json(doc: dict) -> str:
         raise
     except ValueError as exc:  # allow_nan=False: a NaN or infinity
         raise GeometryError("report contains a non-finite number") from exc
-
-
-def _emit(doc: dict) -> None:
-    sys.stdout.write(canonical_json(doc) + "\n")
 
 
 def _error_doc(exc: Exception) -> dict:
@@ -332,9 +329,9 @@ def parse_scene(doc, theorem: Optional[str] = None) -> Scene:
     # a --theorem flag overrides whatever the scene says about itself
     if theorem is None:
         theorem = doc.get("theorem")
-    names = (*THEOREMS, "relation")
-    if theorem not in names:
-        raise SchemaViolation(f"theorem must be one of {', '.join(names)}")
+    row = THEOREMS.get(theorem) if isinstance(theorem, str) else None
+    if row is None:
+        raise SchemaViolation(f"theorem must be one of {', '.join(THEOREMS)}")
     meta = doc.get("meta")
     if meta is not None and not isinstance(meta, dict):
         raise SchemaViolation("meta must be a JSON object")
@@ -342,31 +339,24 @@ def parse_scene(doc, theorem: Optional[str] = None) -> Scene:
     if not isinstance(records, list) or not records:
         raise SchemaViolation("objects must be a non-empty list")
     objects = _objects(records, n)
-    if theorem == "relation":
-        if len(objects) != 4:
-            raise SchemaViolation("relation scenes need exactly 4 objects")
-        kinds = {type(o) for o in objects}
-        if len(kinds) != 1 or kinds.pop() not in (HPoint, Horosphere, CoSphereE):
-            raise SchemaViolation(
-                "relation objects must be all points, all horospheres or all sphere_e"
-            )
-    else:
-        row = THEOREMS[theorem]
-        if any(rec["type"] != row.record for rec in records):
-            raise SchemaViolation(f"{theorem} scenes hold {row.record} records only")
-        if len(objects) != row.count(n):
-            raise SchemaViolation(
-                f"{theorem} at n={n} needs {row.count(n)} objects, got {len(objects)}"
-            )
+    types = {rec["type"] for rec in records}
+    if not types <= set(row.records):
+        raise SchemaViolation(f"{theorem} scenes hold {' or '.join(row.records)} records only")
+    if len(types) > 1:
+        raise SchemaViolation(f"{theorem} objects must all be of one type")
+    if len(objects) != row.count(n):
+        raise SchemaViolation(
+            f"{theorem} at n={n} needs {row.count(n)} objects, got {len(objects)}"
+        )
     surface = None
-    if theorem == "ptolemy1":
-        if "surface" not in doc:
-            raise SchemaViolation("ptolemy1 scenes need a surface record")
+    if "surface" in doc and row.surface is not False:
         surface = _record_to_object(doc["surface"], n, "surface")
         if not isinstance(surface, (Horosphere, Hypersphere)):
-            raise SchemaViolation("ptolemy1 surface must be a horosphere or hypersphere")
+            raise SchemaViolation(f"{theorem} surface must be a horosphere or hypersphere")
     elif "surface" in doc:
-        raise SchemaViolation("only ptolemy1 scenes take a surface record")
+        raise SchemaViolation("only ptolemy1 and relation scenes take a surface record")
+    elif row.surface:
+        raise SchemaViolation(f"{theorem} scenes need a surface record")
     return Scene(n, theorem, objects, surface, meta)
 
 
@@ -384,18 +374,6 @@ def load_scene(path: str, theorem: Optional[str] = None) -> tuple[Scene, str]:
 
 # ---------------------------------------------------------------------------
 # report assembly
-
-
-def _verdict_doc(verdict: DegeneracyVerdict) -> dict:
-    return {
-        "verdict": {
-            "degenerate": verdict.is_degenerate,
-            "det": verdict.det_value,
-            "sigma_min": verdict.sigma_min,
-            "sigma_max": verdict.sigma_max,
-        },
-        "kernel": verdict.kernel,
-    }
 
 
 def _ball_boundary(vec: np.ndarray) -> list:
@@ -428,22 +406,6 @@ def _case_doc(
         if case.ideal_point is not None:
             ball["ideal_point"] = _ball_boundary(case.ideal_point)
         doc["ball"] = ball
-    return doc
-
-
-def _base_report(command: str, scene: Scene, digest: str, tol: float) -> dict:
-    doc = {
-        "schema": SCHEMA,
-        "command": command,
-        "theorem": scene.theorem,
-        "dimension": scene.n,
-        "input_digest": digest,
-        "tol": tol,
-    }
-    if scene.meta is not None:
-        seed = scene.meta.get("seed")
-        if isinstance(seed, int) and not isinstance(seed, bool):
-            doc["seed"] = seed
     return doc
 
 
@@ -554,37 +516,86 @@ def _run_casey_e(scene: Scene, tol: float, search: bool, disk: bool, classify: b
     return res.verdict, fields
 
 
+# the "reason" of a sphere relation report with an imaginary tangent length
+NO_TANGENT = "a sphere pair has no real tangent length under signs"
+
+
+def _unsigned(values: np.ndarray, tol: float):
+    return values, degeneracy(values * values, tol), {}
+
+
+def _tangents(spheres: list, tol: float, search: bool):
+    signs, verdict, squares = relation_tangents(spheres, tol, search)
+    if squares is None:
+        return None, verdict, {"signs": list(signs), "reason": NO_TANGENT}
+    return np.sqrt(squares), verdict, {"signs": list(signs)}
+
+
+# object type -> (the quantity the relation reads off four such objects,
+# (objects, tol, search) -> (their values or None, verdict, report fields))
+_RELATION_LENGTHS = {
+    HPoint: ("chord_length", lambda x, tol, _: _unsigned(2.0 * np.sqrt(half_dist_matrix(x)), tol)),
+    Horosphere: ("lambda_length", lambda x, tol, _: _unsigned(np.sqrt(lambda_sq_matrix(x)), tol)),
+    CoSphereE: ("tangent_length", _tangents),
+}
+
+
+def _run_relation(scene: Scene, tol: float, search: bool, disk: bool, classify: bool):
+    quantity, lengths = _RELATION_LENGTHS[type(scene.objects[0])]
+    values, verdict, fields = lengths(scene.objects, tol, search)
+    block = dict.fromkeys(("values", "products", "which", "residual"))
+    if values is not None:
+        rel = four_term_relation(values, tol)
+        block = {"values": values, "products": list(rel.products),
+                 "which": getattr(rel.which, "value", None), "residual": rel.residual}
+    fields["relation"] = {"quantity": quantity, **block}
+    return verdict, fields
+
+
 class _Theorem(NamedTuple):
-    record: str  # the "type" of every object record
+    records: tuple[str, ...]  # the "type"s its object records may have, one per scene
     count: Callable[[int], int]  # objects needed at dimension n
     # (scene, tol, search, disk, classify) -> (verdict, report fields)
     run: Callable[[Scene, float, bool, bool, bool], tuple]
+    surface: Optional[bool] = False  # a point surface record: True needed, None allowed
 
 
 # One row per theorem.  The runners call the theorem functions by their
 # module-global names, so a tracer that patches those names (lgbench's
-# does) sees every call.  Relation scenes are not a row: they take any of
-# three record types and run through cmd_relation.
+# does) sees every call.
 THEOREMS = {
-    "penner": _Theorem("horosphere", lambda n: n + 1, _run_penner),
-    "ptolemy1": _Theorem("point", lambda n: n + 1, _run_ptolemy1),
-    "ptolemy2": _Theorem("point", lambda n: n + 2, _run_ptolemy2),
-    "casey": _Theorem("hyperplane", lambda n: n + 1, _run_casey),
-    "casey_e": _Theorem("sphere_e", lambda n: n + 2, _run_casey_e),
+    "penner": _Theorem(("horosphere",), lambda n: n + 1, _run_penner),
+    "ptolemy1": _Theorem(("point",), lambda n: n + 1, _run_ptolemy1, surface=True),
+    "ptolemy2": _Theorem(("point",), lambda n: n + 2, _run_ptolemy2),
+    "casey": _Theorem(("hyperplane",), lambda n: n + 1, _run_casey),
+    "casey_e": _Theorem(("sphere_e",), lambda n: n + 2, _run_casey_e),
+    "relation": _Theorem(("point", "horosphere", "sphere_e"), lambda n: 4, _run_relation, None),
 }
 
 
 def _run_theorem(
     command: str, scene: Scene, digest: str, tol: float, search: bool, disk: bool
 ) -> tuple[dict, int]:
-    if scene.theorem not in THEOREMS:
-        raise SchemaViolation(f"{command} does not apply to relation scenes")
-    verdict, fields = THEOREMS[scene.theorem].run(
-        scene, tol, search, disk, command == "classify"
-    )
-    doc = _base_report(command, scene, digest, tol)
-    doc.update(_verdict_doc(verdict))
-    doc.update(fields)
+    verdict, fields = THEOREMS[scene.theorem].run(scene, tol, search, disk, command == "classify")
+    doc = {
+        "schema": SCHEMA,
+        "command": command,
+        "theorem": scene.theorem,
+        "dimension": scene.n,
+        "input_digest": digest,
+        "tol": tol,
+        "verdict": {
+            "degenerate": verdict.is_degenerate,
+            "det": verdict.det_value,
+            "sigma_min": verdict.sigma_min,
+            "sigma_max": verdict.sigma_max,
+        },
+        "kernel": verdict.kernel,
+        **fields,
+    }
+    seed = (scene.meta or {}).get("seed")
+    if isinstance(seed, int) and not isinstance(seed, bool):
+        doc["seed"] = seed
     return doc, 0 if verdict.is_degenerate else 1
 
 
@@ -601,36 +612,8 @@ def cmd_classify(
 
 
 def cmd_relation(scene: Scene, digest: str, tol: float) -> tuple[dict, int]:
-    objs = scene.objects
-    if len(objs) != 4:
-        raise SchemaViolation("the product relation needs exactly 4 objects")
-    if all(isinstance(o, Horosphere) for o in objs):
-        values = np.sqrt(lambda_sq_matrix(objs))
-        quantity = "lambda_length"
-    elif all(isinstance(o, HPoint) for o in objs):
-        values = 2.0 * np.sqrt(half_dist_matrix(objs))
-        quantity = "chord_length"
-    elif all(isinstance(o, CoSphereE) for o in objs):
-        eps = np.array([o.eps for o in objs], dtype=float)
-        t2 = np.outer(eps, eps) * tau_matrix(objs)
-        if np.any(t2 < 0):
-            raise GeometryError("a sphere pair admits no common tangent line")
-        values = np.sqrt(t2)
-        quantity = "tangent_length"
-    else:
-        raise SchemaViolation("relation needs points, horospheres or sphere_e records")
-    rel = four_term_relation(values, tol)
-    verdict = degeneracy(values * values, tol)
-    doc = _base_report("relation", scene, digest, tol)
-    doc.update(_verdict_doc(verdict))
-    doc["relation"] = {
-        "quantity": quantity,
-        "values": values,
-        "products": list(rel.products),
-        "which": None if rel.which is None else rel.which.value,
-        "residual": rel.residual,
-    }
-    return doc, 0 if verdict.is_degenerate else 1
+    """The relation command on a relation scene, sign search on."""
+    return _run_theorem("relation", scene, digest, tol, True, False)
 
 
 # ---------------------------------------------------------------------------
@@ -642,17 +625,11 @@ def config_to_scene_doc(
 ) -> dict:
     records = [object_to_record(o, disk=disk) for o in config.objects]
     record, count = records[0]["type"], len(records)
-    # point families share a record type, so their object count picks the test
-    if record != "point":
-        theorem = next(name for name, row in THEOREMS.items() if row.record == record)
-    elif count == THEOREMS["ptolemy2"].count(config.n):
-        theorem = "ptolemy2"
-    elif count == THEOREMS["ptolemy1"].count(config.n) and isinstance(
-        config.surface, (Horosphere, Hypersphere)
-    ):
-        theorem = "ptolemy1"
-    elif count == 4:
-        theorem = "relation"
+    surface = isinstance(config.surface, (Horosphere, Hypersphere))
+    # the first row that takes the family's record type and count
+    for theorem, row in THEOREMS.items():
+        if record in row.records and count == row.count(config.n) and (surface or not row.surface):
+            break
     else:
         raise GeometryError(f"no scene form for {config.kind.value} with {count} objects")
     doc = {
@@ -661,7 +638,7 @@ def config_to_scene_doc(
         "theorem": theorem,
         "objects": records,
     }
-    if theorem == "ptolemy1":
+    if row.surface:
         doc["surface"] = object_to_record(config.surface, disk=disk)
     if disk:
         doc["model"] = "ball"
@@ -688,7 +665,7 @@ def _parse_params(pairs) -> dict:
     return params
 
 
-def cmd_generate(args) -> tuple[dict, int]:
+def cmd_generate(args) -> dict:
     # the generators load only for this command
     from .generators import GenSpec, generate
 
@@ -701,7 +678,7 @@ def cmd_generate(args) -> tuple[dict, int]:
     spec = GenSpec(kind=args.kind, n=args.n, seed=args.seed, count=args.count, params=params)
     config = generate(spec)
     meta = {"kind": args.kind, "seed": args.seed}
-    return config_to_scene_doc(config, disk=args.emit_disk, meta=meta), 0
+    return config_to_scene_doc(config, disk=args.emit_disk, meta=meta)
 
 
 # ---------------------------------------------------------------------------
@@ -746,6 +723,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pr = sub.add_parser("relation", help="four-term product relation on 4 objects")
     pr.add_argument("scene", help="scene JSON file")
     pr.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    pr.set_defaults(theorem="relation", search_signs=True, emit_disk=False)
 
     pg = sub.add_parser("generate", help="emit a scene document")
     pg.add_argument("--kind", required=True, choices=[k.value for k in GenKind])
@@ -766,27 +744,49 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _run_batch(args, theorem: Optional[str]) -> int:
+def _scene_report(path: str, theorem: Optional[str], args) -> tuple[str, int]:
+    """The command's canonical JSON report on one scene file and its exit
+    code, or the scene's error report and 2, a non-finite number included."""
+    try:
+        scene, digest = load_scene(path, theorem)
+        doc, code = _run_theorem(
+            args.command, scene, digest, args.tol, args.search_signs, args.emit_disk
+        )
+        return canonical_json(doc), code
+    except (GeometryError, OSError) as exc:
+        return canonical_json(_error_doc(exc)), 2
+
+
+def _run_batch(args, theorem: Optional[str]) -> tuple[str, int]:
+    """The batch report's canonical JSON and the worst exit code of its scenes."""
     directory = Path(args.scenes_dir)
     if not directory.is_dir():
         raise SchemaViolation(f"not a directory: {directory}")
-    texts = {}
-    worst = 0
+    texts, worst = {}, 0
     for path in sorted(directory.glob("*.json")):
-        try:
-            scene, digest = load_scene(str(path), theorem)
-            report, code = cmd_verify(
-                scene, digest, args.tol, args.search_signs, args.emit_disk
-            )
-            # encoded here, so that a non-finite number fails its own scene alone
-            texts[path.name] = canonical_json(report)
-        except (GeometryError, OSError) as exc:
-            texts[path.name], code = canonical_json(_error_doc(exc)), 2
+        texts[path.name], code = _scene_report(str(path), theorem, args)
         worst = max(worst, code)
     # the canonical JSON of {"schema", "command", "reports"}, each report encoded once
     reports = ",".join(f"{canonical_json(name)}:{texts[name]}" for name in sorted(texts))
-    sys.stdout.write(f'{{"command":"verify","reports":{{{reports}}},"schema":"{SCHEMA}"}}\n')
-    return worst
+    return f'{{"command":"verify","reports":{{{reports}}},"schema":"{SCHEMA}"}}', worst
+
+
+def _run_command(args) -> tuple[str, int]:
+    """The canonical JSON report of one command line and its exit code."""
+    if args.command == "generate":
+        return canonical_json(cmd_generate(args)), 0
+    # tol also decides which coorientations count as degenerate
+    if not (math.isfinite(args.tol) and args.tol > 0):
+        raise SchemaViolation(f"--tol must be a finite number > 0, got {args.tol}")
+    # the flag accepts the hyphen spelling for the Euclidean variant
+    theorem = args.theorem.replace("-", "_") if args.theorem else None
+    if getattr(args, "scenes_dir", None) is not None:
+        if args.scene is not None:
+            raise SchemaViolation("pass a scene file or --scenes-dir, not both")
+        return _run_batch(args, theorem)
+    if args.scene is None:
+        raise SchemaViolation("a scene file is required")
+    return _scene_report(args.scene, theorem, args)
 
 
 def main(argv=None) -> int:
@@ -796,39 +796,14 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:
-        if args.command == "generate":
-            doc, code = cmd_generate(args)
-        else:
-            # tol also decides which coorientations count as degenerate
-            if not (math.isfinite(args.tol) and args.tol > 0):
-                raise SchemaViolation(f"--tol must be a finite number > 0, got {args.tol}")
-            # the flag accepts the hyphen spelling for the Euclidean variant
-            flag = getattr(args, "theorem", None)
-            theorem = flag.replace("-", "_") if flag else None
-            if args.command == "verify" and args.scenes_dir is not None:
-                if args.scene is not None:
-                    raise SchemaViolation("pass a scene file or --scenes-dir, not both")
-                return _run_batch(args, theorem)
-            if args.scene is None:
-                raise SchemaViolation("a scene file is required")
-            if args.command == "relation":
-                scene, digest = load_scene(args.scene)
-                doc, code = cmd_relation(scene, digest, args.tol)
-            else:
-                scene, digest = load_scene(args.scene, theorem)
-                if args.command == "verify":
-                    doc, code = cmd_verify(
-                        scene, digest, args.tol, args.search_signs, args.emit_disk
-                    )
-                else:
-                    doc, code = cmd_classify(
-                        scene, digest, args.tol, args.search_signs, args.emit_disk
-                    )
-        _emit(doc)
-        return code
+        text, code = _run_command(args)
     except (GeometryError, OSError) as exc:
-        _emit(_error_doc(exc))
-        return 2
+        text, code = canonical_json(_error_doc(exc)), 2
+    try:
+        sys.stdout.write(text + "\n")
+    except OSError:
+        return 120  # as entry() does when the flush fails
+    return code
 
 
 def entry() -> NoReturn:

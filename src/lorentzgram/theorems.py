@@ -196,6 +196,25 @@ def four_term_relation(values, tol: float = DEFAULT_TOL) -> FourTermRelation:
     return FourTermRelation(which=which, products=products, residual=min(residuals))
 
 
+def relation_tangents(spheres: Sequence[CoSphereE], tol: float = DEFAULT_TOL, search: bool = True):
+    """(signs, verdict, squares) of four cooriented spheres: the flip that
+    corollary_d_test's search picks, with real tangent lengths certifying a
+    degenerate flip, the verdict of its tau matrix, and the squared tangent
+    lengths e_i e_j tau_ij, e = eps * signs, or None when one is negative."""
+    parts = _tau_parts(spheres)
+    _require_finite(*parts)  # before the search, whose stacked eigensolves need it
+    eps = np.array([s.eps for s in spheres], dtype=float)
+
+    def squares(sg, verdict=None):
+        t2 = np.where(np.outer(eps * sg, eps * sg) > 0, *parts)
+        return t2 if (t2 >= 0.0).all() else None
+
+    signs, verdict, _ = _searched_verdict(
+        lambda sg: _signed_tau(parts, eps * sg), eps.size, tol, search, squares
+    )
+    return tuple(int(s) for s in signs), verdict, squares(signs)
+
+
 # ---------------------------------------------------------------------------
 # horosphere criterion
 
@@ -787,12 +806,14 @@ class _SignPencil:
         return (count[:, 0] == count[:, 1]) & ~(untrusted[:, 0] | untrusted[:, 1])
 
     def _off_spectrum(self, T: float) -> float:
-        """T widened until +-T sit at least 2 eta from every lam_i."""
+        """T widened until +-T sit at least 2 eta from every lam_i, by one ulp
+        at least per step: T + 2 eta can round back within 2 eta of lam_i."""
         while True:
             near = np.abs(np.abs(self.lam) - T) < 2.0 * self.eta
             if not near.any():
                 return T
-            T = float(np.max(np.abs(self.lam[near]))) + 2.0 * self.eta
+            widened = float(np.max(np.abs(self.lam[near]))) + 2.0 * self.eta
+            T = max(widened, math.nextafter(T, math.inf))
 
     def _outer_gaps(self):
         """The end of lam the outer root leaves from, and the gaps g_i >= 0
@@ -1061,6 +1082,22 @@ def _checked_case(ns: np.ndarray, kernel: np.ndarray) -> Optional[tuple[CaseyCas
     return (case, report) if report.passed else None
 
 
+def _searched_verdict(matrices_of, m: int, tol: float, search: bool, certify, rank_one=None):
+    """(signs, verdict, witness) of _sign_search, or of the given signs (all
+    +1) without search and their verdict at tol.  The matrices are finite and
+    exactly symmetric by construction, so verdicts skip degeneracy's checks."""
+    if tol <= 0:
+        raise InvalidInput("tol must be positive")
+    if m > MAX_FAMILY:
+        raise InvalidInput(f"family too large for sign search (max {MAX_FAMILY})")
+    signs, verdict, witness = np.ones(m), None, None
+    if search:
+        signs, _, verdict, witness = _sign_search(matrices_of, m, tol, certify, rank_one)
+    if verdict is None:
+        verdict = _verdict(matrices_of(signs), tol)
+    return signs, verdict, witness
+
+
 def _searched_case(matrices_of, m: int, tol: float, search: bool, frame, rank_one):
     """(signs, verdict, case, witness_report) of casey_test or
     corollary_d_test, whose matrices over sign vectors are matrices_of.
@@ -1068,19 +1105,11 @@ def _searched_case(matrices_of, m: int, tol: float, search: bool, frame, rank_on
     frame(signs, verdict) gives the flipped normals and the kernel vector
     of their sigma matrix.  A degenerate verdict with no certified case
     from the search is classified from them; case is None when the kernel
-    has no structure at _STRUCTURE, as at a looser tol alone.  The matrices
-    are finite and exactly symmetric by construction, so their verdicts skip
-    degeneracy's input checks.
+    has no structure at _STRUCTURE, as at a looser tol alone.
     """
-    if tol <= 0:
-        raise InvalidInput("tol must be positive")
-    signs, verdict, checked = np.ones(m), None, None
-    if search:
-        signs, _, verdict, checked = _sign_search(
-            matrices_of, m, tol, lambda s, v: _checked_case(*frame(s, v)), rank_one
-        )
-    if verdict is None:
-        verdict = _verdict(matrices_of(signs), tol)
+    signs, verdict, checked = _searched_verdict(
+        matrices_of, m, tol, search, lambda s, v: _checked_case(*frame(s, v)), rank_one
+    )
     case, report = checked or (None, None)
     if case is None and verdict.is_degenerate:
         ns, kernel = frame(signs, verdict)
@@ -1134,8 +1163,6 @@ def casey_test(
     ns = np.stack([h.normal for h in hps])
     _check_family(ns, ns.shape[1])
     m = ns.shape[0]
-    if m > MAX_FAMILY:
-        raise InvalidInput(f"family too large for sign search (max {MAX_FAMILY})")
     G = gram(ns)
     _require_finite(G)  # before the search, whose stacked eigensolves need it
     return CaseyResult(*_searched_case(
@@ -1291,9 +1318,6 @@ def corollary_d_test(
         raise DimensionMismatch("spheres live in different dimensions")
     if len(ss) != n + 2:
         raise DimensionMismatch(f"need {n + 2} spheres in R^{n}, got {len(ss)}")
-    if len(ss) > MAX_FAMILY:
-        raise InvalidInput(f"family too large for sign search (max {MAX_FAMILY})")
-    m = len(ss)
     parts = _tau_parts(ss)
     _require_finite(*parts)  # before the search, whose stacked eigensolves need it
     eps = np.array([s.eps for s in ss], dtype=float)
@@ -1309,7 +1333,7 @@ def corollary_d_test(
         return lifts() * sg[:, None], k / np.linalg.norm(k)
 
     signs, verdict, case, report = _searched_case(
-        lambda sg: _signed_tau(parts, eps * sg), m, tol, search,
+        lambda sg: _signed_tau(parts, eps * sg), len(ss), tol, search,
         frame, _tau_rank_one(parts, eps, radii),
     )
     if case is None:

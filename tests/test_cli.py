@@ -180,6 +180,12 @@ class TestPipeline:
         code, rep = run_doc(capsys, "verify", scene)
         # n+1 generic points on a horosphere are not hyperplane-degenerate
         assert code == 1
+        # read as a relation scene, labelled so or not, the surface is not read
+        code, rep = run_doc(capsys, "relation", scene)
+        assert (code, rep["theorem"], rep["relation"]["quantity"]) == (1, "relation", "chord_length")
+        doc["theorem"] = "relation"
+        assert run_doc(capsys, "relation", write_scene(tmp_path, doc, "relabelled.json")) == (
+            code, {**rep, "input_digest": hashlib.sha256(cli.canonical_json(doc).encode()).hexdigest()})
 
 
 class TestTheoremTable:
@@ -189,7 +195,8 @@ class TestTheoremTable:
         scene = generate_scene(capsys, tmp_path, "--kind", kind, "--n", str(n), "--seed", "3")
         scene_doc = json.loads(Path(scene).read_text())
         theorem = scene_doc["theorem"]
-        assert {rec["type"] for rec in scene_doc["objects"]} == {THEOREMS[theorem].record}
+        types = {rec["type"] for rec in scene_doc["objects"]}
+        assert len(types) == 1 and types <= set(THEOREMS[theorem].records)
         for command in ("verify", "classify"):
             code, doc = run_doc(capsys, command, scene)
             assert (doc["command"], doc["theorem"]) == (command, theorem)
@@ -198,15 +205,77 @@ class TestTheoremTable:
                 assert doc["witness_check"]["passed"] is True
 
     def test_flag_accepts_table_keys_and_alias(self, capsys):
-        assert list(THEOREMS) == ["penner", "ptolemy1", "ptolemy2", "casey", "casey_e"]
+        assert list(THEOREMS) == ["penner", "ptolemy1", "ptolemy2", "casey", "casey_e", "relation"]
         parser = _build_parser()
         for command in ("verify", "classify"):
             for name in [*THEOREMS, "casey-e"]:
                 args = parser.parse_args([command, "scene.json", "--theorem", name])
                 assert args.theorem == name
-            for name in ("relation", "casey e", "Penner"):
+            for name in ("casey e", "Penner", "Relation"):
                 with pytest.raises(SystemExit):
                     parser.parse_args([command, "scene.json", "--theorem", name])
+        # the relation command reads every scene as a relation scene, search on
+        args = parser.parse_args(["relation", "scene.json"])
+        assert (args.theorem, args.search_signs, args.emit_disk) == ("relation", True, False)
+        for flag in ("--theorem=penner", "--no-search-signs", "--emit-disk"):
+            with pytest.raises(SystemExit):
+                parser.parse_args(["relation", "scene.json", flag])
+
+    def test_generated_four_object_scenes_never_exit_two_as_relation(self):
+        # every generated family of four points, horospheres or spheres has a
+        # relation verdict; hyperplanes are refused as input
+        for kind in GenKind:
+            for n in (2, 3, 4):
+                try:
+                    config = generate(GenSpec(kind.value, n, seed=1, count=4))
+                    doc = json.loads(cli.canonical_json(cli.config_to_scene_doc(config)))
+                except GeometryError:
+                    continue  # no four-object family, or no scene of it, at this n
+                if doc["objects"][0]["type"] == "hyperplane":
+                    with pytest.raises(SchemaViolation):
+                        cli.parse_scene(doc, "relation")
+                    continue
+                rep, code = cli.cmd_relation(cli.parse_scene(doc, "relation"), "digest", 1e-9)
+                cli.canonical_json(rep)  # finite
+                assert code == (0 if rep["verdict"]["degenerate"] else 1), (kind, n)
+
+    @pytest.mark.parametrize("kind", ["spheres_tangent_to_circle", "spheres_through_point"])
+    def test_generated_sphere_relation_scenes(self, kind):
+        # four spheres at n = 2, seeds 0-39, relabelled relation scenes: each
+        # is degenerate under some flip, and a flip with an imaginary tangent
+        # length gives a null "which" with a reason, never an error
+        for seed in range(40):
+            config = generate(GenSpec(kind, 2, seed=seed, count=4))
+            doc = json.loads(cli.canonical_json(cli.config_to_scene_doc(config)))
+            doc["theorem"] = "relation"
+            scene = cli.parse_scene(doc)
+            rep, code = cli.cmd_relation(scene, "digest", 1e-9)
+            cli.canonical_json(rep)  # finite
+            assert (code, rep["verdict"]["degenerate"]) == (0, True), seed
+            e = np.array([s.eps * sign for s, sign in zip(scene.objects, rep["signs"])])
+            squares = np.outer(e, e) * lg.tau_matrix([s.with_eps(x) for s, x in zip(scene.objects, e)])
+            rel = rep["relation"]
+            if rel["which"] is None:
+                assert kind == "spheres_tangent_to_circle", seed
+                assert rep["reason"] == cli.NO_TANGENT and squares.min() < 0
+                assert rel == {"quantity": "tangent_length", "values": None, "products": None,
+                               "which": None, "residual": None}
+            else:
+                assert "reason" not in rep
+                assert np.array_equal(rel["values"], np.sqrt(squares))
+                assert rel["residual"] <= 1e-9 * sum(rel["products"])
+
+    def test_relation_search_flag_as_for_casey_e(self, capsys, tmp_path):
+        # the given flip of this family has an imaginary tangent length
+        scene = generate_scene(capsys, tmp_path, "--kind", "spheres_through_point",
+                               "--n", "2", "--seed", "1")
+        _, casey = run_doc(capsys, "verify", scene, "--no-search-signs")
+        code, rep = run_doc(capsys, "verify", scene, "--theorem", "relation", "--no-search-signs")
+        assert (code, rep["signs"], rep["reason"]) == (0, [1, 1, 1, 1], cli.NO_TANGENT)
+        assert (rep["verdict"], rep["kernel"]) == (casey["verdict"], casey["kernel"])
+        code, rep = run_doc(capsys, "verify", scene, "--theorem", "relation")
+        assert code == 0 and rep["signs"] != [1, 1, 1, 1]
+        assert rep["relation"]["which"] is not None
 
 
 class TestDeterminism:
@@ -286,7 +355,7 @@ def keys_are_str(value) -> bool:
 def report_docs():
     """Scene and report documents of every generated kind, as the CLI builds
     them: ball and hyperboloid records, verify and classify with the search
-    on and off and with --emit-disk, relation, and error documents."""
+    on and off and with --emit-disk, and relation on every four-object kind."""
     for kind in GenKind:
         for n in (2, 3):
             config = generate(GenSpec(kind.value, n, seed=n))
@@ -300,14 +369,11 @@ def report_docs():
                             yield command(scene, "digest", 1e-9, search, disk)[0]
         try:
             config = generate(GenSpec(kind.value, 2, seed=1, count=4))
+            doc = json.loads(cli.canonical_json(cli.config_to_scene_doc(config)))
         except GeometryError:
-            continue  # the kind has no four-object form at n = 2
-        doc = json.loads(cli.canonical_json(cli.config_to_scene_doc(config)))
+            continue  # the kind has no four-object scene at n = 2
         doc["theorem"] = "relation"
-        try:
-            yield cli.cmd_relation(cli.parse_scene(doc), "digest", 1e-9)[0]
-        except GeometryError as exc:
-            yield {"error": type(exc).__name__, "message": str(exc)}
+        yield cli.cmd_relation(cli.parse_scene(doc), "digest", 1e-9)[0]
 
 
 class TestCanonicalJson:
@@ -818,6 +884,16 @@ class TestErrors:
         code, doc = run_doc(capsys, "verify", scene)
         assert code == 2
 
+    @pytest.mark.parametrize("theorem", [["penner"], {"casey": 1}, 3, None])
+    def test_theorem_must_name_a_row(self, capsys, tmp_path, theorem):
+        scene = write_scene(tmp_path, {
+            "schema": "lorentz-gram/1", "dimension": 2, "theorem": theorem,
+            "objects": [{"type": "horosphere", "rep": [1.0, 0.0, 1.0]}] * 3,
+        })
+        code, doc = run_doc(capsys, "verify", scene)
+        assert code == 2
+        assert doc["message"].startswith("theorem must be one of penner, ")
+
     def test_surface_only_for_ptolemy1(self, capsys, tmp_path):
         scene = write_scene(tmp_path, {
             "schema": "lorentz-gram/1", "dimension": 2, "theorem": "penner",
@@ -878,13 +954,18 @@ class TestErrors:
         assert code == 2
         assert doc["error"] == "SchemaViolation"
 
-    def test_verify_rejects_relation_theorem(self, capsys, tmp_path):
-        scene = write_scene(tmp_path, {
-            "schema": "lorentz-gram/1", "dimension": 2, "theorem": "relation",
-            "objects": [{"type": "point", "coords": [0.0, 0.0, 1.0]}] * 4,
-        })
-        code, doc = run_doc(capsys, "verify", scene)
-        assert code == 2
+    def test_verify_and_classify_run_relation_scenes(self, capsys, tmp_path):
+        # a relation scene is a row of the table: verify and classify give
+        # the relation command's report under their own command name
+        for kind in ("points_on_hypersphere", "spheres_through_point"):
+            scene = generate_scene(capsys, tmp_path, "--kind", kind, "--n", "2", "--seed", "1")
+            doc = json.loads(Path(scene).read_text())
+            doc["theorem"] = "relation"
+            scene = write_scene(tmp_path, doc)
+            code, want = run_doc(capsys, "relation", scene)
+            assert code == 0 and want["relation"]["which"] is not None
+            for command in ("verify", "classify"):
+                assert run_doc(capsys, command, scene) == (code, {**want, "command": command})
 
     def test_tolerance_flag_plumbs_through(self, capsys, tmp_path):
         scene = generate_scene(
@@ -1065,8 +1146,9 @@ class TestProcess:
 
     @pytest.fixture
     def scenes(self, capsys, tmp_path):
-        """argv of an exit-0, an exit-1 and an exit-2 verify and of a batch
-        over the three scenes."""
+        """argv of an exit-0, an exit-1 and an exit-2 verify, of a batch over
+        the three scenes, and of an exit-0 batch whose report is larger than
+        a pipe's buffer (64 KiB)."""
         directory = tmp_path / "batch"
         directory.mkdir()
         degenerate = generate_scene(capsys, directory, "--kind", "spheres_through_point",
@@ -1074,19 +1156,27 @@ class TestProcess:
         generic = generate_scene(capsys, directory, "--kind", "generic_horospheres",
                                  "--n", "3", "--seed", "1", name="b_generic.json")
         huge = write_scene(directory, huge_points_scene(), name="c_huge.json")
+        big = tmp_path / "big"
+        big.mkdir()
+        text = Path(degenerate).read_text()
+        for i in range(160):
+            (big / f"{i:03d}.json").write_text(text)
         return {
             0: ["verify", degenerate],
             1: ["verify", generic],
             2: ["verify", huge],
             "batch": ["verify", "--scenes-dir", str(directory)],
+            "big_batch": ["verify", "--scenes-dir", str(big)],
         }
 
-    @pytest.mark.parametrize("case", [0, 1, 2, "batch"])
+    @pytest.mark.parametrize("case", [0, 1, 2, "batch", "big_batch"])
     @pytest.mark.parametrize("sink", ["file", "pipe"])
     def test_module_matches_in_process(self, capsys, tmp_path, scenes, case, sink):
         argv = scenes[case]
         want_code, want = main(argv), capsys.readouterr().out.encode()
-        assert want_code == (2 if case == "batch" else case)
+        assert want_code == {"batch": 2, "big_batch": 0}.get(case, case)
+        if case == "big_batch":
+            assert len(want) > 1 << 16
         command = ["-m", "lorentzgram.cli", *argv]
         if sink == "pipe":
             out = python(*command, stdout=subprocess.PIPE)
@@ -1098,11 +1188,29 @@ class TestProcess:
             got = path.read_bytes()
         assert (code, got) == (want_code, want)
 
-    def test_failed_flush_exits_120(self, scenes):
+    @pytest.mark.parametrize("case", [0, 1, 2, "batch", "big_batch"])
+    @pytest.mark.parametrize("flags", [[], ["-u"]], ids=["buffered", "unbuffered"])
+    def test_unwritable_stdout_exits_120(self, scenes, case, flags):
+        # a short report, block-buffered, fails at the final flush; unbuffered
+        # (-u, as PYTHONUNBUFFERED=1), or larger than the buffer, the write
+        # fails inside main(), where no error report can follow it
         with open("/dev/full", "wb") as full:
-            out = python("-m", "lorentzgram.cli", *scenes[1], stdout=full,
+            out = python(*flags, "-m", "lorentzgram.cli", *scenes[case], stdout=full,
                          stderr=subprocess.PIPE)
-        assert out.returncode == 120
+        assert (out.returncode, out.stderr) == (120, b"")
+
+    @pytest.mark.parametrize("seed", [1, 3])
+    def test_sign_search_ends_on_shifted_spheres(self, capsys, tmp_path, seed):
+        # a widened bound of the sign certificate used to round back onto
+        # itself on these families, and verify never ended
+        scene = generate_scene(capsys, tmp_path, "--kind", "spheres_through_point",
+                               "--n", "7", "--seed", str(seed))
+        doc = json.loads(Path(scene).read_text())
+        for rec in doc["objects"]:
+            rec["centre"] = [c + 1e6 for c in rec["centre"]]
+        out = python("-m", "lorentzgram.cli", "verify", write_scene(tmp_path, doc),
+                     capture_output=True, timeout=60)
+        assert out.returncode in (0, 1), out.stderr
 
     def test_exit_skips_teardown_unless_main_raises(self, scenes):
         # a normal exit leaves atexit hooks unrun; an exception escaping main
