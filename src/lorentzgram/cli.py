@@ -59,7 +59,7 @@ from typing import TYPE_CHECKING, Callable, NamedTuple, NoReturn, Optional
 import numpy as np
 
 from .errors import GeometryError, NoReliableKernel, NormalSearchFailed, SchemaViolation
-from .genkind import GenKind
+from .genkind import PARAM_KEYS, GenKind
 from .lorentz import DEFAULT_TOL, degeneracy
 from .models import ball_normals, ball_points, ball_reps, hyperboloid_to_ball
 from .objects import (
@@ -647,16 +647,13 @@ def config_to_scene_doc(
     return doc
 
 
-_PARAM_KEYS = ("spread", "radius", "offset", "inclination")
-
-
 def _parse_params(pairs) -> dict:
     params = {}
     for pair in pairs or ():
         key, sep, value = pair.partition("=")
-        if not sep or key not in _PARAM_KEYS:
+        if not sep or key not in PARAM_KEYS:
             raise SchemaViolation(
-                f"--params takes key=value with key in {', '.join(_PARAM_KEYS)}"
+                f"--params takes key=value with key in {', '.join(PARAM_KEYS)}"
             )
         try:
             params[key] = float(value)
@@ -670,7 +667,7 @@ def cmd_generate(args) -> dict:
     from .generators import GenSpec, generate
 
     params = _parse_params(args.params)
-    for key in _PARAM_KEYS:
+    for key in PARAM_KEYS:
         # a dedicated flag wins over the same key given through --params
         value = getattr(args, key)
         if value is not None:

@@ -14,12 +14,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from itertools import islice
+from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
 from .errors import GeometryError, InfeasibleParams, InvalidInput
-from .genkind import GenKind
+from .genkind import PARAM_KEYS, GenKind
 from .lorentz import _dot, first_nonzero_positive, gram, metric_diag, norm_sq, null_basis
 from .models import (
     _chart_inverse,
@@ -91,21 +92,6 @@ def _coerce_kind(kind: Union[GenKind, str]) -> GenKind:
         raise InvalidInput(f"unknown generator kind {kind!r}") from None
 
 
-def default_count(kind: Union[GenKind, str], n: int) -> int:
-    kind = _coerce_kind(kind)
-    if kind in (
-        GenKind.POINTS_ON_HOROSPHERE,
-        GenKind.POINTS_ON_HYPERSPHERE,
-        GenKind.POINTS_ON_HYPERPLANE,
-        GenKind.POINTS_ON_EQUIDISTANT,
-        GenKind.GENERIC_POINTS,
-        GenKind.SPHERES_TANGENT_TO_CIRCLE,
-        GenKind.SPHERES_THROUGH_POINT,
-    ):
-        return n + 2
-    return n + 1
-
-
 def _spectrum_ok(M: np.ndarray, deficiency: int) -> bool:
     s = np.sort(np.abs(np.linalg.eigvalsh(M)))
     smax = max(float(s[-1]), 1.0)
@@ -136,9 +122,11 @@ def _family(cls, rows: list) -> tuple:
 # products are taken as _dot, without validating each vector again.
 
 
-def _random_spacelike_unit(rng: SplitMix64, dim: int) -> np.ndarray:
+def _random_spacelike_unit(rng: SplitMix64, dim: int, basis=None) -> np.ndarray:
+    """A random unit spacelike vector of R^dim, or of the span of basis's
+    columns when a basis is given."""
     while True:
-        v = rng.normals(dim)
+        v = rng.normals(dim) if basis is None else basis @ rng.normals(basis.shape[1])
         q = _dot(v, v)
         if q > 0.05 * float(v @ v):
             return v / math.sqrt(q)
@@ -157,16 +145,26 @@ def _random_point(rng: SplitMix64, dim: int, spread: float) -> np.ndarray:
     return np.concatenate([spatial, [last]])
 
 
-def _orthocomplement_frame(vectors: np.ndarray, dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """Frame of the orthogonal complement of independent rows.
+def _lightlike_around(rng: SplitMix64, w: np.ndarray):
+    """Endless lightlike vectors t (f + F u) orthogonal to the spacelike w,
+    (f, F) its orthocomplement frame, u uniform on the unit sphere and
+    log t uniform on [-0.7, 0.7].  Each is drawn only when it is asked for."""
+    f_time, F = _orthocomplement_frame(w)
+    while True:
+        u = rng.unit_vector(F.shape[1])
+        t = math.exp(rng.uniform_in(-0.7, 0.7))
+        yield t * (f_time[:, 0] + F @ u)
+
+
+def _orthocomplement_frame(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Frame of the orthogonal complement of the vector x.
 
     Returns (timelike columns, spacelike columns), each set normalized to
     square norm -1 or +1 and mutually orthogonal; timelike columns are
     flipped forward.  The complement must be non-degenerate.
     """
-    arr = np.atleast_2d(np.asarray(vectors, dtype=float))
-    D = metric_diag(dim)
-    N = null_basis(arr * D, nullity=dim - arr.shape[0])
+    dim = x.shape[0]
+    N = null_basis((x * metric_diag(dim))[None, :], nullity=dim - 1)
     vals, vecs = np.linalg.eigh(gram(N.T))
     if float(np.min(np.abs(vals))) < 1e-10:
         raise GeometryError("orthogonal complement is numerically degenerate")
@@ -186,12 +184,8 @@ def _surface_frame(surface) -> tuple[np.ndarray, np.ndarray]:
     if isinstance(surface, Horosphere):
         return _horosphere_frame(surface)
     if isinstance(surface, Hypersphere):
-        x = surface.centre.coords
-    elif isinstance(surface, (CoHyperplane, EquidistantBranch)):
-        x = surface.normal
-    else:
-        raise InvalidInput(f"cannot sample points on {type(surface).__name__}")
-    return _orthocomplement_frame(x[None, :], x.shape[0])
+        return _orthocomplement_frame(surface.centre.coords)
+    return _orthocomplement_frame(surface.normal)
 
 
 def _surface_point(rng: SplitMix64, surface, frame, spread: float) -> np.ndarray:
@@ -214,271 +208,182 @@ def _surface_point(rng: SplitMix64, surface, frame, spread: float) -> np.ndarray
     return lam * surface.normal + math.hypot(lam, 1.0) * h
 
 
-def _points_family(rng: SplitMix64, surface, count: int, spread: float) -> tuple:
-    frame = _surface_frame(surface)
-    return _family(HPoint, [_surface_point(rng, surface, frame, spread) for _ in range(count)])
+# ---------------------------------------------------------------------------
+# kind builders: (rng, n, count, params) -> (objects, surface, witness,
+# extra params), or None for a draw to throw away.  Points are placed on a
+# surface drawn first by one of the (rng, dim, params) -> surface below.
 
 
-def _attempts(builder, check):
-    for _ in range(MAX_ATTEMPTS):
-        config = builder()
-        if check(config):
-            return config
-    raise GeometryError(f"no admissible configuration after {MAX_ATTEMPTS} attempts")
+def _horosphere(rng: SplitMix64, dim: int, params: dict) -> Horosphere:
+    return Horosphere(_random_lightlike(rng, dim))
+
+
+def _hypersphere(rng: SplitMix64, dim: int, params: dict) -> Hypersphere:
+    radius = float(params.get("radius", 0.0)) or rng.uniform_in(0.3, 1.5)
+    if radius <= 0:
+        raise InfeasibleParams("hypersphere radius must be positive")
+    return Hypersphere(HPoint(_random_point(rng, dim, 0.6)), radius)
+
+
+def _equidistant(rng: SplitMix64, dim: int, params: dict) -> EquidistantBranch:
+    offset = float(params.get("offset", 0.0)) or rng.uniform_in(0.2, 1.2)
+    if offset == 0:
+        raise InfeasibleParams("equidistant offset must be nonzero")
+    return EquidistantBranch(_random_spacelike_unit(rng, dim), offset)
+
+
+def _hyperplane(rng: SplitMix64, dim: int, params: dict) -> CoHyperplane:
+    return CoHyperplane(_random_spacelike_unit(rng, dim))
+
+
+def _points_on(surface):
+    """The builder of points on the random surface surface() draws."""
+
+    def build(rng, n, count, params):
+        where = surface(rng, n + 1, params)
+        frame, spread = _surface_frame(where), float(params.get("spread", 1.0))
+        points = [_surface_point(rng, where, frame, spread) for _ in range(count)]
+        return _family(HPoint, points), where, None, {}
+
+    return build
+
+
+def _horospheres_on_boundary(rng, n, count, params):
+    w = first_nonzero_positive(_random_spacelike_unit(rng, n + 1))
+    reps = list(islice(_lightlike_around(rng, w), count))
+    return _family(Horosphere, reps), None, CoHyperplane(w), {}
+
+
+def _hyperplanes_tangent(rng, n, count, params):
+    w = first_nonzero_positive(_random_spacelike_unit(rng, n + 1))
+    normals = [w + v for v in islice(_lightlike_around(rng, w), count)]
+    return _family(CoHyperplane, normals), None, w, {}
+
+
+def _hyperplanes_ideal_point(rng, n, count, params):
+    dim = n + 1
+    v = _random_lightlike(rng, dim)
+    v = v / float(np.linalg.norm(v))
+    basis = null_basis((v * metric_diag(dim))[None, :], nullity=dim - 1)
+    normals = [_random_spacelike_unit(rng, dim, basis) for _ in range(count)]
+    return _family(CoHyperplane, normals), None, v, {}
+
+
+def _hyperplanes_orth_equal(rng, n, count, params):
+    lam = params.get("inclination")
+    if lam is not None and not 0.0 <= float(lam) < 1.0:
+        raise InfeasibleParams("inclination must lie in [0, 1)")
+    dim = n + 1
+    u = first_nonzero_positive(_random_spacelike_unit(rng, dim))
+    f_time, F = _orthocomplement_frame(u)
+    w_star, f = F[:, 0], f_time[:, 0]
+    if n == 2:
+        # in the hyperbolic plane the two witness equations pin the family
+        # to at most two distinct lines, so one of them must repeat
+        theta, r = rng.uniform_in(-0.8, 0.8), rng.uniform_in(0.3, 1.2)
+        lam = float(lam) if lam is not None else rng.uniform_in(0.1, 0.9)
+        alpha = lam / math.cosh(r)
+        v0 = math.cosh(theta) * w_star + math.sinh(theta) * f
+        v = first_nonzero_positive(alpha * v0 + math.sqrt(1.0 - alpha * alpha) * u)
+        ts = [theta + r, theta - r] + [theta + r if rng.sign() > 0 else theta - r] * (count - 2)
+        normals = [math.cosh(t) * w_star + math.sinh(t) * f for t in ts]
+    else:
+        rest = np.concatenate([F[:, 1:], f_time], axis=1)  # signature (n-2, 1)
+        lam = float(lam) if lam is not None else rng.uniform_in(0.1, 0.9)
+        tilt = math.sqrt(1.0 - lam * lam)
+        normals = [
+            lam * w_star + tilt * _random_spacelike_unit(rng, dim, rest) for _ in range(count)
+        ]
+        v = first_nonzero_positive(w_star)
+    return _family(CoHyperplane, normals), None, (u, v, lam), {"inclination": lam}
+
+
+def _generic_points(rng, n, count, params):
+    spread = float(params.get("spread", 1.0))
+    points = [_random_point(rng, n + 1, spread) for _ in range(count)]
+    return _family(HPoint, points), None, None, {}
+
+
+def _generic_horospheres(rng, n, count, params):
+    reps = [_random_lightlike(rng, n + 1) for _ in range(count)]
+    return _family(Horosphere, reps), None, None, {}
+
+
+def _generic_hyperplanes(rng, n, count, params):
+    normals = [first_nonzero_positive(_random_spacelike_unit(rng, n + 1)) for _ in range(count)]
+    return _family(CoHyperplane, normals), None, None, {}
+
+
+def _spheres_tangent(rng, n, count, params):
+    while True:
+        w = _random_spacelike_unit(rng, n + 2)  # ambient dimension after the lift
+        circle = normal_to_sphere_or_plane(w)
+        if isinstance(circle, CoSphereE) and 0.05 < circle.radius < 20.0:
+            break
+    parts = []
+    for v in islice(_lightlike_around(rng, w), count):
+        sphere = _sphere_parts(w + v)
+        if sphere is None or not 1e-3 < sphere[1] < 50.0:
+            return None
+        parts.append(sphere)
+    centres, radii, eps = zip(*parts)
+    return tuple(CoSphereE.rows(np.stack(centres), radii, eps)), circle, w, {}
+
+
+def _spheres_through_point(rng, n, count, params):
+    meet = 1.5 * rng.normals(n)
+    centres, radii, eps = [], [], []
+    for _ in range(count):
+        d = math.exp(rng.uniform_in(-1.0, 1.0))
+        centres.append(meet + d * rng.unit_vector(n))
+        radii.append(d)
+        eps.append(rng.sign())
+    return tuple(CoSphereE.rows(np.stack(centres), radii, eps)), None, meet, {}
 
 
 # ---------------------------------------------------------------------------
-# kind builders
+# checks: the separation of the objects and the spectrum of their matrix
 
 
-def _gen_points_on_surface(kind: GenKind, n: int, count: int, seed: int, params: dict):
-    rng = SplitMix64(seed)
-    spread = float(params.get("spread", 1.0))
-    dim = n + 1
-    deficiency = max(0, count - (n + 1))
-
-    def build():
-        if kind is GenKind.POINTS_ON_HOROSPHERE:
-            surface = Horosphere(_random_lightlike(rng, dim))
-        elif kind is GenKind.POINTS_ON_HYPERSPHERE:
-            radius = float(params.get("radius", 0.0)) or rng.uniform_in(0.3, 1.5)
-            if radius <= 0:
-                raise InfeasibleParams("hypersphere radius must be positive")
-            surface = Hypersphere(HPoint(_random_point(rng, dim, 0.6)), radius)
-        elif kind is GenKind.POINTS_ON_HYPERPLANE:
-            surface = CoHyperplane(_random_spacelike_unit(rng, dim))
-        else:
-            offset = float(params.get("offset", 0.0)) or rng.uniform_in(0.2, 1.2)
-            if offset == 0:
-                raise InfeasibleParams("equidistant offset must be nonzero")
-            surface = EquidistantBranch(_random_spacelike_unit(rng, dim), offset)
-        points = _points_family(rng, surface, count, spread)
-        return Configuration(kind, n, points, surface=surface, params=dict(params, seed=seed))
-
-    def check(config):
-        B = half_dist_matrix(config.objects)
-        off = B[~np.eye(count, dtype=bool)]
-        if off.size and float(np.min(off)) < 1e-4:
-            return False
-        return _spectrum_ok(B, deficiency)
-
-    return _attempts(build, check)
+def _apart(keys) -> bool:
+    return _min_pairwise(keys) >= 1e-3
 
 
-def _gen_horospheres_on_boundary(n: int, count: int, seed: int, params: dict):
-    rng = SplitMix64(seed)
-    dim = n + 1
-
-    def build():
-        w = first_nonzero_positive(_random_spacelike_unit(rng, dim))
-        f_time, F = _orthocomplement_frame(w[None, :], dim)
-        reps = []
-        for _ in range(count):
-            u = rng.unit_vector(F.shape[1])
-            s = math.exp(rng.uniform_in(-0.7, 0.7))
-            reps.append(s * (f_time[:, 0] + F @ u))
-        return Configuration(
-            GenKind.HOROSPHERES_ON_HYPERPLANE_BOUNDARY,
-            n,
-            _family(Horosphere, reps),
-            witness=CoHyperplane(w),
-            params=dict(params, seed=seed),
-        )
-
-    def check(config):
-        reps = [h.rep for h in config.objects]
-        if _min_pairwise(reps) < 1e-3:
-            return False
-        distinct_dirs = {tuple(np.round(r / r[-1], 6)) for r in reps}
-        if len(distinct_dirs) < 2:
-            return False
-        return _spectrum_ok(lambda_sq_matrix(config.objects), max(1, count - n))
-
-    return _attempts(build, check)
+def _points_ok(points, deficiency: int) -> bool:
+    B = half_dist_matrix(points)
+    off = B[~np.eye(len(points), dtype=bool)]
+    return float(np.min(off)) >= 1e-4 and _spectrum_ok(B, deficiency)
 
 
-def _gen_hyperplanes_tangent(n: int, count: int, seed: int, params: dict):
-    rng = SplitMix64(seed)
-    dim = n + 1
-
-    def build():
-        w = first_nonzero_positive(_random_spacelike_unit(rng, dim))
-        f_time, F = _orthocomplement_frame(w[None, :], dim)
-        normals = []
-        for _ in range(count):
-            u = rng.unit_vector(F.shape[1])
-            t = math.exp(rng.uniform_in(-0.7, 0.7))
-            normals.append(w + t * (f_time[:, 0] + F @ u))
-        return Configuration(
-            GenKind.HYPERPLANES_TANGENT_AT_INFINITY,
-            n,
-            _family(CoHyperplane, normals),
-            witness=w,
-            params=dict(params, seed=seed),
-        )
-
-    def check(config):
-        ns = [h.normal for h in config.objects]
-        if _min_pairwise(ns) < 1e-3:
-            return False
-        return _spectrum_ok(sigma_matrix(list(config.objects)), 1)
-
-    return _attempts(build, check)
+def _surface_points_ok(points, n: int) -> bool:
+    # count - (n + 1) kernel vectors: the points lie on one surface
+    return _points_ok(points, max(0, len(points) - (n + 1)))
 
 
-def _gen_hyperplanes_ideal_point(n: int, count: int, seed: int, params: dict):
-    rng = SplitMix64(seed)
-    dim = n + 1
-
-    def build():
-        v = _random_lightlike(rng, dim)
-        v = v / float(np.linalg.norm(v))
-        basis = null_basis((v * metric_diag(dim))[None, :], nullity=dim - 1)
-        normals = []
-        for _ in range(count):
-            while True:
-                y = rng.normals(dim - 1)
-                cand = basis @ y
-                q = _dot(cand, cand)
-                if q > 0.05 * float(cand @ cand):
-                    normals.append(cand / math.sqrt(q))
-                    break
-        return Configuration(
-            GenKind.HYPERPLANES_COMMON_IDEAL_POINT,
-            n,
-            _family(CoHyperplane, normals),
-            witness=v,
-            params=dict(params, seed=seed),
-        )
-
-    def check(config):
-        ns = [h.normal for h in config.objects]
-        if _min_pairwise(ns) < 1e-3:
-            return False
-        return _spectrum_ok(sigma_matrix(list(config.objects)), 1)
-
-    return _attempts(build, check)
+def _horospheres_ok(horos, deficiency: int) -> bool:
+    return _apart([h.rep for h in horos]) and _spectrum_ok(lambda_sq_matrix(horos), deficiency)
 
 
-def _gen_hyperplanes_orth_equal(n: int, count: int, seed: int, params: dict):
-    rng = SplitMix64(seed)
-    dim = n + 1
-    lam_param = params.get("inclination")
-    if lam_param is not None and not 0.0 <= float(lam_param) < 1.0:
-        raise InfeasibleParams("inclination must lie in [0, 1)")
-
-    def build_general():
-        u = first_nonzero_positive(_random_spacelike_unit(rng, dim))
-        f_time, F = _orthocomplement_frame(u[None, :], dim)
-        w_star = F[:, 0]
-        rest = np.concatenate([F[:, 1:], f_time], axis=1)  # signature (n-2, 1)
-        lam = float(lam_param) if lam_param is not None else rng.uniform_in(0.1, 0.9)
-        normals = []
-        for _ in range(count):
-            while True:
-                y = rng.normals(rest.shape[1])
-                q_dir = rest @ y
-                q = _dot(q_dir, q_dir)
-                if q > 0.05 * float(q_dir @ q_dir):
-                    q_dir = q_dir / math.sqrt(q)
-                    break
-            normals.append(lam * w_star + math.sqrt(1.0 - lam * lam) * q_dir)
-        return normals, u, first_nonzero_positive(w_star), lam
-
-    def build_plane():
-        # in the hyperbolic plane the two witness equations pin the family
-        # to at most two distinct lines, so one of them must repeat
-        u = first_nonzero_positive(_random_spacelike_unit(rng, dim))
-        f_time, F = _orthocomplement_frame(u[None, :], dim)
-        w_star, f = F[:, 0], f_time[:, 0]
-        theta = rng.uniform_in(-0.8, 0.8)
-        r = rng.uniform_in(0.3, 1.2)
-        lam = float(lam_param) if lam_param is not None else rng.uniform_in(0.1, 0.9)
-        alpha = lam / math.cosh(r)
-        beta = math.sqrt(1.0 - alpha * alpha)
-        v0 = math.cosh(theta) * w_star + math.sinh(theta) * f
-        v = first_nonzero_positive(alpha * v0 + beta * u)
-        ts = [theta + r, theta - r] + [theta + r if rng.sign() > 0 else theta - r] * (count - 2)
-        normals = [math.cosh(t) * w_star + math.sinh(t) * f for t in ts]
-        return normals, u, v, lam
-
-    def build():
-        normals, u, v, lam = build_plane() if n == 2 else build_general()
-        return Configuration(
-            GenKind.HYPERPLANES_ORTH_EQUAL,
-            n,
-            _family(CoHyperplane, normals),
-            witness=(u, v, lam),
-            params=dict(params, seed=seed, inclination=lam),
-        )
-
-    def check(config):
-        ns = [h.normal for h in config.objects]
-        if n > 2 and _min_pairwise(ns) < 1e-3:
-            return False
-        if n == 2 and len({tuple(np.round(x, 9)) for x in ns}) < 2:
-            return False
-        return _spectrum_ok(sigma_matrix(list(config.objects)), 1)
-
-    return _attempts(build, check)
+def _on_boundary_ok(horos, n: int) -> bool:
+    # centres in at least two directions
+    directions = {tuple(np.round(h.rep / h.rep[-1], 6)) for h in horos}
+    return len(directions) >= 2 and _horospheres_ok(horos, max(1, len(horos) - n))
 
 
-def _gen_generic_points(n: int, count: int, seed: int, params: dict):
-    rng = SplitMix64(seed)
-    spread = float(params.get("spread", 1.0))
-    dim = n + 1
-
-    def build():
-        points = _family(HPoint, [_random_point(rng, dim, spread) for _ in range(count)])
-        return Configuration(GenKind.GENERIC_POINTS, n, points, params=dict(params, seed=seed))
-
-    def check(config):
-        B = half_dist_matrix(config.objects)
-        off = B[~np.eye(count, dtype=bool)]
-        if off.size and float(np.min(off)) < 1e-4:
-            return False
-        return _spectrum_ok(B, 0)
-
-    return _attempts(build, check)
+def _hyperplanes_ok(planes, n: int) -> bool:
+    return _apart([h.normal for h in planes]) and _spectrum_ok(sigma_matrix(list(planes)), 1)
 
 
-def _gen_generic_horospheres(n: int, count: int, seed: int, params: dict):
-    rng = SplitMix64(seed)
-    dim = n + 1
-
-    def build():
-        horos = _family(Horosphere, [_random_lightlike(rng, dim) for _ in range(count)])
-        return Configuration(GenKind.GENERIC_HOROSPHERES, n, horos, params=dict(params, seed=seed))
-
-    def check(config):
-        reps = [h.rep for h in config.objects]
-        if _min_pairwise(reps) < 1e-3:
-            return False
-        return _spectrum_ok(lambda_sq_matrix(config.objects), 0)
-
-    return _attempts(build, check)
+def _orth_equal_ok(planes, n: int) -> bool:
+    if n > 2:
+        return _hyperplanes_ok(planes, n)
+    distinct = {tuple(np.round(h.normal, 9)) for h in planes}
+    return len(distinct) >= 2 and _spectrum_ok(sigma_matrix(list(planes)), 1)
 
 
-def _gen_generic_hyperplanes(n: int, count: int, seed: int, params: dict):
-    rng = SplitMix64(seed)
-    dim = n + 1
-
-    def build():
-        normals = _family(
-            CoHyperplane,
-            [first_nonzero_positive(_random_spacelike_unit(rng, dim)) for _ in range(count)],
-        )
-        return Configuration(
-            GenKind.GENERIC_HYPERPLANES, n, normals, params=dict(params, seed=seed)
-        )
-
-    def check(config):
-        ns = np.stack([h.normal for h in config.objects])
-        if _min_pairwise(ns) < 1e-3:
-            return False
-        return _robust_under_every_sign(gram(ns))
-
-    return _attempts(build, check)
+def _generic_hyperplanes_ok(planes, n: int) -> bool:
+    ns = np.stack([h.normal for h in planes])
+    return _apart(ns) and _robust_under_every_sign(gram(ns))
 
 
 def _robust_under_every_sign(G: np.ndarray) -> bool:
@@ -492,130 +397,92 @@ def _robust_under_every_sign(G: np.ndarray) -> bool:
     return not any(np.any(smin < ROBUST_MARGIN * smax) for _, smin, smax in spectra)
 
 
-def _gen_spheres_tangent(n: int, count: int, seed: int, params: dict):
-    rng = SplitMix64(seed)
-    dim = n + 2  # ambient dimension after the lift
-
-    def build():
-        while True:
-            w = _random_spacelike_unit(rng, dim)
-            witness = normal_to_sphere_or_plane(w)
-            if isinstance(witness, CoSphereE) and 0.05 < witness.radius < 20.0:
-                break
-        f_time, F = _orthocomplement_frame(w[None, :], dim)
-        parts = []
-        for _ in range(count):
-            u = rng.unit_vector(F.shape[1])
-            t = math.exp(rng.uniform_in(-0.7, 0.7))
-            sphere = _sphere_parts(w + t * (f_time[:, 0] + F @ u))
-            if sphere is None or not 1e-3 < sphere[1] < 50.0:
-                return None
-            parts.append(sphere)
-        centres, radii, eps = zip(*parts)
-        return Configuration(
-            GenKind.SPHERES_TANGENT_TO_CIRCLE,
-            n,
-            tuple(CoSphereE.rows(np.stack(centres), radii, eps)),
-            surface=witness,
-            witness=w,
-            params=dict(params, seed=seed),
-        )
-
-    def check(config):
-        if config is None:
-            return False
-        keys = [np.concatenate([s.centre, [s.radius, s.eps]]) for s in config.objects]
-        if _min_pairwise(keys) < 1e-3:
-            return False
-        lifts = CoHyperplane.rows(sphere_lifts(config.objects))
-        if not _spectrum_ok(sigma_matrix(lifts), 1):
-            return False
-        return _spectrum_ok(tau_matrix(list(config.objects)), 1)
-
-    return _attempts(build, check)
-
-
-def _gen_spheres_through_point(n: int, count: int, seed: int, params: dict):
-    rng = SplitMix64(seed)
-
-    def build():
-        meet = 1.5 * rng.normals(n)
-        centres, radii, eps = [], [], []
-        for _ in range(count):
-            d = math.exp(rng.uniform_in(-1.0, 1.0))
-            centres.append(meet + d * rng.unit_vector(n))
-            radii.append(d)
-            eps.append(rng.sign())
-        return Configuration(
-            GenKind.SPHERES_THROUGH_POINT,
-            n,
-            tuple(CoSphereE.rows(np.stack(centres), radii, eps)),
-            witness=meet,
-            params=dict(params, seed=seed),
-        )
-
-    def check(config):
-        keys = [np.concatenate([s.centre, [s.radius, s.eps]]) for s in config.objects]
-        if _min_pairwise(keys) < 1e-3:
-            return False
-        return _spectrum_ok(tau_matrix(list(config.objects)), 1)
-
-    return _attempts(build, check)
+def _spheres_ok(spheres, lifts: bool = False) -> bool:
+    """Are the spheres apart, with one kernel vector of their tau matrix
+    and, when lifts is set, of the sigma matrix of their lifts?"""
+    if not _apart([np.concatenate([s.centre, [s.radius, s.eps]]) for s in spheres]):
+        return False
+    if lifts and not _spectrum_ok(sigma_matrix(CoHyperplane.rows(sphere_lifts(spheres))), 1):
+        return False
+    return _spectrum_ok(tau_matrix(list(spheres)), 1)
 
 
 # ---------------------------------------------------------------------------
-# entry points
+# the kind table and the entry points
 
 
-_FIXED_COUNT_KINDS = {
-    GenKind.HYPERPLANES_TANGENT_AT_INFINITY,
-    GenKind.HYPERPLANES_COMMON_IDEAL_POINT,
-    GenKind.HYPERPLANES_ORTH_EQUAL,
-    GenKind.SPHERES_TANGENT_TO_CIRCLE,
-    GenKind.SPHERES_THROUGH_POINT,
+class _Kind(NamedTuple):
+    extra: int  # the default count is n + extra
+    fixed: bool  # no other count is accepted
+    build: Callable  # see "kind builders" above
+    check: Callable  # (objects, n) -> is the draw admissible?
+
+
+_KINDS = {
+    GenKind.POINTS_ON_HOROSPHERE: _Kind(2, False, _points_on(_horosphere), _surface_points_ok),
+    GenKind.POINTS_ON_HYPERSPHERE: _Kind(2, False, _points_on(_hypersphere), _surface_points_ok),
+    GenKind.POINTS_ON_HYPERPLANE: _Kind(2, False, _points_on(_hyperplane), _surface_points_ok),
+    GenKind.POINTS_ON_EQUIDISTANT: _Kind(2, False, _points_on(_equidistant), _surface_points_ok),
+    GenKind.HOROSPHERES_ON_HYPERPLANE_BOUNDARY: _Kind(
+        1, False, _horospheres_on_boundary, _on_boundary_ok
+    ),
+    GenKind.HYPERPLANES_TANGENT_AT_INFINITY: _Kind(1, True, _hyperplanes_tangent, _hyperplanes_ok),
+    GenKind.HYPERPLANES_COMMON_IDEAL_POINT: _Kind(
+        1, True, _hyperplanes_ideal_point, _hyperplanes_ok
+    ),
+    GenKind.HYPERPLANES_ORTH_EQUAL: _Kind(1, True, _hyperplanes_orth_equal, _orth_equal_ok),
+    GenKind.GENERIC_POINTS: _Kind(2, False, _generic_points, lambda pts, n: _points_ok(pts, 0)),
+    GenKind.GENERIC_HOROSPHERES: _Kind(
+        1, False, _generic_horospheres, lambda horos, n: _horospheres_ok(horos, 0)
+    ),
+    GenKind.GENERIC_HYPERPLANES: _Kind(1, False, _generic_hyperplanes, _generic_hyperplanes_ok),
+    GenKind.SPHERES_TANGENT_TO_CIRCLE: _Kind(
+        2, True, _spheres_tangent, lambda spheres, n: _spheres_ok(spheres, lifts=True)
+    ),
+    GenKind.SPHERES_THROUGH_POINT: _Kind(
+        2, True, _spheres_through_point, lambda spheres, n: _spheres_ok(spheres)
+    ),
 }
 
 
+def default_count(kind: Union[GenKind, str], n: int) -> int:
+    return n + _KINDS[_coerce_kind(kind)].extra
+
+
 def generate(spec: GenSpec) -> Configuration:
-    """Build the configuration a spec describes; equal specs agree bitwise."""
+    """Build the configuration a spec describes; equal specs agree bitwise.
+
+    Draws from the seed's stream are rejected and redrawn, up to
+    MAX_ATTEMPTS times, until the kind's check admits one."""
     kind = _coerce_kind(spec.kind)
+    row = _KINDS[kind]
     n = int(spec.n)
     if n < 2:
         raise InfeasibleParams("ambient dimension must be at least 2")
-    count = int(spec.count) if spec.count is not None else default_count(kind, n)
-    if count != default_count(kind, n) and kind in _FIXED_COUNT_KINDS:
-        raise InfeasibleParams(f"{kind.value} requires exactly {default_count(kind, n)} objects")
+    default = n + row.extra
+    count = int(spec.count) if spec.count is not None else default
+    if row.fixed and count != default:
+        raise InfeasibleParams(f"{kind.value} requires exactly {default} objects")
     if count < 2:
         raise InfeasibleParams("need at least two objects")
     if count > MAX_FAMILY:
         raise InfeasibleParams(f"family too large (max {MAX_FAMILY})")
     params = dict(spec.params or {})
+    for key in PARAM_KEYS:
+        if params.get(key) is not None and not math.isfinite(float(params[key])):
+            raise InfeasibleParams(f"{key} must be finite, got {params[key]}")
     seed = int(spec.seed)
-
-    if kind in (
-        GenKind.POINTS_ON_HOROSPHERE,
-        GenKind.POINTS_ON_HYPERSPHERE,
-        GenKind.POINTS_ON_HYPERPLANE,
-        GenKind.POINTS_ON_EQUIDISTANT,
-    ):
-        return _gen_points_on_surface(kind, n, count, seed, params)
-    if kind is GenKind.HOROSPHERES_ON_HYPERPLANE_BOUNDARY:
-        return _gen_horospheres_on_boundary(n, count, seed, params)
-    if kind is GenKind.HYPERPLANES_TANGENT_AT_INFINITY:
-        return _gen_hyperplanes_tangent(n, count, seed, params)
-    if kind is GenKind.HYPERPLANES_COMMON_IDEAL_POINT:
-        return _gen_hyperplanes_ideal_point(n, count, seed, params)
-    if kind is GenKind.HYPERPLANES_ORTH_EQUAL:
-        return _gen_hyperplanes_orth_equal(n, count, seed, params)
-    if kind is GenKind.GENERIC_POINTS:
-        return _gen_generic_points(n, count, seed, params)
-    if kind is GenKind.GENERIC_HOROSPHERES:
-        return _gen_generic_horospheres(n, count, seed, params)
-    if kind is GenKind.GENERIC_HYPERPLANES:
-        return _gen_generic_hyperplanes(n, count, seed, params)
-    if kind is GenKind.SPHERES_TANGENT_TO_CIRCLE:
-        return _gen_spheres_tangent(n, count, seed, params)
-    return _gen_spheres_through_point(n, count, seed, params)
+    rng = SplitMix64(seed)
+    for _ in range(MAX_ATTEMPTS):
+        try:
+            built = row.build(rng, n, count, params)
+        except OverflowError as exc:  # math.cosh of a radius of 800, say
+            raise InfeasibleParams(f"parameters overflow the {kind.value} family: {exc}") from exc
+        if built is not None and row.check(built[0], n):
+            objects, surface, witness, extra = built
+            params.update(seed=seed, **extra)
+            return Configuration(kind, n, objects, surface, witness, params)
+    raise GeometryError(f"no admissible configuration after {MAX_ATTEMPTS} attempts")
 
 
 def perturb(config: Configuration, magnitude: float, seed: int = 0) -> Configuration:

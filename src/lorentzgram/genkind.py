@@ -1,4 +1,5 @@
-"""The generator kinds, apart from the generators that build them.
+"""The generator kinds and parameter names, apart from the generators
+that build them.
 
 The command line lists and checks ``generate --kind`` from this enum, so
 it lives in a module of its own: a process that never generates does not
@@ -22,3 +23,7 @@ class GenKind(Enum):
     GENERIC_HYPERPLANES = "generic_hyperplanes"
     SPHERES_TANGENT_TO_CIRCLE = "spheres_tangent_to_circle"
     SPHERES_THROUGH_POINT = "spheres_through_point"
+
+
+# the numeric parameters a GenSpec may carry; each must be finite
+PARAM_KEYS = ("spread", "radius", "offset", "inclination")

@@ -944,6 +944,23 @@ class TestErrors:
                              "--n", "3", "--seed", "4", "--inclination", "0.5")
         assert same == good
 
+    def test_overflowing_radius_exits_two(self, capsys):
+        code, doc = run_doc(capsys, "generate", "--kind", "points_on_hypersphere",
+                            "--n", "3", "--radius", "800")
+        assert code == 2
+        assert doc["error"] == "InfeasibleParams"
+        assert "overflow" in doc["message"]
+
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    @pytest.mark.parametrize("key", ["spread", "radius", "offset", "inclination"])
+    def test_non_finite_params_exit_two(self, capsys, key, value):
+        for argv in ([f"--{key}={value}"], ["--params", f"{key}={value}"]):
+            code, doc = run_doc(capsys, "generate", "--kind", "points_on_horosphere",
+                                "--n", "3", *argv)
+            assert code == 2
+            assert doc["error"] == "InfeasibleParams"
+            assert doc["message"].startswith(f"{key} must be finite")
+
     def test_params_rejects_malformed_pairs(self, capsys):
         code, doc = run_doc(capsys, "generate", "--kind", "generic_points",
                             "--n", "2", "--params", "spread")
@@ -1198,6 +1215,16 @@ class TestProcess:
             out = python(*flags, "-m", "lorentzgram.cli", *scenes[case], stdout=full,
                          stderr=subprocess.PIPE)
         assert (out.returncode, out.stderr) == (120, b"")
+
+    @pytest.mark.parametrize("argv", [
+        ["--kind", "points_on_hypersphere", "--radius", "800"],
+        ["--kind", "points_on_horosphere", "--spread", "inf"],
+    ])
+    def test_infeasible_generate_exits_two_without_warnings(self, argv):
+        out = python("-W", "error::RuntimeWarning", "-m", "lorentzgram.cli", "generate",
+                     "--n", "3", *argv, capture_output=True, text=True)
+        assert (out.returncode, out.stderr) == (2, "")
+        assert json.loads(out.stdout)["error"] == "InfeasibleParams"
 
     @pytest.mark.parametrize("seed", [1, 3])
     def test_sign_search_ends_on_shifted_spheres(self, capsys, tmp_path, seed):

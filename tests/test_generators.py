@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import lorentzgram as lg
 from lorentzgram import generators, theorems
-from lorentzgram.cli import canonical_json, config_to_scene_doc
+from lorentzgram.cli import canonical_json, config_to_scene_doc, object_to_record
 
 ALL_KINDS = [k.value for k in lg.GenKind]
 
@@ -225,6 +225,22 @@ class TestParams:
         cfg = lg.generate(lg.GenSpec("points_on_horosphere", 3, seed=29, count=4))
         assert len(cfg.objects) == 4
 
+    def test_overflowing_radius_is_infeasible(self):
+        # cosh(800) overflows a double: the spec is refused, not the arithmetic
+        with pytest.raises(lg.InfeasibleParams, match="overflow"):
+            lg.generate(lg.GenSpec("points_on_hypersphere", 3, params={"radius": 800.0}))
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("key,kind", [
+        ("spread", "points_on_horosphere"), ("spread", "generic_points"),
+        ("radius", "points_on_hypersphere"), ("offset", "points_on_equidistant"),
+        ("inclination", "hyperplanes_orth_equal"), ("spread", "generic_hyperplanes"),
+    ])
+    def test_non_finite_params_are_infeasible(self, key, kind, value):
+        # refused up front, naming the key, whether the kind reads it or not
+        with pytest.raises(lg.InfeasibleParams, match=f"^{key} must be finite"):
+            lg.generate(lg.GenSpec(kind, 3, seed=1, params={key: value}))
+
     def test_dimension_floor(self):
         with pytest.raises(lg.InfeasibleParams):
             lg.generate(lg.GenSpec("generic_points", 1))
@@ -344,3 +360,96 @@ def test_min_pairwise_matches_the_pair_loop(rows):
     assert np.float64(generators._min_pairwise(vectors)).tobytes() == want
     if rows:
         assert np.float64(generators._min_pairwise(np.array(rows))).tobytes() == want
+
+
+# What the golden grid leaves out: counts other than the default for every
+# kind that accepts one, explicit inclinations, and perturbed families.
+# Counts off the default have no scene form, so these digests are taken
+# over each configuration's own fields: objects, surface, witness, params.
+VARIABLE_COUNT_KINDS = [
+    "points_on_horosphere", "points_on_hypersphere", "points_on_hyperplane",
+    "points_on_equidistant", "horospheres_on_hyperplane_boundary",
+    "generic_points", "generic_horospheres", "generic_hyperplanes",
+]
+FIXED_COUNT_KINDS = [k for k in ALL_KINDS if k not in VARIABLE_COUNT_KINDS]
+PINNED_DIGESTS = {
+    "count:points_on_horosphere": "3bc2ba113423ece25a8a4ca5522768c6fd96ef8edfbd78dd843981b24b9bc9f5",
+    "count:points_on_hypersphere": "4d2ea21bca47654e59848bbcdbda248cf6e0ee5fe82eb35c78ec431a149b6085",
+    "count:points_on_hyperplane": "a3c42cbd3e143c19300cdb8921456b305f91a0aa5dc30078231e411f3c9815b8",
+    "count:points_on_equidistant": "b3f1879acaaa02576b095ccb282747e3b490f82a2de305c4f72abae563bc6b06",
+    "count:horospheres_on_hyperplane_boundary": "850f56fdda6fe2547ed47b705b522a9871f2eaf7f5ef8074572e961921bb6399",
+    "count:generic_points": "c26160c3c2ab3554264073106bfe9455a89b74bdfcc4000154b0e4cbede2b9f2",
+    "count:generic_horospheres": "3f93314dc3944e3024c11da66b21bc3ceb5697d97172e780da5511e73ac04ea4",
+    "count:generic_hyperplanes": "01b2b35310aa2709bf5a6a36cc3ff71acc78db8b1b735cc5cbb7ff29b7c1bb2b",
+    "inclination": "5d7f5fdecd41fe9b1901382e4e305c69fb8c600afd6d79d8e7b9724aeabbc102",
+    "perturb": "c7745eaedaea4e4598668b613d14fd89f00f266f18ba8fd26c832986dceaa393",
+}
+
+
+def config_text(make) -> str:
+    """Canonical JSON of the configuration make() returns, or the message
+    of the error it raises."""
+    try:
+        cfg = make()
+    except lg.GeometryError as exc:
+        return f"{type(exc).__name__}: {exc}\n"
+
+    def plain(x):
+        if x is None or isinstance(x, (np.ndarray, tuple, float)):
+            return x
+        return object_to_record(x)
+
+    return canonical_json({
+        "kind": cfg.kind.value, "n": cfg.n, "params": cfg.params,
+        "objects": [object_to_record(o) for o in cfg.objects],
+        "surface": plain(cfg.surface), "witness": plain(cfg.witness),
+    })
+
+
+def count_grid(kind: str):
+    for n in (2, 3, 5):
+        for count in range(2, n + 5):
+            for seed in (0, 1):
+                yield config_text(lambda: lg.generate(lg.GenSpec(kind, n, seed=seed, count=count)))
+
+
+def inclination_grid():
+    for n in (2, 3, 4, 6):
+        for lam in (0.0, 0.2, 0.5, 0.9):
+            for seed in range(3):
+                spec = lg.GenSpec("hyperplanes_orth_equal", n, seed=seed, params={"inclination": lam})
+                yield config_text(lambda: lg.generate(spec))
+
+
+def perturbed_grid():
+    for kind in ALL_KINDS:
+        cfg = lg.generate(lg.GenSpec(kind, 3, seed=1))
+        for seed in range(3):
+            yield config_text(lambda: lg.perturb(cfg, 1e-3, seed))
+
+
+def grid_digest(texts) -> str:
+    digest = hashlib.sha256()
+    for text in texts:
+        digest.update(text.encode())
+    return digest.hexdigest()
+
+
+class TestPinnedBytes:
+    @pytest.mark.parametrize("kind", VARIABLE_COUNT_KINDS)
+    def test_counts_are_pinned(self, kind):
+        assert grid_digest(count_grid(kind)) == PINNED_DIGESTS[f"count:{kind}"]
+
+    def test_inclinations_are_pinned(self):
+        assert grid_digest(inclination_grid()) == PINNED_DIGESTS["inclination"]
+
+    def test_perturbed_families_are_pinned(self):
+        assert grid_digest(perturbed_grid()) == PINNED_DIGESTS["perturb"]
+
+    @pytest.mark.parametrize("kind", FIXED_COUNT_KINDS)
+    def test_fixed_counts_reject_others(self, kind):
+        count = lg.default_count(kind, 3)
+        assert len(lg.generate(lg.GenSpec(kind, 3, seed=1, count=count)).objects) == count
+        for other in (count - 1, count + 1):
+            with pytest.raises(lg.InfeasibleParams, match="requires exactly"):
+                lg.generate(lg.GenSpec(kind, 3, seed=1, count=other))
