@@ -8,115 +8,103 @@ incidence with a common umbilical hypersurface by checking whether the
 matrix of their pairwise invariants is singular, and the witnessing
 surface is recovered from the kernel.
 
-The generators (``generate``, ``GenSpec``, ``Configuration``,
-``default_count``, ``perturb``) and their random stream ``SplitMix64``
-are imported on first use, so a program that only tests families does
-not load them.
+Every public name is imported from its submodule on first use, so
+``import lorentzgram`` loads neither numpy nor any submodule, and a
+program that only tests families never loads the generators.
 """
-
-from .errors import (
-    DegenerateDatum,
-    DimensionMismatch,
-    GeometryError,
-    HypothesisViolated,
-    InfeasibleParams,
-    InvalidInput,
-    NoCommonTangent,
-    NoReliableKernel,
-    NormalSearchFailed,
-    NotDegenerate,
-    NotSymmetric,
-    OutsideBall,
-    SchemaViolation,
-)
-from .genkind import GenKind
-from .lorentz import (
-    DEFAULT_TOL,
-    DegeneracyVerdict,
-    SignClass,
-    classify,
-    degeneracy,
-    first_nonzero_positive,
-    gram,
-    inner,
-    metric_diag,
-    norm_sq,
-    null_basis,
-)
-from .models import (
-    ball_distance,
-    ball_to_hyperboloid,
-    boundary_to_lightlike,
-    halfspace_to_hyperboloid,
-    horosphere_chart,
-    horosphere_ideal_centre,
-    horosphere_point,
-    hyperboloid_to_ball,
-    hyperboloid_to_halfspace,
-    lightlike_to_boundary,
-    normal_to_sphere_or_plane,
-    sphere_lift,
-    sphere_lifts,
-)
-from .objects import (
-    HOROSPHERE_LEVEL,
-    CoHyperplane,
-    CoSphereE,
-    EquidistantBranch,
-    EuclideanPlane,
-    Horosphere,
-    HPoint,
-    Hypersphere,
-    HyperplaneRelation,
-    RelationKind,
-    Surface,
-    contains,
-    distance,
-    half_dist_sinh_sq,
-    inversive_distance,
-    lambda_length,
-    same_centre,
-    sigma,
-    sigma_decode,
-    tangent_length,
-    tau,
-)
-from .theorems import (
-    MAX_FAMILY,
-    Alternative,
-    CaseyCase,
-    CaseyCaseKind,
-    CaseyResult,
-    CoroDResult,
-    EuclideanCaseKind,
-    EuclideanCaseyCase,
-    FourTermRelation,
-    PennerResult,
-    Ptolemy1Result,
-    SurfaceKind,
-    UmbilicalFit,
-    WitnessReport,
-    casey_classify,
-    casey_test,
-    casey_witness_check,
-    corollary_d_test,
-    fit_umbilical,
-    four_term_relation,
-    half_dist_matrix,
-    lambda_sq_matrix,
-    penner_test,
-    ptolemy1_test,
-    ptolemy2_classify,
-    ptolemy2_test,
-    sigma_matrix,
-    tau_matrix,
-    umbilical_datum,
-)
 
 __version__ = "0.1.0"
 
-# name -> the submodule that defines it, imported when the name is first read
-_LAZY = {
+# each public name -> the submodule that defines it
+_EXPORTS = {
+    "DegenerateDatum": "errors",
+    "DimensionMismatch": "errors",
+    "GeometryError": "errors",
+    "HypothesisViolated": "errors",
+    "InfeasibleParams": "errors",
+    "InvalidInput": "errors",
+    "NoCommonTangent": "errors",
+    "NoReliableKernel": "errors",
+    "NormalSearchFailed": "errors",
+    "NotDegenerate": "errors",
+    "NotSymmetric": "errors",
+    "OutsideBall": "errors",
+    "SchemaViolation": "errors",
+    "GenKind": "genkind",
+    "DEFAULT_TOL": "lorentz",
+    "DegeneracyVerdict": "lorentz",
+    "SignClass": "lorentz",
+    "classify": "lorentz",
+    "degeneracy": "lorentz",
+    "first_nonzero_positive": "lorentz",
+    "gram": "lorentz",
+    "inner": "lorentz",
+    "metric_diag": "lorentz",
+    "norm_sq": "lorentz",
+    "null_basis": "lorentz",
+    "ball_distance": "models",
+    "ball_to_hyperboloid": "models",
+    "boundary_to_lightlike": "models",
+    "halfspace_to_hyperboloid": "models",
+    "horosphere_chart": "models",
+    "horosphere_ideal_centre": "models",
+    "horosphere_point": "models",
+    "hyperboloid_to_ball": "models",
+    "hyperboloid_to_halfspace": "models",
+    "lightlike_to_boundary": "models",
+    "normal_to_sphere_or_plane": "models",
+    "sphere_lift": "models",
+    "sphere_lifts": "models",
+    "HOROSPHERE_LEVEL": "objects",
+    "CoHyperplane": "objects",
+    "CoSphereE": "objects",
+    "EquidistantBranch": "objects",
+    "EuclideanPlane": "objects",
+    "Horosphere": "objects",
+    "HPoint": "objects",
+    "Hypersphere": "objects",
+    "HyperplaneRelation": "objects",
+    "RelationKind": "objects",
+    "Surface": "objects",
+    "contains": "objects",
+    "distance": "objects",
+    "half_dist_sinh_sq": "objects",
+    "inversive_distance": "objects",
+    "lambda_length": "objects",
+    "same_centre": "objects",
+    "sigma": "objects",
+    "sigma_decode": "objects",
+    "tangent_length": "objects",
+    "tau": "objects",
+    "MAX_FAMILY": "theorems",
+    "Alternative": "theorems",
+    "CaseyCase": "theorems",
+    "CaseyCaseKind": "theorems",
+    "CaseyResult": "theorems",
+    "CoroDResult": "theorems",
+    "EuclideanCaseKind": "theorems",
+    "EuclideanCaseyCase": "theorems",
+    "FourTermRelation": "theorems",
+    "PennerResult": "theorems",
+    "Ptolemy1Result": "theorems",
+    "SurfaceKind": "theorems",
+    "UmbilicalFit": "theorems",
+    "WitnessReport": "theorems",
+    "casey_classify": "theorems",
+    "casey_test": "theorems",
+    "casey_witness_check": "theorems",
+    "corollary_d_test": "theorems",
+    "fit_umbilical": "theorems",
+    "four_term_relation": "theorems",
+    "half_dist_matrix": "theorems",
+    "lambda_sq_matrix": "theorems",
+    "penner_test": "theorems",
+    "ptolemy1_test": "theorems",
+    "ptolemy2_classify": "theorems",
+    "ptolemy2_test": "theorems",
+    "sigma_matrix": "theorems",
+    "tau_matrix": "theorems",
+    "umbilical_datum": "theorems",
     "Configuration": "generators",
     "GenSpec": "generators",
     "default_count": "generators",
@@ -125,114 +113,18 @@ _LAZY = {
     "SplitMix64": "rng",
 }
 
+__all__ = sorted(_EXPORTS)
+
 
 def __getattr__(name: str):
-    if name not in _LAZY:
+    if name not in _EXPORTS:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     from importlib import import_module
 
-    value = getattr(import_module(f"{__name__}.{_LAZY[name]}"), name)
+    value = getattr(import_module(f"{__name__}.{_EXPORTS[name]}"), name)
     globals()[name] = value
     return value
 
 
 def __dir__() -> list:
-    return sorted({*globals(), *_LAZY})
-
-
-__all__ = [
-    "DEFAULT_TOL",
-    "HOROSPHERE_LEVEL",
-    "Alternative",
-    "CaseyCase",
-    "CaseyCaseKind",
-    "CaseyResult",
-    "CoHyperplane",
-    "CoSphereE",
-    "Configuration",
-    "CoroDResult",
-    "DegenerateDatum",
-    "DegeneracyVerdict",
-    "DimensionMismatch",
-    "EquidistantBranch",
-    "EuclideanCaseKind",
-    "EuclideanCaseyCase",
-    "EuclideanPlane",
-    "FourTermRelation",
-    "GenKind",
-    "GenSpec",
-    "GeometryError",
-    "HPoint",
-    "Horosphere",
-    "HyperplaneRelation",
-    "Hypersphere",
-    "HypothesisViolated",
-    "InfeasibleParams",
-    "InvalidInput",
-    "MAX_FAMILY",
-    "NoCommonTangent",
-    "NoReliableKernel",
-    "NormalSearchFailed",
-    "NotDegenerate",
-    "NotSymmetric",
-    "OutsideBall",
-    "PennerResult",
-    "Ptolemy1Result",
-    "RelationKind",
-    "SchemaViolation",
-    "SignClass",
-    "SplitMix64",
-    "Surface",
-    "SurfaceKind",
-    "UmbilicalFit",
-    "WitnessReport",
-    "ball_distance",
-    "ball_to_hyperboloid",
-    "boundary_to_lightlike",
-    "casey_classify",
-    "casey_test",
-    "casey_witness_check",
-    "classify",
-    "contains",
-    "corollary_d_test",
-    "default_count",
-    "degeneracy",
-    "distance",
-    "first_nonzero_positive",
-    "fit_umbilical",
-    "four_term_relation",
-    "generate",
-    "gram",
-    "half_dist_matrix",
-    "half_dist_sinh_sq",
-    "halfspace_to_hyperboloid",
-    "horosphere_chart",
-    "horosphere_ideal_centre",
-    "horosphere_point",
-    "hyperboloid_to_ball",
-    "hyperboloid_to_halfspace",
-    "inner",
-    "inversive_distance",
-    "lambda_length",
-    "lambda_sq_matrix",
-    "lightlike_to_boundary",
-    "metric_diag",
-    "norm_sq",
-    "normal_to_sphere_or_plane",
-    "null_basis",
-    "penner_test",
-    "perturb",
-    "ptolemy1_test",
-    "ptolemy2_classify",
-    "ptolemy2_test",
-    "same_centre",
-    "sigma",
-    "sigma_decode",
-    "sigma_matrix",
-    "sphere_lift",
-    "sphere_lifts",
-    "tangent_length",
-    "tau",
-    "tau_matrix",
-    "umbilical_datum",
-]
+    return sorted({*globals(), *_EXPORTS})

@@ -51,6 +51,7 @@ from .theorems import (
 )
 
 MAX_ATTEMPTS = 100
+INF = math.inf
 
 DEGENERATE_MARGIN = 1e-10  # expected kernel eigenvalues must sit below this
 ROBUST_MARGIN = 1e-5  # the rest of the spectrum must sit above this
@@ -413,34 +414,45 @@ def _spheres_ok(spheres, lifts: bool = False) -> bool:
 
 class _Kind(NamedTuple):
     extra: int  # the default count is n + extra
-    fixed: bool  # no other count is accepted
+    fewest: float  # the counts the kind can build run from n + fewest
+    most: float  # to n + most (and from 2 to MAX_FAMILY whatever the kind)
     build: Callable  # see "kind builders" above
     check: Callable  # (objects, n) -> is the draw admissible?
 
 
+# Counts outside a kind's range are refused before the first draw.  A kind
+# with one count is built for that count; the other limits are ranks that
+# no draw could pass: up to n horospheres centred on a hyperplane's boundary
+# are independent, so their matrix has no kernel, while the matrix of points
+# (rank <= n + 2), horospheres (n + 1) or hyperplanes (n + 2) is singular
+# beyond its rank, so no generic family of that count exists.
 _KINDS = {
-    GenKind.POINTS_ON_HOROSPHERE: _Kind(2, False, _points_on(_horosphere), _surface_points_ok),
-    GenKind.POINTS_ON_HYPERSPHERE: _Kind(2, False, _points_on(_hypersphere), _surface_points_ok),
-    GenKind.POINTS_ON_HYPERPLANE: _Kind(2, False, _points_on(_hyperplane), _surface_points_ok),
-    GenKind.POINTS_ON_EQUIDISTANT: _Kind(2, False, _points_on(_equidistant), _surface_points_ok),
+    GenKind.POINTS_ON_HOROSPHERE: _Kind(2, -INF, INF, _points_on(_horosphere), _surface_points_ok),
+    GenKind.POINTS_ON_HYPERSPHERE: _Kind(
+        2, -INF, INF, _points_on(_hypersphere), _surface_points_ok
+    ),
+    GenKind.POINTS_ON_HYPERPLANE: _Kind(2, -INF, INF, _points_on(_hyperplane), _surface_points_ok),
+    GenKind.POINTS_ON_EQUIDISTANT: _Kind(
+        2, -INF, INF, _points_on(_equidistant), _surface_points_ok
+    ),
     GenKind.HOROSPHERES_ON_HYPERPLANE_BOUNDARY: _Kind(
-        1, False, _horospheres_on_boundary, _on_boundary_ok
+        1, 1, INF, _horospheres_on_boundary, _on_boundary_ok
     ),
-    GenKind.HYPERPLANES_TANGENT_AT_INFINITY: _Kind(1, True, _hyperplanes_tangent, _hyperplanes_ok),
+    GenKind.HYPERPLANES_TANGENT_AT_INFINITY: _Kind(1, 1, 1, _hyperplanes_tangent, _hyperplanes_ok),
     GenKind.HYPERPLANES_COMMON_IDEAL_POINT: _Kind(
-        1, True, _hyperplanes_ideal_point, _hyperplanes_ok
+        1, 1, 1, _hyperplanes_ideal_point, _hyperplanes_ok
     ),
-    GenKind.HYPERPLANES_ORTH_EQUAL: _Kind(1, True, _hyperplanes_orth_equal, _orth_equal_ok),
-    GenKind.GENERIC_POINTS: _Kind(2, False, _generic_points, lambda pts, n: _points_ok(pts, 0)),
+    GenKind.HYPERPLANES_ORTH_EQUAL: _Kind(1, 1, 1, _hyperplanes_orth_equal, _orth_equal_ok),
+    GenKind.GENERIC_POINTS: _Kind(2, -INF, 2, _generic_points, lambda pts, n: _points_ok(pts, 0)),
     GenKind.GENERIC_HOROSPHERES: _Kind(
-        1, False, _generic_horospheres, lambda horos, n: _horospheres_ok(horos, 0)
+        1, -INF, 1, _generic_horospheres, lambda horos, n: _horospheres_ok(horos, 0)
     ),
-    GenKind.GENERIC_HYPERPLANES: _Kind(1, False, _generic_hyperplanes, _generic_hyperplanes_ok),
+    GenKind.GENERIC_HYPERPLANES: _Kind(1, -INF, 2, _generic_hyperplanes, _generic_hyperplanes_ok),
     GenKind.SPHERES_TANGENT_TO_CIRCLE: _Kind(
-        2, True, _spheres_tangent, lambda spheres, n: _spheres_ok(spheres, lifts=True)
+        2, 2, 2, _spheres_tangent, lambda spheres, n: _spheres_ok(spheres, lifts=True)
     ),
     GenKind.SPHERES_THROUGH_POINT: _Kind(
-        2, True, _spheres_through_point, lambda spheres, n: _spheres_ok(spheres)
+        2, 2, 2, _spheres_through_point, lambda spheres, n: _spheres_ok(spheres)
     ),
 }
 
@@ -459,10 +471,14 @@ def generate(spec: GenSpec) -> Configuration:
     n = int(spec.n)
     if n < 2:
         raise InfeasibleParams("ambient dimension must be at least 2")
-    default = n + row.extra
-    count = int(spec.count) if spec.count is not None else default
-    if row.fixed and count != default:
-        raise InfeasibleParams(f"{kind.value} requires exactly {default} objects")
+    count = int(spec.count) if spec.count is not None else n + row.extra
+    fewest, most = n + row.fewest, n + row.most
+    if fewest == most and count != most:
+        raise InfeasibleParams(f"{kind.value} requires exactly {most} objects")
+    if count < fewest:
+        raise InfeasibleParams(f"{kind.value} needs at least {fewest} objects at n = {n}")
+    if count > most:
+        raise InfeasibleParams(f"{kind.value} takes at most {most} objects at n = {n}")
     if count < 2:
         raise InfeasibleParams("need at least two objects")
     if count > MAX_FAMILY:
@@ -474,11 +490,16 @@ def generate(spec: GenSpec) -> Configuration:
     seed = int(spec.seed)
     rng = SplitMix64(seed)
     for _ in range(MAX_ATTEMPTS):
+        # parameters too large for a double: math.cosh of a radius of 800,
+        # numpy's square of a spread of 1e200, or a point of radius 700
+        # whose largest coordinate squared overflows the object's own check
         try:
-            built = row.build(rng, n, count, params)
-        except OverflowError as exc:  # math.cosh of a radius of 800, say
+            with np.errstate(over="raise", invalid="raise"):
+                built = row.build(rng, n, count, params)
+                admitted = built is not None and row.check(built[0], n)
+        except (OverflowError, FloatingPointError, InvalidInput) as exc:
             raise InfeasibleParams(f"parameters overflow the {kind.value} family: {exc}") from exc
-        if built is not None and row.check(built[0], n):
+        if admitted:
             objects, surface, witness, extra = built
             params.update(seed=seed, **extra)
             return Configuration(kind, n, objects, surface, witness, params)

@@ -951,6 +951,20 @@ class TestErrors:
         assert doc["error"] == "InfeasibleParams"
         assert "overflow" in doc["message"]
 
+    @pytest.mark.parametrize("kind,n,count", [
+        ("horospheres_on_hyperplane_boundary", 3, 3),
+        ("generic_points", 3, 6),
+        ("generic_horospheres", 3, 5),
+        ("generic_hyperplanes", 12, 16),
+    ])
+    def test_count_outside_the_rank_exits_two(self, capsys, kind, n, count):
+        # refused up front: no draw of these counts could ever be admitted
+        code, doc = run_doc(capsys, "generate", "--kind", kind, "--n", str(n),
+                            "--count", str(count))
+        assert code == 2
+        assert doc["error"] == "InfeasibleParams"
+        assert doc["message"].startswith(kind)
+
     @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
     @pytest.mark.parametrize("key", ["spread", "radius", "offset", "inclination"])
     def test_non_finite_params_exit_two(self, capsys, key, value):
@@ -1138,6 +1152,52 @@ def python(*args, **kwargs) -> subprocess.CompletedProcess:
     return subprocess.run([sys.executable, *args], env=env, **kwargs)
 
 
+# every public name of the package, by the submodule that defines it
+EXPORTS = {
+    "errors": "DegenerateDatum DimensionMismatch GeometryError HypothesisViolated "
+              "InfeasibleParams InvalidInput NoCommonTangent NoReliableKernel "
+              "NormalSearchFailed NotDegenerate NotSymmetric OutsideBall SchemaViolation",
+    "genkind": "GenKind",
+    "lorentz": "DEFAULT_TOL DegeneracyVerdict SignClass classify degeneracy "
+               "first_nonzero_positive gram inner metric_diag norm_sq null_basis",
+    "models": "ball_distance ball_to_hyperboloid boundary_to_lightlike "
+              "halfspace_to_hyperboloid horosphere_chart horosphere_ideal_centre "
+              "horosphere_point hyperboloid_to_ball hyperboloid_to_halfspace "
+              "lightlike_to_boundary normal_to_sphere_or_plane sphere_lift sphere_lifts",
+    "objects": "HOROSPHERE_LEVEL CoHyperplane CoSphereE EquidistantBranch EuclideanPlane "
+               "Horosphere HPoint Hypersphere HyperplaneRelation RelationKind Surface "
+               "contains distance half_dist_sinh_sq inversive_distance lambda_length "
+               "same_centre sigma sigma_decode tangent_length tau",
+    "theorems": "MAX_FAMILY Alternative CaseyCase CaseyCaseKind CaseyResult CoroDResult "
+                "EuclideanCaseKind EuclideanCaseyCase FourTermRelation PennerResult "
+                "Ptolemy1Result SurfaceKind UmbilicalFit WitnessReport casey_classify "
+                "casey_test casey_witness_check corollary_d_test fit_umbilical "
+                "four_term_relation half_dist_matrix lambda_sq_matrix penner_test "
+                "ptolemy1_test ptolemy2_classify ptolemy2_test sigma_matrix tau_matrix "
+                "umbilical_datum",
+    "generators": "Configuration GenSpec default_count generate perturb",
+    "rng": "SplitMix64",
+}
+
+# prints, as JSON: what a bare import loads, __all__, the names dir() lists,
+# the names a star import binds, and the names that are not the object their
+# submodule defines, whether read as attributes or bound by the star import
+EXPORT_PROBE = """
+import json, sys
+from importlib import import_module
+import lorentzgram as lg
+loaded = sorted(m for m in sys.modules if m.startswith("lorentzgram.") or m == "numpy")
+listed = sorted(set(dir(lg)) & set(lg.__all__))
+star = {}
+exec("from lorentzgram import *", star)
+star.pop("__builtins__")
+exports = json.loads(sys.argv[1])
+stray = [name for module, names in exports.items() for name in names.split()
+         if not getattr(lg, name) is star[name] is getattr(import_module("lorentzgram." + module), name)]
+print(json.dumps([loaded, lg.__all__, listed, sorted(star), stray]))
+"""
+
+
 class TestProcess:
     """What a command-line process imports and how it ends."""
 
@@ -1160,6 +1220,17 @@ class TestProcess:
         out = python("-c", probe, capture_output=True, text=True)
         assert out.returncode == 0, out.stderr
         assert out.stdout.split() == ["False", "True", "True"]
+
+    def test_package_exports_each_name_from_its_submodule(self):
+        out = python("-c", EXPORT_PROBE, json.dumps(EXPORTS), capture_output=True, text=True)
+        assert out.returncode == 0, out.stderr
+        loaded, exported, listed, star, stray = json.loads(out.stdout)
+        assert loaded == []  # no submodule, and not numpy, before a name is read
+        names =sorted(name for names in EXPORTS.values() for name in names.split())
+        assert len(names) == len(set(names)) == 94
+        assert sorted(exported) == names and len(exported) == 94
+        assert listed == star == names
+        assert stray == []
 
     @pytest.fixture
     def scenes(self, capsys, tmp_path):
@@ -1219,6 +1290,11 @@ class TestProcess:
     @pytest.mark.parametrize("argv", [
         ["--kind", "points_on_hypersphere", "--radius", "800"],
         ["--kind", "points_on_horosphere", "--spread", "inf"],
+        ["--kind", "points_on_hypersphere", "--radius=710"],
+        ["--kind", "points_on_hypersphere", "--radius=700"],
+        ["--kind", "points_on_horosphere", "--spread=1e200"],
+        ["--kind", "generic_points", "--spread=1e200"],
+        ["--kind", "points_on_equidistant", "--offset=1e308"],
     ])
     def test_infeasible_generate_exits_two_without_warnings(self, argv):
         out = python("-W", "error::RuntimeWarning", "-m", "lorentzgram.cli", "generate",

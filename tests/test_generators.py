@@ -3,6 +3,7 @@ margin guarantees, and perturbation behavior."""
 
 import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -14,6 +15,17 @@ from lorentzgram import generators, theorems
 from lorentzgram.cli import canonical_json, config_to_scene_doc, object_to_record
 
 ALL_KINDS = [k.value for k in lg.GenKind]
+
+# finite parameters whose family overflows a double; at a radius of 700 the
+# points are finite but their coordinates' squares are not
+OVERFLOWING_PARAMS = [
+    ("points_on_hypersphere", "radius", 800.0),
+    ("points_on_hypersphere", "radius", 710.0),
+    ("points_on_hypersphere", "radius", 700.0),
+    ("points_on_horosphere", "spread", 1e200),
+    ("generic_points", "spread", 1e200),
+    ("points_on_equidistant", "offset", 1e308),
+]
 
 DEGENERATE_KINDS = [
     "points_on_horosphere", "points_on_hypersphere", "points_on_hyperplane",
@@ -225,10 +237,14 @@ class TestParams:
         cfg = lg.generate(lg.GenSpec("points_on_horosphere", 3, seed=29, count=4))
         assert len(cfg.objects) == 4
 
-    def test_overflowing_radius_is_infeasible(self):
-        # cosh(800) overflows a double: the spec is refused, not the arithmetic
-        with pytest.raises(lg.InfeasibleParams, match="overflow"):
-            lg.generate(lg.GenSpec("points_on_hypersphere", 3, params={"radius": 800.0}))
+    @pytest.mark.parametrize("kind,key,value", OVERFLOWING_PARAMS)
+    def test_overflowing_params_are_infeasible(self, kind, key, value):
+        # cosh(800) overflows a double, and so do numpy's squares of the
+        # others: the spec is refused, without a warning from the arithmetic
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(lg.InfeasibleParams, match=f"overflow the {kind} family"):
+                lg.generate(lg.GenSpec(kind, 3, params={key: value}))
 
     @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
     @pytest.mark.parametrize("key,kind", [
@@ -377,10 +393,10 @@ PINNED_DIGESTS = {
     "count:points_on_hypersphere": "4d2ea21bca47654e59848bbcdbda248cf6e0ee5fe82eb35c78ec431a149b6085",
     "count:points_on_hyperplane": "a3c42cbd3e143c19300cdb8921456b305f91a0aa5dc30078231e411f3c9815b8",
     "count:points_on_equidistant": "b3f1879acaaa02576b095ccb282747e3b490f82a2de305c4f72abae563bc6b06",
-    "count:horospheres_on_hyperplane_boundary": "850f56fdda6fe2547ed47b705b522a9871f2eaf7f5ef8074572e961921bb6399",
-    "count:generic_points": "c26160c3c2ab3554264073106bfe9455a89b74bdfcc4000154b0e4cbede2b9f2",
-    "count:generic_horospheres": "3f93314dc3944e3024c11da66b21bc3ceb5697d97172e780da5511e73ac04ea4",
-    "count:generic_hyperplanes": "01b2b35310aa2709bf5a6a36cc3ff71acc78db8b1b735cc5cbb7ff29b7c1bb2b",
+    "count:horospheres_on_hyperplane_boundary": "bf2a888906437b12ba589fbcd74fcc1322c788251f05788bc815f471275a7c6f",
+    "count:generic_points": "a852273555cb222689e1e4700eceab992cd8c7a7bc8442b64e8fe20e5f64267c",
+    "count:generic_horospheres": "ff5cccb9f434faee968a07b986c7be38c10752589cc0bc135d9939cf310a60f0",
+    "count:generic_hyperplanes": "d18f10e3e0f23a993a7b6f9af7e907cd911bc69bbe66ea7ac3bdbe6e17c64d68",
     "inclination": "5d7f5fdecd41fe9b1901382e4e305c69fb8c600afd6d79d8e7b9724aeabbc102",
     "perturb": "c7745eaedaea4e4598668b613d14fd89f00f266f18ba8fd26c832986dceaa393",
 }
@@ -406,11 +422,28 @@ def config_text(make) -> str:
     })
 
 
-def count_grid(kind: str):
+# the counts a kind's matrix rank allows, as offsets from n; the other
+# variable-count kinds take any count from 2 to MAX_FAMILY
+COUNT_RANGES = {
+    "horospheres_on_hyperplane_boundary": (1, math.inf),
+    "generic_points": (-math.inf, 2),
+    "generic_horospheres": (-math.inf, 1),
+    "generic_hyperplanes": (-math.inf, 2),
+}
+
+
+def grid_counts(kind: str):
+    """(n, count, is the count in the kind's range) over the count grid."""
+    fewest, most = COUNT_RANGES.get(kind, (-math.inf, math.inf))
     for n in (2, 3, 5):
         for count in range(2, n + 5):
-            for seed in (0, 1):
-                yield config_text(lambda: lg.generate(lg.GenSpec(kind, n, seed=seed, count=count)))
+            yield n, count, n + fewest <= count <= n + most
+
+
+def count_grid(kind: str):
+    for n, count, admitted in grid_counts(kind):
+        for seed in (0, 1) if admitted else ():
+            yield config_text(lambda: lg.generate(lg.GenSpec(kind, n, seed=seed, count=count)))
 
 
 def inclination_grid():
@@ -445,6 +478,20 @@ class TestPinnedBytes:
 
     def test_perturbed_families_are_pinned(self):
         assert grid_digest(perturbed_grid()) == PINNED_DIGESTS["perturb"]
+
+    @pytest.mark.parametrize("kind", VARIABLE_COUNT_KINDS)
+    def test_counts_outside_the_rank_are_refused_before_a_draw(self, kind, monkeypatch):
+        # the check could never admit these, so no stream is even seeded
+        monkeypatch.setattr(generators, "SplitMix64", None)
+        refused = [(n, count) for n, count, admitted in grid_counts(kind) if not admitted]
+        if kind == "generic_hyperplanes":
+            refused.append((12, 16))  # each draw would run the sign search
+        for n, count in refused:
+            with pytest.raises(lg.InfeasibleParams, match=f"{kind} (needs at least|takes at most)"):
+                lg.generate(lg.GenSpec(kind, n, seed=1, count=count))
+        want = {"horospheres_on_hyperplane_boundary": 7, "generic_points": 6,
+                "generic_horospheres": 9, "generic_hyperplanes": 7}
+        assert len(refused) == want.get(kind, 0)
 
     @pytest.mark.parametrize("kind", FIXED_COUNT_KINDS)
     def test_fixed_counts_reject_others(self, kind):
