@@ -77,6 +77,7 @@ from .objects import (
 MAX_FAMILY = 16  # sign searches enumerate 2^(count-1) assignments
 _STRUCTURE = 1e-9  # every threshold of a witness's structure; tol decides verdicts alone
 _WITNESS_TOL = 1e-7  # largest residual casey_witness_check passes
+_ON_SURFACE = 1e-7  # largest relative distance of a ptolemy1 point from its surface
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +304,8 @@ def ptolemy1_test(
     """Do n+1 points of a common horosphere or hypersphere span a hyperplane?
 
     Degeneracy of the sinh^2(rho/2) matrix is the criterion.  Membership on
-    the surface is a hypothesis and is checked first.  The witness
+    the surface is a hypothesis and is checked first, at a fixed relative
+    distance of 1e-7 whatever tol is.  The witness
     hyperplane is recovered by shifting the points by the umbilical datum,
     reading a normal off the shifted span, and correcting it back.
     """
@@ -318,7 +320,7 @@ def ptolemy1_test(
     level = (q - 1.0) / 2.0
     umax = float(np.max(np.abs(u)))
     scale = (1.0 + np.max(np.abs(coords), axis=1)) * (1.0 + umax)
-    if np.any(np.abs(coords @ (u * D) - level) > max(tol, 1e-7) * scale):
+    if np.any(np.abs(coords @ (u * D) - level) > _ON_SURFACE * scale):
         raise HypothesisViolated("a point is not on the supplied surface")
     if min(abs(q - 1.0), abs(q + 1.0)) <= 1e-9 * (1.0 + umax**2):
         raise DegenerateDatum("umbilical datum has square norm too close to +1 or -1")
@@ -577,44 +579,27 @@ def _screen(tol: float, m: int) -> float:
     return tol + 64.0 * m * _EPS
 
 
-def _scan_signs(
-    matrices_of, m: int, tol: float, certify, rows: Optional[np.ndarray] = None, sole: bool = False
-):
-    """(signs, ratio, verdict, witness) over _sign_blocks(m, rows), solved
-    block by block.  The first vector whose matrix degeneracy(., tol) calls
-    degenerate and that certify qualifies (see _sign_search) wins, and no
-    later block is solved; the matrices are finite and exactly symmetric by
-    construction, so its _verdict is taken without degeneracy's checks.  Otherwise the vector of least ratio wins with
-    verdict and witness None, the earliest on ties: argmin takes the
-    first within a block, and a later block must be strictly smaller.
-    _sign_search runs it on row 0 alone, the given coorientation, before
-    it runs it on the rows the certificate keeps.
-
-    sole states that rows hold every vector that can be degenerate.  A lone
-    degenerate vector then wins without certify, with witness None: it is
-    the least ratio, so it is reported whatever certify would say, and the
-    caller's classification of it is the one certify would run.
-    """
-    screen = _screen(tol, m)
-    best_signs, best_ratio = None, None
-    for signs in _sign_blocks(m, rows):
-        matrices = matrices_of(signs)
-        smin, smax = _spectrum_ends(matrices)
-        ratios = smin / smax
-        (hits,) = (ratios <= screen).nonzero()
-        for i in hits:
-            verdict = _verdict(matrices[i], tol)
-            if not verdict.is_degenerate:
-                continue
-            if sole and hits.size == 1:
-                return signs[i].copy(), float(ratios[i]), verdict, None
+def _scan_signs(matrices_of, m: int, tol: float, certify, rows: np.ndarray):
+    """(signs, ratio, verdict, witness) over the sign vectors at the
+    positions rows (ascending, at most _SIGN_BLOCK of them), solved in one
+    stacked eigvalsh.  The first vector whose matrix degeneracy(., tol)
+    calls degenerate and that certify qualifies (see _sign_search) wins;
+    the matrices are finite and exactly symmetric by construction, so its
+    _verdict is taken without degeneracy's checks.  Otherwise the vector
+    of least ratio wins with verdict and witness None, the earliest on
+    ties, as argmin takes it."""
+    signs = _signs_of(rows, m)
+    matrices = matrices_of(signs)
+    smin, smax = _spectrum_ends(matrices)
+    ratios = smin / smax
+    for i in np.flatnonzero(ratios <= _screen(tol, m)):
+        verdict = _verdict(matrices[i], tol)
+        if verdict.is_degenerate:
             witness = certify(signs[i], verdict)
             if witness is not None:
-                return signs[i].copy(), float(ratios[i]), verdict, witness
-        i = int(ratios.argmin())
-        if best_ratio is None or ratios[i] < best_ratio:
-            best_signs, best_ratio = signs[i].copy(), float(ratios[i])
-    return best_signs, best_ratio, None, None
+                return signs[i], float(ratios[i]), verdict, witness
+    i = int(ratios.argmin())
+    return signs[i], float(ratios[i]), None, None
 
 
 def _growing(rows: np.ndarray):
@@ -627,8 +612,7 @@ def _growing(rows: np.ndarray):
 
 
 def _stacked(m: int) -> bool:
-    """Whether a search over m objects solves all 2^(m-1) sign vectors in
-    one stacked eigvalsh, which then holds every vector, instead of
+    """Whether a search over m objects solves every sign vector instead of
     pruning them with the _SignPencil certificate.  Below 7 objects the
     certificate's fixed cost (one eigh, the table of y, its counts) is at
     least that of the 32 solves it would save."""
@@ -655,44 +639,42 @@ def _sign_search(matrices_of, m: int, tol: float, certify, rank_one=None):
     is as degenerate as any of them.
 
     matrices_of maps a (k, m) block of sign vectors to the (k, m, m) stack
-    of their matrices.  rank_one = (M, rho, b) states that the matrix of s
-    has the spectrum of M + rho (s*b)(s*b)^T; with it, and m past _stacked,
-    the given coorientation (row 0, every sign +1) is solved first, and it
-    ends the search when it qualifies.  Otherwise only the vectors the
-    _SignPencil certificate cannot rule out are solved.  The vectors that
-    may be degenerate come from one pass with Weyl's bound and are solved
-    in order, in growing chunks, so that a hit early in the order ends the
-    search.  When none qualifies, _SignPencil.least finds the least ratio.
-    Row 0 is solved once.  The answer is that of solving every vector in
-    order.
+    of their matrices.  The given coorientation (row 0, every sign +1) is
+    solved first, and ends the search when it qualifies.  The other rows
+    follow in order, in growing chunks, so that a hit early in the order
+    ends the search: every row when _stacked(m) or no rank_one is given,
+    else the rows the _SignPencil certificate cannot place above the
+    screen, the largest ratio that can be degenerate.  rank_one = (M, rho,
+    b) states that the matrix of s has the spectrum of M + rho (s*b)(s*b)^T.
+    The least solved ratio wins when every row was solved or it is at most
+    the screen, since each unsolved row is then certified above it;
+    otherwise _SignPencil.least finds the least ratio.  Row 0 is solved
+    once.  The answer is that of solving every vector in order.
     """
     tol = min(tol, DEFAULT_TOL)
-    if rank_one is None or _stacked(m):
-        return _scan_signs(matrices_of, m, tol, certify, sole=_stacked(m))
-    # the given coorientation is first in the order: when it qualifies,
-    # the certificate is never built
-    given = _scan_signs(matrices_of, m, tol, certify, _GIVEN)
+    best = given = _scan_signs(matrices_of, m, tol, certify, _GIVEN)
     if given[2] is not None:
         return given
-    best = given[1]
-    pencil = _SignPencil(*rank_one)
     screen = _screen(tol, m)
-    candidates = pencil.uncertain(screen, per_row=False)
-    for rows in _growing(candidates[candidates > 0]):
-        found = _scan_signs(matrices_of, m, tol, certify, rows, sole=candidates.size == 1)
+    rows, pencil = np.arange(1, 1 << (m - 1)), None
+    if rank_one is not None and not _stacked(m):
+        pencil = _SignPencil(*rank_one)
+        rows = pencil.uncertain(screen)
+        rows = rows[rows > 0]
+    for chunk in _growing(rows):
+        found = _scan_signs(matrices_of, m, tol, certify, chunk)
         if found[2] is not None:
             return found
-        best = min(best, found[1])
-    if candidates.size == 1 and candidates[0] == 0 and given[1] <= screen:
-        # the lone candidate is the least ratio, whatever certify said
-        return given
+        if found[1] < best[1]:
+            best = found
+    if pencil is None or best[1] <= screen:
+        return best
 
     def ratios(rows):
         return np.concatenate([lo / hi for _, lo, hi in _sign_spectra(matrices_of, m, rows)])
 
-    # every vector that can qualify was tried: the least ratio is left
-    row, ratio = pencil.least(best, ratios, given[1])
-    return next(_sign_blocks(m, np.array([row])))[0], ratio, None, None
+    row, ratio = pencil.least(best[1], ratios, given[1])
+    return _signs_of(np.array([row]), m)[0], ratio, None, None
 
 
 def _sign_candidates(rank_one, m: int, ratio: float) -> Optional[np.ndarray]:
@@ -894,16 +876,14 @@ class _SignPencil:
             self.smax[rows] = np.where(certified, np.minimum(bound, self._chord[rows]), self._chord[rows])
         return self.smax[rows]
 
-    def uncertain(
-        self, ratio: float, rows: Optional[np.ndarray] = None, per_row: bool = True
-    ) -> np.ndarray:
+    def uncertain(self, ratio: float, rows: Optional[np.ndarray] = None) -> np.ndarray:
         """The rows (all, or those listed) whose singular value ratio
         smin / max(smax, 1) is not certified to exceed ratio.
 
         Weyl's bound on smax serves all rows with one matvec per count.
-        per_row then retries the rows it kept with each row's chord bound
-        on smax, and, if at most _NEWTON_ROWS are left, with its Newton
-        bound; once _FEW rows or fewer are left, no further stage runs.
+        The rows it kept are retried with each row's chord bound on smax,
+        and, if at most _NEWTON_ROWS are left, with its Newton bound; once
+        _FEW rows or fewer are left, no further stage runs.
         """
         if rows is None:
             rows = np.arange(len(self.y2))
@@ -913,7 +893,7 @@ class _SignPencil:
         keep = ~self._clear(y2, self._off_spectrum(T))
         rows = rows[keep]
         # a per-row bound on smax tightens T only where ratio, not eta, sets it
-        if not per_row or rows.size <= _FEW or ratio * max(self.weyl, 1.0) <= self.eta:
+        if rows.size <= _FEW or ratio * max(self.weyl, 1.0) <= self.eta:
             return rows
         y2 = y2[keep]
         T = ratio * np.maximum(self._chord[rows], 1.0) * slack + 3.0 * self.eta
@@ -1084,14 +1064,15 @@ def _checked_case(ns: np.ndarray, kernel: np.ndarray) -> Optional[tuple[CaseyCas
 
 def _searched_verdict(matrices_of, m: int, tol: float, search: bool, certify, rank_one=None):
     """(signs, verdict, witness) of _sign_search, or of the given signs (all
-    +1) without search and their verdict at tol.  The matrices are finite and
-    exactly symmetric by construction, so verdicts skip degeneracy's checks."""
+    +1) without search and their verdict at tol.  MAX_FAMILY bounds the
+    search alone.  The matrices are finite and exactly symmetric by
+    construction, so verdicts skip degeneracy's checks."""
     if tol <= 0:
         raise InvalidInput("tol must be positive")
-    if m > MAX_FAMILY:
-        raise InvalidInput(f"family too large for sign search (max {MAX_FAMILY})")
     signs, verdict, witness = np.ones(m), None, None
     if search:
+        if m > MAX_FAMILY:
+            raise InvalidInput(f"family too large for sign search (max {MAX_FAMILY})")
         signs, _, verdict, witness = _sign_search(matrices_of, m, tol, certify, rank_one)
     if verdict is None:
         verdict = _verdict(matrices_of(signs), tol)

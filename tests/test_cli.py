@@ -20,6 +20,8 @@ from lorentzgram.cli import THEOREMS, _build_parser, main
 from lorentzgram.errors import GeometryError, SchemaViolation
 from lorentzgram.generators import GenKind, GenSpec, generate
 
+from test_theorems import oversized_families
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -716,6 +718,22 @@ class TestTheoremFlag:
         assert rep["theorem"] == "casey_e"
 
 
+class TestPtolemy1Membership:
+    @pytest.mark.parametrize("tol", ["1e-9", "1e-6", "1e-4", "1e-3"])
+    def test_off_surface_point_exits_two_at_every_tol(self, capsys, tmp_path, tol):
+        # point 0 scaled off its horosphere by a relative 1e-5, kept on the
+        # hyperboloid: membership is checked at 1e-7 whatever --tol is
+        scene = generate_scene(
+            capsys, tmp_path, "--kind", "points_on_horosphere", "--n", "3",
+            "--seed", "1", "--count", "4")
+        doc = json.loads(Path(scene).read_text())
+        coords = doc["objects"][0]["coords"]
+        x = [c * (1.0 + 1e-5) for c in coords[:-1]]
+        doc["objects"][0]["coords"] = x + [math.sqrt(1.0 + sum(c * c for c in x))]
+        code, rep = run_doc(capsys, "verify", "--tol", tol, write_scene(tmp_path, doc, "off.json"))
+        assert (code, rep["error"]) == (2, "HypothesisViolated")
+
+
 class TestSearchFlag:
     def test_no_search_keeps_given_signs(self, capsys, tmp_path):
         scene = generate_scene(
@@ -731,6 +749,25 @@ class TestSearchFlag:
         code, rep = run_doc(capsys, "verify", flipped)
         assert code == 0
         assert rep["signs"] == [1, -1, 1, 1]
+
+
+    @pytest.mark.parametrize("command", ["verify", "classify"])
+    def test_family_size_caps_the_search_only(self, capsys, tmp_path, command):
+        # 17 hyperplanes of R^{16,1} and 18 spheres of R^16 are valid input:
+        # without the search they get a verdict, with it the search is refused
+        hs, ss = oversized_families()
+        docs = [{"schema": "lorentz-gram/1", "dimension": lg.MAX_FAMILY, "theorem": "casey",
+                 "objects": [{"type": "hyperplane", "normal": h.normal.tolist()} for h in hs]},
+                {"schema": "lorentz-gram/1", "dimension": lg.MAX_FAMILY, "theorem": "casey_e",
+                 "objects": [{"type": "sphere_e", "centre": s.centre.tolist(), "radius": s.radius,
+                              "eps": s.eps} for s in ss]}]
+        for doc in docs:
+            scene = write_scene(tmp_path, doc)
+            code, rep = run_doc(capsys, command, scene, "--no-search-signs")
+            assert code in (0, 1), rep
+            assert rep["signs"] == [1] * len(doc["objects"])
+            assert run_doc(capsys, command, scene) == (2, {
+                "error": "InvalidInput", "message": "family too large for sign search (max 16)"})
 
 
 def assert_null_case_has_reason(code, rep, command):

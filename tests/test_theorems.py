@@ -309,6 +309,17 @@ class TestPtolemy1:
         with pytest.raises(lg.HypothesisViolated):
             lg.ptolemy1_test(pts, wrong)
 
+    @pytest.mark.parametrize("tol", [1e-9, 1e-6, 1e-4, 1e-3])
+    def test_membership_threshold_is_fixed(self, tol):
+        # one point moved off its horosphere by a relative 1e-5: a loose
+        # tol loosens the verdict, not the check on the input
+        cfg = lg.generate(lg.GenSpec("points_on_horosphere", 3, seed=1, count=4))
+        pts = [p.coords for p in cfg.objects]
+        x = pts[0][:-1] * (1.0 + 1e-5)
+        pts[0] = np.append(x, math.sqrt(1.0 + x @ x))
+        with pytest.raises(lg.HypothesisViolated):
+            lg.ptolemy1_test([lg.HPoint(p) for p in pts], cfg.surface, tol)
+
     def test_degenerate_datum(self):
         # a raw unit spacelike datum encodes a hyperplane, which the shift
         # construction cannot invert
@@ -533,6 +544,18 @@ class TestCasey:
         with pytest.raises(lg.InvalidInput):
             lg.casey_test(normals)
 
+    def test_family_size_caps_the_search_only(self):
+        # past MAX_FAMILY objects the given coorientation still gets a
+        # verdict; only the search over 2^(m-1) flips is refused
+        hs, ss = oversized_families()
+        message = r"family too large for sign search \(max 16\)"
+        for family, test in ((hs, lg.casey_test), (ss, lg.corollary_d_test)):
+            res = test(family, search=False)
+            assert res.signs == (1,) * len(family)
+            assert res.verdict.sigma_max > 0.0
+            with pytest.raises(lg.InvalidInput, match=message):
+                test(family)
+
     @pytest.mark.parametrize("tol", [1e-2, 1e-1, 1.0])
     def test_loose_tol_keeps_the_exact_case(self, tol):
         # the kernel's structure is decided at DEFAULT_TOL whatever the
@@ -574,6 +597,20 @@ class TestCasey:
         assert not report.passed
         assert any("inclination" in f for f in report.failures)
         assert any("independent" in f for f in report.failures)
+
+
+def oversized_families():
+    """MAX_FAMILY + 1 random cooriented hyperplanes of R^{16,1} and
+    MAX_FAMILY + 2 random cooriented spheres of R^16."""
+    rng = np.random.default_rng(46)
+    dim = lg.MAX_FAMILY + 1
+    v = rng.standard_normal((dim, dim))
+    v[:, -1] *= 0.1  # keeps every row spacelike
+    v /= np.sqrt(np.sum(v * v * lg.metric_diag(dim), axis=1))[:, None]
+    hs = [lg.CoHyperplane(x) for x in v]
+    ss = [lg.CoSphereE(rng.standard_normal(dim - 1), float(rng.uniform(0.5, 1.5)),
+                       1 if rng.random() < 0.5 else -1) for _ in range(dim + 1)]
+    return hs, ss
 
 
 def apply_signs(hyperplanes, signs):
@@ -921,8 +958,8 @@ class TestPrunedSignSearch:
         return theorems._signed_sigma(lg.gram([h.normal for h in objs]), np.ones(len(objs)))
 
     def test_given_coorientation_ends_the_search(self, monkeypatch):
-        # a degenerate family as generated is certified at row 0, so the
-        # certificate is never built and one matrix is solved
+        # a degenerate family as generated is certified at row 0, at every
+        # size, so the certificate is never built and one matrix is solved
         eigvalsh, solved, pencils = np.linalg.eigvalsh, [], []
 
         def counting(a):
@@ -937,7 +974,7 @@ class TestPrunedSignSearch:
         monkeypatch.setattr(np.linalg, "eigvalsh", counting)
         monkeypatch.setattr(theorems, "_SignPencil", CountingPencil)
         for kind in self.DEGENERATE_KINDS:
-            for m in (7, 12, lg.MAX_FAMILY):
+            for m in (4, 5, 6, 7, 12, lg.MAX_FAMILY):
                 objs, test = self.family(kind, m, 0)
                 solved.clear()
                 pencils.clear()
@@ -1084,6 +1121,31 @@ class TestDegenerateSignContract:
             res = lg.casey_test([lg.CoHyperplane(x) for x in v])
             assert not res.verdict.is_degenerate, (n, seed)
 
+    def test_perturbed_orth_equal_families_end_without_least_ratio_rounds(self, monkeypatch):
+        # the families of the xfail above: their near-cancelling flips fail
+        # certify, and the least of them is below the screen, so every row
+        # left unsolved is certified above it and the search ends there
+        least, calls = theorems._SignPencil.least, []
+
+        def counting(pencil, *args):
+            calls.append(1)
+            return least(pencil, *args)
+
+        monkeypatch.setattr(theorems._SignPencil, "least", counting)
+        for n, seed in ((13, 2), (15, 5)):
+            hs = lg.generate(lg.GenSpec("hyperplanes_orth_equal", n, seed=seed)).objects
+            ns = np.stack([h.normal for h in hs])
+            v = ns + 1e-3 * np.random.default_rng(seed).standard_normal(ns.shape)
+            v /= np.sqrt(np.sum(v * v * lg.metric_diag(n + 1), axis=1))[:, None]
+            hs = [lg.CoHyperplane(x) for x in v]
+            calls.clear()
+            signs = lg.casey_test(hs).signs
+            assert not calls, (n, seed)
+            G = lg.gram([h.normal for h in hs])
+            ref = reference_sign_search(lambda s: theorems._signed_sigma(G, s), n + 1,
+                                        checks=witness_checks(hs))[0]
+            assert signs == tuple(int(s) for s in ref), (n, seed)
+
     def test_largest_all_degenerate_family_solves_few(self, monkeypatch):
         # the full enumeration would solve all 2^15 matrices
         rng = np.random.default_rng(42)
@@ -1215,9 +1277,8 @@ class TestCarriedWitnessReport:
         "spheres_tangent_to_circle", "spheres_through_point",
     ])
     def test_carried_report_equals_a_fresh_check(self, kind):
-        # every size up to MAX_FAMILY objects: from 7 objects the given
-        # coorientation is decided first, and a certified one carries its
-        # report out of that first solve
+        # every size up to MAX_FAMILY objects: every case the search
+        # certified carries its report, a lone degenerate flip included
         rng = np.random.default_rng(44)
         spheres = kind.startswith("spheres_")
         carried = 0
@@ -1237,8 +1298,6 @@ class TestCarriedWitnessReport:
                         continue
                     if spheres:
                         assert res.lifts.tobytes() == normals.tobytes()
-                    if res.witness_report is None:  # a lone hit, classified after the search
-                        continue
                     flipped = np.array(res.signs, dtype=float)[:, None] * normals
                     fresh = lg.casey_witness_check(res.case, flipped)
                     got = res.witness_report
@@ -1246,7 +1305,7 @@ class TestCarriedWitnessReport:
                     assert (got.passed, got.failures) == (fresh.passed, fresh.failures)
                     carried += 1
         # a generic family has no degenerate coorientation; every other kind
-        # is certified at its given coorientation from 7 objects
+        # is certified at its given coorientation
         if kind != "generic_hyperplanes":
             assert carried > 0
 
