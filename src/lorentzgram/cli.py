@@ -137,14 +137,11 @@ def _error_doc(exc: Exception) -> dict:
 # scene parsing
 
 
-def _need(rec: dict, key: str, where: str):
-    if key not in rec:
-        raise SchemaViolation(f"{where}: missing field {key!r}")
-    return rec[key]
-
-
 def _fields(recs: list, key: str, where: str) -> list:
-    return [_need(rec, key, where) for rec in recs]
+    try:
+        return [rec[key] for rec in recs]  # dicts, as _form checked
+    except KeyError:
+        raise SchemaViolation(f"{where}: missing field {key!r}") from None
 
 
 def _floats(values: list, length: int, where: str) -> np.ndarray:
@@ -172,7 +169,7 @@ def _scalars(recs: list, key: str, where: str, unit: bool = False) -> list:
     if any(isinstance(x, bool) or not isinstance(x, (int, float)) for x in xs):
         raise SchemaViolation(f"{where}: {key} must be a number")
     if unit:
-        if any(x not in (1, -1) for x in xs):
+        if not {*xs} <= {1, -1}:
             raise SchemaViolation(f"{where}: {key} must be +1 or -1")
         return [int(x) for x in xs]
     if not all(abs(x) <= sys.float_info.max for x in xs):  # also ints too large for a float
@@ -194,7 +191,9 @@ def _form(rec, where: str) -> tuple[str, Optional[str]]:
     """(type, ball-model key or None) of one record."""
     if not isinstance(rec, dict):
         raise SchemaViolation(f"{where}: record must be an object")
-    kind = _need(rec, "type", where)
+    if "type" not in rec:
+        raise SchemaViolation(f"{where}: missing field 'type'")
+    kind = rec["type"]
     keys = _FORMS.get(kind) if isinstance(kind, str) else None
     if keys is None:
         raise SchemaViolation(f"{where}: unknown record type {kind!r}")
@@ -364,11 +363,14 @@ def load_scene(path: str, theorem: Optional[str] = None) -> tuple[Scene, str]:
     raw = Path(path).read_bytes()
     try:
         doc = json.loads(raw.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:  # integers past the digit limit, nesting too deep
         raise SchemaViolation(f"not valid JSON: {exc}") from exc
     scene = parse_scene(doc, theorem)
-    # hash the canonical form so reformatting a scene keeps its digest
-    digest = hashlib.sha256(canonical_json(doc).encode("utf-8")).hexdigest()
+    try:
+        # hash the canonical form so reformatting a scene keeps its digest
+        digest = hashlib.sha256(canonical_json(doc).encode("utf-8")).hexdigest()
+    except RecursionError as exc:  # nesting the encoder cannot re-encode
+        raise SchemaViolation(f"not valid JSON: {exc}") from exc
     return scene, digest
 
 

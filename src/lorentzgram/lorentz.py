@@ -11,8 +11,10 @@ hyperbolic n-space is the sheet {<x, x> = -1, x_{n+1} > 0}.
 Each vector is validated once.  as_vector is the one validator, called
 where a vector enters from outside (the public functions here, the object
 constructors; a scene's families enter as arrays that the command line
-checks whole); code that already holds a validated array takes <x, y> as
-_dot(x, y), the same arithmetic as inner without validating again.
+checks whole); code that already holds a validated array, the witness
+reading and checking in theorems included, takes <x, y> as _dot(x, y), the
+same arithmetic as inner without validating again, and <r, y> for each row
+r of a family as _products(R, y).
 
 The module also owns the degeneracy test used by every theorem in the
 package: a symmetric matrix of inner products is "degenerate" when its
@@ -71,17 +73,23 @@ def inner(x, y) -> float:
 
 def inners(rows, y) -> list[float]:
     """inner(r, y) for every row r of a 2-d array, bit for bit, with the
-    rows and y validated once instead of once per product."""
+    rows and y validated once and the products taken in one batch."""
     R, yv = np.asarray(rows, dtype=float), as_vector(y)
     if R.ndim != 2 or R.shape[1] != yv.shape[0]:
         raise DimensionMismatch(f"rows of shape {R.shape} and length {yv.shape[0]} differ")
     if not np.all(np.isfinite(R)):
         raise InvalidInput("coordinates must be finite")
-    return [_dot(r, yv) for r in R]
+    return _products(R, yv).tolist()
 
 
 def _dot(xv: np.ndarray, yv: np.ndarray) -> float:
     return float(np.dot(xv[:-1], yv[:-1]) - xv[-1] * yv[-1])
+
+
+def _products(R: np.ndarray, yv: np.ndarray) -> np.ndarray:
+    """_dot(r, yv) for each row r of a validated 2-d R, bit for bit: vecdot
+    sums a row as np.dot does, where R @ (D * yv) or einsum do not."""
+    return np.vecdot(R[:, :-1], yv[:-1]) - R[:, -1] * yv[-1]
 
 
 def _finite_dot(xv: np.ndarray, yv: np.ndarray) -> float:
@@ -116,11 +124,15 @@ def classify(x, tol: float = DEFAULT_TOL) -> SignClass:
         raise InvalidInput("tol must be positive")
     v = as_vector(x)
     q = _finite_dot(v, v)
-    # |x|_inf^2 is one of the terms of the finite q, so it is finite too
-    scale = 1.0 + float(np.abs(v).max()) ** 2
-    if abs(q) <= tol * scale:
+    if _lightlike(q, v, tol):
         return SignClass.LIGHTLIKE
     return SignClass.SPACELIKE if q > 0 else SignClass.TIMELIKE
+
+
+def _lightlike(q: float, v: np.ndarray, tol: float) -> bool:
+    """classify's test of a vector v with <v, v> = q.  |v|_inf^2 is one of
+    the terms of q, so it is finite when q is."""
+    return abs(q) <= tol * (1.0 + float(np.abs(v).max()) ** 2)
 
 
 def gram(vectors: Sequence) -> np.ndarray:
@@ -168,13 +180,13 @@ class DegeneracyVerdict:
 
 def _canonical_sign(v: np.ndarray) -> np.ndarray:
     """Flip sign so the largest-magnitude entry (earliest on ties) is positive."""
-    k = int(np.argmax(np.abs(v)))
+    k = int(np.abs(v).argmax())
     return -v + 0.0 if v[k] < 0 else v + 0.0  # adding 0.0 clears negative zeros
 
 
 def first_nonzero_positive(v: np.ndarray) -> np.ndarray:
     """Flip sign so the first non-negligible entry is positive."""
-    scale = float(np.max(np.abs(v)))
+    scale = float(np.abs(v).max())
     if scale == 0.0:
         return v + 0.0
     for entry in v:
@@ -212,13 +224,13 @@ def _verdict(S: np.ndarray, tol: float) -> DegeneracyVerdict:
     built S so by construction calls this directly."""
     eigvals, eigvecs = np.linalg.eigh(S)
     sigmas = np.abs(eigvals)
-    i_min = int(np.argmin(sigmas))
+    i_min = int(sigmas.argmin())
     sigma_min = float(sigmas[i_min])
     sigma_max = float(sigmas.max())
     # finite eigenvalues whose product overflows give an infinite det, which
-    # the report encoder refuses; it is not a warning
-    with np.errstate(over="ignore"):
-        det_value = float(eigvals.prod())
+    # the report encoder refuses; it is not a warning.  math.prod multiplies
+    # in the order ndarray.prod does, without a floating-point error state
+    det_value = math.prod(eigvals.tolist())
     is_degenerate = sigma_min <= tol * max(sigma_max, 1.0)
     kernel = _canonical_sign(eigvecs[:, i_min].copy()) if is_degenerate else None
     return DegeneracyVerdict(

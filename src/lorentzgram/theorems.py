@@ -46,17 +46,17 @@ from .errors import (
 from .lorentz import (
     DEFAULT_TOL,
     DegeneracyVerdict,
-    SignClass,
     as_vector,
-    classify,
     degeneracy,
     first_nonzero_positive,
     gram,
     inner,
-    inners,
     metric_diag,
     norm_sq,
     null_basis,
+    _dot,
+    _lightlike,
+    _products,
     _require_finite,
     _verdict,
 )
@@ -117,7 +117,7 @@ def _tau_parts(spheres: Sequence[CoSphereE]) -> tuple[np.ndarray, np.ndarray]:
     """
     if any(s.centre.shape != spheres[0].centre.shape for s in spheres):
         raise DimensionMismatch("spheres live in different dimensions")
-    c = np.stack([s.centre for s in spheres])
+    c = np.array([s.centre for s in spheres])
     r = np.array([s.radius for s in spheres])
     # far or huge spheres overflow to inf here; casey_e rejects that before its search
     with np.errstate(over="ignore", invalid="ignore"):
@@ -385,9 +385,9 @@ def _fit_from_direction(coords: np.ndarray, y: np.ndarray) -> UmbilicalFit:
     """Normalize a common direction <p_i, y> = const into an UmbilicalFit."""
     if float(np.max(np.abs(y))) <= _STRUCTURE:
         raise NoReliableKernel("fitted direction vanishes")
-    sign = classify(y, _STRUCTURE)
+    q = _dot(y, y)  # y is read off validated points
     D = metric_diag(coords.shape[1])
-    if sign is SignClass.LIGHTLIKE:
+    if _lightlike(q, y, _STRUCTURE):
         levels = coords @ (y * D)
         if y[-1] < 0:
             y, levels = -y, -levels
@@ -395,8 +395,8 @@ def _fit_from_direction(coords: np.ndarray, y: np.ndarray) -> UmbilicalFit:
         if m >= 0:
             raise NoReliableKernel("lightlike fit has nonnegative level")
         kind, datum, offset = SurfaceKind.HOROSPHERE, y / (-m * math.sqrt(2.0)), HOROSPHERE_LEVEL
-    elif sign is SignClass.TIMELIKE:
-        c = y / math.sqrt(-norm_sq(y))
+    elif q < 0:
+        c = y / math.sqrt(-q)
         if c[-1] < 0:
             c = -c
         s = float(np.mean(coords @ (c * D)))
@@ -404,7 +404,7 @@ def _fit_from_direction(coords: np.ndarray, y: np.ndarray) -> UmbilicalFit:
             raise NoReliableKernel("timelike fit puts points at imaginary radius")
         kind, datum, offset = SurfaceKind.HYPERSPHERE, c, s
     else:
-        v = y / math.sqrt(norm_sq(y))
+        v = y / math.sqrt(q)
         m = float(np.mean(coords @ (v * D)))
         if abs(m) <= _STRUCTURE:
             kind, datum, offset = SurfaceKind.HYPERPLANE, first_nonzero_positive(v), 0.0
@@ -954,16 +954,15 @@ def _case_iii(u: np.ndarray, w: np.ndarray, alpha: float) -> CaseyCase:
     spacelike with square norm above alpha^2, which caps the inclination
     below 1 while preserving the constant inner products.
     """
-    a = abs(inner(w, u))
-    s = 1.0 if inner(w, u) >= 0 else -1.0
-    qw = norm_sq(w)
-    t = a + math.sqrt(max(0.0, alpha * alpha - qw)) + 1.0
+    wu = _dot(w, u)
+    s = 1.0 if wu >= 0 else -1.0
+    t = abs(wu) + math.sqrt(max(0.0, alpha * alpha - _dot(w, w))) + 1.0
     z = w + (t * s) * u
-    qz = norm_sq(z)
+    qz = _dot(z, z)
     while qz <= alpha * alpha + 1e-12:
         t *= 2.0
         z = w + (t * s) * u
-        qz = norm_sq(z)
+        qz = _dot(z, z)
     w_star = first_nonzero_positive(z / math.sqrt(qz))
     lam = abs(alpha) / math.sqrt(qz)
     return CaseyCase(
@@ -987,15 +986,14 @@ def _classify_from_kernel(ns: np.ndarray, kernel: np.ndarray) -> CaseyCase:
     threshold _STRUCTURE whatever tol called the matrix degenerate: a
     looser threshold calls an exact family's tangent witness lightlike or
     zero.  A kernel with none of the structures there raises
-    NoReliableKernel.
+    NoReliableKernel.  ns is a validated family: every product is _dot.
     """
     dim = ns.shape[1]
-    D = metric_diag(dim)
     v = ns.T @ kernel
-    vscale = float(np.sum(np.abs(kernel)) * np.max(np.abs(ns)))
-    if float(np.max(np.abs(v))) > _STRUCTURE * (1.0 + vscale):
-        nu = norm_sq(v)
-        if abs(nu) <= _STRUCTURE * (1.0 + float(np.max(np.abs(v))) ** 2):
+    big = float(np.abs(ns).max())
+    if float(np.abs(v).max()) > _STRUCTURE * (1.0 + float(np.abs(kernel).sum()) * big):
+        nu = _dot(v, v)
+        if _lightlike(nu, v, _STRUCTURE):
             return CaseyCase(CaseyCaseKind.COMMON_IDEAL_POINT, ideal_point=_forward_unit(v))
         if nu < 0:
             raise NoReliableKernel("weighted normal combination is timelike")
@@ -1006,6 +1004,7 @@ def _classify_from_kernel(ns: np.ndarray, kernel: np.ndarray) -> CaseyCase:
     # v ~ 0: the differences n_i - n_last span at most n-1 dimensions, so
     # their orthogonal complement holds at least a plane to choose from
     diffs = ns[:-1] - ns[-1]
+    D = metric_diag(dim)
     # one full SVD gives the nullity and the basis null_basis would give
     _, svals, vt = np.linalg.svd(diffs * D)
     smax = max(float(svals[0]), 1.0) if svals.size else 1.0
@@ -1013,22 +1012,22 @@ def _classify_from_kernel(ns: np.ndarray, kernel: np.ndarray) -> CaseyCase:
     B = vt[dim - nullity :].T
     c = B.T @ (D * ns[-1])
     cnorm = float(np.linalg.norm(c))
-    if cnorm <= _STRUCTURE * (1.0 + float(np.max(np.abs(ns)))):
+    if cnorm <= _STRUCTURE * (1.0 + big):
         u, w, alpha = B[:, 0], B[:, 1], float(c[1])
     else:
         coeff = null_basis(c[None, :], nullity=B.shape[1] - 1)[:, 0]
         u = B @ coeff
         w = B @ (c / cnorm)
         alpha = cnorm
-    cls = classify(u, _STRUCTURE)
-    if cls is SignClass.LIGHTLIKE:
+    qu = _dot(u, u)
+    if _lightlike(qu, u, _STRUCTURE):
         return CaseyCase(CaseyCaseKind.COMMON_IDEAL_POINT, ideal_point=_forward_unit(u))
-    if cls is SignClass.SPACELIKE:
-        return _case_iii(u / math.sqrt(norm_sq(u)), w, alpha)
+    if qu > 0:
+        return _case_iii(u / math.sqrt(qu), w, alpha)
     # u timelike: project w off u and renormalize
-    u = u / math.sqrt(-norm_sq(u))
-    y = w + inner(w, u) * u
-    qy = norm_sq(y)
+    u = u / math.sqrt(-qu)
+    y = w + _dot(w, u) * u
+    qy = _dot(y, y)
     if qy <= _STRUCTURE:
         raise NoReliableKernel("projected witness direction degenerates")
     y = y / math.sqrt(qy)
@@ -1043,7 +1042,7 @@ def _classify_from_kernel(ns: np.ndarray, kernel: np.ndarray) -> CaseyCase:
     if abs(alpha) > 1.0:
         raise NoReliableKernel("inclination outside the unit interval")
     z = y / alpha + math.sqrt(max(0.0, 1.0 / alpha**2 - 1.0)) * u
-    qz = norm_sq(z)
+    qz = _dot(z, z)
     return CaseyCase(
         CaseyCaseKind.TANGENT_HYPERPLANE_AT_INFINITY,
         tangent_normal=first_nonzero_positive(z / math.sqrt(qz)),
@@ -1152,13 +1151,6 @@ def casey_test(
     ))
 
 
-def _common_value_gap(values, size: float) -> float:
-    """Largest |value - c| for the common value c = +-size signed like the mean."""
-    values = np.asarray(values)
-    c = size if float(np.mean(values)) >= 0 else -size
-    return float(np.max(np.abs(values - c)))
-
-
 def casey_witness_check(
     case: CaseyCase,
     hyperplanes: Union[Sequence[CoHyperplane], np.ndarray],
@@ -1180,41 +1172,42 @@ def casey_witness_check(
     """
     ns = hyperplanes
     if not isinstance(ns, np.ndarray):
-        ns = np.stack([h.normal for h in ns])
-    failures: list[str] = []
+        ns = np.array([h.normal for h in ns])
+    elif not np.isfinite(ns).all():
+        raise InvalidInput("coordinates must be finite")
+    # (witness vector, its square norm, its common value with the normals)
     if case.kind is CaseyCaseKind.TANGENT_HYPERPLANE_AT_INFINITY:
-        w = as_vector(case.tangent_normal)
-        residual = max(
-            _common_value_gap(inners(ns, w), 1.0),
-            abs(norm_sq(w) - 1.0),
-        )
+        terms = [(case.tangent_normal, 1.0, 1.0)]
     elif case.kind is CaseyCaseKind.COMMON_IDEAL_POINT:
         w = as_vector(case.ideal_point)
         wnorm = float(np.linalg.norm(w))
         if wnorm == 0.0:
             return WitnessReport(math.inf, False, ("zero witness",))
-        w = w / wnorm
-        residual = max(
-            float(np.max(np.abs(inners(ns, w)))),
-            abs(norm_sq(w)),
-        )
+        terms = [(w / wnorm, 0.0, 0.0)]
     elif case.kind is CaseyCaseKind.ORTHOGONAL_EQUALLY_INCLINED:
-        u = as_vector(case.orthogonal_normal)
-        v = as_vector(case.inclined_normal)
         lam = float(case.inclination)
-        residual = max(
-            float(np.max(np.abs(inners(ns, u)))),
-            _common_value_gap(inners(ns, v), lam),
-            abs(norm_sq(u) - 1.0),
-            abs(norm_sq(v) - 1.0),
-        )
-        if not (0.0 <= lam < 1.0):
-            failures.append("inclination outside [0, 1)")
-        svals = np.linalg.svd(np.stack([u, v]), compute_uv=False)
-        if svals[-1] <= 1e-9 * svals[0]:
-            failures.append("witness pair not independent")
+        terms = [(case.orthogonal_normal, 1.0, 0.0), (case.inclined_normal, 1.0, lam)]
     else:
         raise InvalidInput(f"unknown case kind {case.kind}")
+    witnesses, gaps, defects = [as_vector(x) for x, _, _ in terms], [], []
+    for w, (_, norm, value) in zip(witnesses, terms):
+        if ns.ndim != 2 or ns.shape[1] != w.shape[0]:
+            raise DimensionMismatch(f"rows of shape {ns.shape} and length {w.shape[0]} differ")
+        q = _dot(w, w)
+        if not math.isfinite(q):
+            raise InvalidInput("inner product is not representable")
+        products = _products(ns, w)  # all of them in one batch
+        c = value if float(products.sum()) / products.size >= 0 else -value  # signed like the mean
+        gaps.append(float(np.abs(products - c).max()))
+        defects.append(abs(q - norm))
+    residual = max(gaps + defects)
+    failures: list[str] = []
+    if case.kind is CaseyCaseKind.ORTHOGONAL_EQUALLY_INCLINED:
+        if not (0.0 <= lam < 1.0):
+            failures.append("inclination outside [0, 1)")
+        svals = np.linalg.svd(np.array(witnesses), compute_uv=False)
+        if svals[-1] <= 1e-9 * svals[0]:
+            failures.append("witness pair not independent")
     passed = residual <= tol and not failures
     return WitnessReport(residual=residual, passed=passed, failures=tuple(failures))
 
@@ -1245,14 +1238,18 @@ class EuclideanCaseyCase:
 @dataclass(frozen=True, eq=False)
 class CoroDResult:
     """lifts is sphere_lifts of the spheres when a case was classified on
-    them, else None; witness_report is as in CaseyResult, on the lifts."""
+    them, else None; witness_report is as in CaseyResult, on the lifts.
+    euclidean, the Euclidean reading of case, is built when first read."""
 
     signs: tuple[int, ...]
     verdict: DegeneracyVerdict
     case: Optional[CaseyCase]
-    euclidean: Optional[EuclideanCaseyCase]
     lifts: Optional[np.ndarray] = None
     witness_report: Optional[WitnessReport] = None
+
+    @functools.cached_property
+    def euclidean(self) -> Optional[EuclideanCaseyCase]:
+        return None if self.case is None else _euclidean_case(self.case)
 
 
 def _euclidean_case(case: CaseyCase) -> EuclideanCaseyCase:
@@ -1318,5 +1315,5 @@ def corollary_d_test(
         frame, _tau_rank_one(parts, eps, radii),
     )
     if case is None:
-        return CoroDResult(signs, verdict, None, None)
-    return CoroDResult(signs, verdict, case, _euclidean_case(case), lifts(), report)
+        return CoroDResult(signs, verdict, None)
+    return CoroDResult(signs, verdict, case, lifts(), report)

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import lorentzgram as lg
-from lorentzgram import cli
+from lorentzgram import cli, theorems
 from lorentzgram.cli import THEOREMS, _build_parser, main
 from lorentzgram.errors import GeometryError, SchemaViolation
 from lorentzgram.generators import GenKind, GenSpec, generate
@@ -770,6 +770,26 @@ class TestSearchFlag:
                 "error": "InvalidInput", "message": "family too large for sign search (max 16)"})
 
 
+class TestEuclideanReading:
+    """verify drops a casey_e report's euclidean block, so it never builds
+    it; classify builds it once and reports it unchanged."""
+
+    @pytest.mark.parametrize("kind", ["spheres_tangent_to_circle", "spheres_through_point"])
+    def test_only_classify_builds_it(self, capsys, tmp_path, monkeypatch, kind):
+        scene = generate_scene(capsys, tmp_path, "--kind", kind, "--n", "3", "--seed", "1")
+        _, want = run_doc(capsys, "classify", scene)
+        calls = []
+        build = theorems._euclidean_case
+        monkeypatch.setattr(theorems, "_euclidean_case", lambda case: calls.append(case) or build(case))
+        for flags in ([], ["--emit-disk"], ["--no-search-signs"]):
+            code, doc = run_doc(capsys, "verify", scene, *flags)
+            assert code == 0 and doc["case_kind"] is not None
+        assert calls == []
+        code, got = run_doc(capsys, "classify", scene)
+        assert code == 0 and len(calls) == 1
+        assert got["euclidean"] == want["euclidean"] is not None
+
+
 def assert_null_case_has_reason(code, rep, command):
     """A degenerate report exits 0; its case is null exactly when it gives
     the reason."""
@@ -838,6 +858,23 @@ class TestErrors:
         code, doc = run_doc(capsys, "verify", str(path))
         assert code == 2
         assert doc["error"] == "SchemaViolation"
+
+    @pytest.mark.parametrize("name", ["deep.json", "digits.json"])
+    def test_undecodable_scene_exits_2(self, capsys, tmp_path, name):
+        code, doc = run_doc(capsys, "verify", undecodable_scenes(tmp_path)[name])
+        assert code == 2
+        assert doc["error"] == "SchemaViolation"
+        assert doc["message"].startswith("not valid JSON: ")
+
+    def test_digest_too_deep_to_encode_is_a_schema_violation(self, capsys, tmp_path, monkeypatch):
+        scene = generate_scene(capsys, tmp_path, "--kind", "generic_points", "--n", "2",
+                               "--seed", "1")
+
+        def too_deep(doc):
+            raise RecursionError("maximum recursion depth exceeded while encoding a JSON object")
+        monkeypatch.setattr(cli, "canonical_json", too_deep)
+        with pytest.raises(SchemaViolation, match="^not valid JSON: maximum recursion"):
+            cli.load_scene(scene)
 
     def test_wrong_schema_tag(self, capsys, tmp_path):
         scene = write_scene(tmp_path, {"schema": "other/9", "dimension": 2, "theorem": "penner",
@@ -1089,6 +1126,53 @@ class TestBatch:
         _, single = run_doc(capsys, "verify", generic)
         assert doc["reports"]["b_generic.json"] == single
         assert single["verdict"]["degenerate"] is False
+
+    @staticmethod
+    def undecodable_beside_valid(capsys, tmp_path, name) -> tuple[Path, str]:
+        """A batch directory holding one undecodable scene and one valid
+        degenerate scene, and the valid scene's single verify report."""
+        batch = tmp_path / "batch"
+        batch.mkdir()
+        scene = generate_scene(capsys, batch, "--kind", "spheres_through_point", "--n", "3",
+                               "--seed", "1", name="valid.json")
+        _, single = run(capsys, "verify", scene)
+        undecodable_scenes(tmp_path)
+        (tmp_path / name).rename(batch / name)
+        return batch, single
+
+    @pytest.mark.parametrize("name", ["deep.json", "digits.json"])
+    def test_undecodable_scene_fails_alone(self, capsys, tmp_path, name):
+        batch, single = self.undecodable_beside_valid(capsys, tmp_path, name)
+        code, doc = run_doc(capsys, "verify", "--scenes-dir", str(batch))
+        assert code == 2
+        assert doc["reports"][name]["error"] == "SchemaViolation"
+        assert doc["reports"]["valid.json"] == json.loads(single)
+
+    @pytest.mark.parametrize("name", ["deep.json", "digits.json"])
+    def test_undecodable_scene_fails_alone_in_a_process(self, capsys, tmp_path, name):
+        batch, single = self.undecodable_beside_valid(capsys, tmp_path, name)
+        out = python("-m", "lorentzgram.cli", "verify", "--scenes-dir", str(batch),
+                     capture_output=True, text=True)
+        assert out.returncode == 2, out.stderr
+        assert out.stderr == ""
+        doc = json.loads(out.stdout)
+        assert doc["reports"][name]["error"] == "SchemaViolation"
+        assert doc["reports"]["valid.json"] == json.loads(single)
+
+
+def undecodable_scenes(directory) -> dict:
+    """Two casey scene files the JSON decoder refuses by raising other
+    than JSONDecodeError: objects nested 100000 deep (RecursionError) and
+    a 5000-digit dimension, past the interpreter's integer digit limit
+    (ValueError).  Returns {file name: path}."""
+    head = '{"schema": "lorentz-gram/1", "theorem": "casey", '
+    texts = {
+        "deep.json": head + '"dimension": 2, "objects": ' + "[" * 100000 + "]" * 100000 + "}",
+        "digits.json": head + '"dimension": 1' + "0" * 5000 + ', "objects": []}',
+    }
+    for name, text in texts.items():
+        (directory / name).write_text(text)
+    return {name: str(directory / name) for name in texts}
 
 
 def huge_points_scene() -> dict:

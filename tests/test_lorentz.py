@@ -70,6 +70,17 @@ class TestInner:
         rows = np.stack([rng.normals(6) * 10.0 ** k for k in range(-3, 4)])
         y = rng.normals(6)
         assert inners(rows, y) == [lg.inner(r, y) for r in rows]
+        # random families of every length a theorem meets, rows and y at
+        # magnitudes 1e-3..1e3: the batched products must sum each row in
+        # the order np.dot does, which a numpy with other kernels breaks
+        gen = np.random.default_rng(17)
+        for d in range(3, 18):
+            for _ in range(40):
+                m = int(gen.integers(2, 18))
+                R = gen.standard_normal((m, d)) * 10.0 ** gen.uniform(-3, 3, size=(m, 1))
+                v = gen.standard_normal(d) * 10.0 ** gen.uniform(-3, 3)
+                want = [lg.inner(r, v) for r in R]
+                assert np.array(inners(R, v)).tobytes() == np.array(want).tobytes(), (d, m)
         with pytest.raises(lg.DimensionMismatch):
             inners(rows[:, :5], y)
         rows[2, 1] = math.inf

@@ -4,6 +4,8 @@ Frozen worked examples are small enough to check by hand; generated
 families come from the construction-first generators, so their expected
 verdicts are known without re-deriving anything here."""
 
+import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -1313,3 +1315,77 @@ class TestCarriedWitnessReport:
         cfg = lg.generate(lg.GenSpec("hyperplanes_tangent_at_infinity", 3, seed=1))
         res = lg.casey_test(cfg.objects, search=False)
         assert res.case is not None and res.witness_report is None
+
+
+WITNESS_KINDS = (
+    "hyperplanes_tangent_at_infinity", "hyperplanes_common_ideal_point",
+    "hyperplanes_orth_equal", "spheres_tangent_to_circle", "spheres_through_point",
+)
+# the witness path's outputs over every call casey_test and corollary_d_test
+# make on WITNESS_KINDS at n = 2..14, seeds 0-2, as generated and randomly
+# flipped (recorded with numpy 2.4.6 on OpenBLAS 0.3.31, as the generator
+# digests); a numpy whose dot kernels sum in another order fails here
+PINNED_WITNESS_DIGESTS = {
+    "hyperplanes_tangent_at_infinity": "ba6e544cf78f00840be91cad6d3c7548e64c80eedcc879a03cc4e06c6278d844",
+    "hyperplanes_common_ideal_point": "2b0b52b61997df6ae23eb18090d5168100b920df0f0023f07d4dcc6ebc84f090",
+    "hyperplanes_orth_equal": "84d3c24374f26683421f01ebf131e75bcf91016670512f161c2b59d148cbdc8f",
+    "spheres_tangent_to_circle": "bd5a53a16e7ba4b9c3bf7e8353e3b2589d39a00185e75c4e1f6fb129212187fb",
+    "spheres_through_point": "98157498dce898064f7a4aaca179a366e3e2fbe92772f3fd9ed5ad2a92367bd9",
+}
+
+
+def witness_text(value) -> str:
+    """The exact bits of a witness-path output, field by field."""
+    if isinstance(value, np.ndarray):
+        return value.tobytes().hex()
+    if isinstance(value, float):
+        return float(value).hex()
+    if isinstance(value, (tuple, list)):
+        return "[" + ",".join(witness_text(v) for v in value) + "]"
+    if dataclasses.is_dataclass(value):
+        fields = (witness_text(getattr(value, f.name)) for f in dataclasses.fields(value))
+        return f"{type(value).__name__}({','.join(fields)})"
+    return getattr(value, "value", repr(value))  # enums by value
+
+
+def witness_grid(kind, monkeypatch):
+    """One line per call of _classify_from_kernel, casey_witness_check,
+    sphere_lifts and _euclidean_case: its name and its output, or the
+    error it raised."""
+    lines = []
+
+    def recorded(name):
+        fn = getattr(theorems, name)
+
+        def call(*args, **kwargs):
+            try:
+                out = fn(*args, **kwargs)
+            except lg.GeometryError as exc:
+                lines.append(f"{name} {type(exc).__name__} {exc}")
+                raise
+            lines.append(f"{name} {witness_text(out)}")
+            return out
+        monkeypatch.setattr(theorems, name, call)
+
+    for name in ("_classify_from_kernel", "casey_witness_check", "sphere_lifts", "_euclidean_case"):
+        recorded(name)
+    spheres = kind.startswith("spheres_")
+    flip = (lambda s: s.with_eps(-s.eps)) if spheres else (lambda h: h.flipped())
+    test = lg.corollary_d_test if spheres else lg.casey_test
+    rng = np.random.default_rng(20)
+    for n in range(2, 15):
+        for seed in range(3):
+            objs = list(lg.generate(lg.GenSpec(kind, n, seed=seed)).objects)
+            for given in (objs, random_flips(objs, rng, flip)):
+                res = test(given)
+                if spheres:
+                    res.euclidean  # built when first read
+                lines.append(f"{kind} {n} {seed} {res.signs}")
+    return "\n".join(lines)
+
+
+class TestPinnedWitnessBytes:
+    @pytest.mark.parametrize("kind", WITNESS_KINDS)
+    def test_witness_path_is_pinned(self, kind, monkeypatch):
+        text = witness_grid(kind, monkeypatch)
+        assert hashlib.sha256(text.encode()).hexdigest() == PINNED_WITNESS_DIGESTS[kind]
