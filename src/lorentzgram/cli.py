@@ -505,7 +505,7 @@ def _casey_fields(res, normals: Callable[[], np.ndarray], disk: bool, classify: 
 
 def _run_casey(scene: Scene, tol: float, search: bool, disk: bool, classify: bool):
     res = casey_test(scene.objects, tol, search=search)
-    fields = _casey_fields(res, lambda: np.stack([h.normal for h in scene.objects]), disk, classify)
+    fields = _casey_fields(res, lambda: CoHyperplane.family(scene.objects), disk, classify)
     return res.verdict, fields
 
 

@@ -362,7 +362,7 @@ def _surface_points_ok(points, n: int) -> bool:
 
 
 def _horospheres_ok(horos, deficiency: int) -> bool:
-    return _apart([h.rep for h in horos]) and _spectrum_ok(lambda_sq_matrix(horos), deficiency)
+    return _apart(Horosphere.family(horos)) and _spectrum_ok(lambda_sq_matrix(horos), deficiency)
 
 
 def _on_boundary_ok(horos, n: int) -> bool:
@@ -372,18 +372,18 @@ def _on_boundary_ok(horos, n: int) -> bool:
 
 
 def _hyperplanes_ok(planes, n: int) -> bool:
-    return _apart([h.normal for h in planes]) and _spectrum_ok(sigma_matrix(list(planes)), 1)
+    return _apart(CoHyperplane.family(planes)) and _spectrum_ok(sigma_matrix(planes), 1)
 
 
 def _orth_equal_ok(planes, n: int) -> bool:
     if n > 2:
         return _hyperplanes_ok(planes, n)
     distinct = {tuple(np.round(h.normal, 9)) for h in planes}
-    return len(distinct) >= 2 and _spectrum_ok(sigma_matrix(list(planes)), 1)
+    return len(distinct) >= 2 and _spectrum_ok(sigma_matrix(planes), 1)
 
 
 def _generic_hyperplanes_ok(planes, n: int) -> bool:
-    ns = np.stack([h.normal for h in planes])
+    ns = CoHyperplane.family(planes)
     return _apart(ns) and _robust_under_every_sign(gram(ns))
 
 
@@ -405,7 +405,7 @@ def _spheres_ok(spheres, lifts: bool = False) -> bool:
         return False
     if lifts and not _spectrum_ok(sigma_matrix(CoHyperplane.rows(sphere_lifts(spheres))), 1):
         return False
-    return _spectrum_ok(tau_matrix(list(spheres)), 1)
+    return _spectrum_ok(tau_matrix(spheres), 1)
 
 
 # ---------------------------------------------------------------------------

@@ -40,9 +40,13 @@ def as_vector(x) -> np.ndarray:
     """Coerce to a float coordinate vector and check it is usable.
 
     Vectors must have length at least 3 (hyperbolic dimension at least 2)
-    and finite entries.
+    and finite entries.  Input that breaks these rules, or is not a vector
+    of numbers at all, raises InvalidInput.
     """
-    v = np.asarray(x, dtype=float)
+    try:
+        v = np.asarray(x, dtype=float)
+    except (TypeError, ValueError):  # not numbers, or ragged
+        raise InvalidInput("expected a coordinate vector of numbers") from None
     if v.ndim != 1:
         raise InvalidInput(f"expected a 1-d coordinate vector, got shape {v.shape}")
     if v.shape[0] < 3:
@@ -69,17 +73,6 @@ def inner(x, y) -> float:
     if xv.shape != yv.shape:
         raise DimensionMismatch(f"lengths {xv.shape[0]} and {yv.shape[0]} differ")
     return _finite_dot(xv, yv)
-
-
-def inners(rows, y) -> list[float]:
-    """inner(r, y) for every row r of a 2-d array, bit for bit, with the
-    rows and y validated once and the products taken in one batch."""
-    R, yv = np.asarray(rows, dtype=float), as_vector(y)
-    if R.ndim != 2 or R.shape[1] != yv.shape[0]:
-        raise DimensionMismatch(f"rows of shape {R.shape} and length {yv.shape[0]} differ")
-    if not np.all(np.isfinite(R)):
-        raise InvalidInput("coordinates must be finite")
-    return _products(R, yv).tolist()
 
 
 def _dot(xv: np.ndarray, yv: np.ndarray) -> float:
@@ -242,20 +235,16 @@ def _verdict(S: np.ndarray, tol: float) -> DegeneracyVerdict:
     )
 
 
-def null_basis(rows: np.ndarray, nullity: Optional[int] = None, rtol: float = DEFAULT_TOL) -> np.ndarray:
+def null_basis(rows: np.ndarray, nullity: int) -> np.ndarray:
     """Orthonormal basis (as columns) of the Euclidean null space of `rows`.
 
-    With `nullity` given, the basis is simply the right-singular vectors for
-    the smallest `nullity` singular values, which is the right notion when
-    the caller knows the rank deficiency from geometry.
+    The basis is simply the right-singular vectors for the smallest
+    `nullity` singular values, which is the right notion when the caller
+    knows the rank deficiency from geometry.
     """
     rows = np.atleast_2d(np.asarray(rows, dtype=float))
-    _, svals, vt = np.linalg.svd(rows)
+    vt = np.linalg.svd(rows)[2]
     d = rows.shape[1]
-    if nullity is None:
-        smax = svals[0] if svals.size else 0.0
-        rank = int(np.sum(svals > rtol * max(smax, 1.0)))
-        nullity = d - rank
     if nullity <= 0:
         return np.zeros((d, 0))
     return vt[d - nullity:].T

@@ -175,9 +175,7 @@ def sphere_lifts(spheres: Sequence[CoSphereE]) -> np.ndarray:
     Row i is sphere_lift(spheres[i]).normal.  An unrepresentable lift (a
     radius so small that the normal overflows) raises InvalidInput.
     """
-    ss = list(spheres)
-    C = np.array([s.centre for s in ss])  # np.stack costs four times as much
-    V = _lift_rows(C, [s.radius for s in ss], [s.eps for s in ss])
+    V = _lift_rows(*CoSphereE.family(spheres))
     _check_normals(V)
     return V
 

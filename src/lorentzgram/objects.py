@@ -51,8 +51,10 @@ def _safe_acosh(x: float) -> float:
 
 # ---------------------------------------------------------------------------
 # validators: each checks every row of a (k, d) array in one pass and raises
-# its type's message when some row fails.  The constructors are their
-# one-row case, and the rows() class methods their family case.
+# its type's message when some row fails.  rows() and family() are the one
+# boundary between objects and arrays: rows() checks an array and views its
+# rows as objects, of which a constructor is the one-row case, and family()
+# gives a family of objects back as one array.
 
 
 @functools.cache
@@ -122,31 +124,64 @@ def _views(cls, **columns) -> list:
     return objs
 
 
+def _gather(cls, objects, field: str) -> tuple[list, np.ndarray]:
+    """A family of objects of cls as a list, and the array of their field,
+    one row each.  An empty family, or one holding another type, raises
+    InvalidInput; vectors of mixed lengths raise DimensionMismatch."""
+    objs = list(objects)
+    if not objs or not all(isinstance(o, cls) for o in objs):
+        raise InvalidInput(f"expected a nonempty family of {cls.__name__} objects")
+    try:
+        return objs, np.array([o.__dict__[field] for o in objs])
+    except ValueError:  # ragged
+        raise DimensionMismatch("objects live in different dimensions") from None
+
+
+class _Vector:
+    """The body of a vector object, a dataclass with one field: its
+    coordinate vector in R^{n,1}, checked by the check its class is
+    declared with."""
+
+    def __init_subclass__(cls, check):
+        cls._check = staticmethod(check)
+        (cls._field,) = cls.__annotations__
+
+    def __post_init__(self):
+        v = as_vector(self.__dict__[self._field])
+        self._check(v[None])
+        object.__setattr__(self, self._field, _frozen(v))
+
+    @classmethod
+    def rows(cls, V: np.ndarray) -> list:
+        """One object per row of a finite (k, n+1) array, checked in one pass;
+        the vectors are row views of one read-only copy."""
+        cls._check(V)
+        return _views(cls, **{cls._field: _frozen(V)})
+
+    @classmethod
+    def family(cls, objects) -> np.ndarray:
+        """The (k, n+1) array of the vectors of a family of objects, one row each."""
+        return _gather(cls, objects, cls._field)[1]
+
+    @property
+    def n(self) -> int:
+        return self.__dict__[self._field].shape[0] - 1
+
+
 @dataclass(frozen=True, eq=False)
-class HPoint:
+class HPoint(_Vector, check=_check_points):
     """Point on the forward hyperboloid sheet {<x,x> = -1, x_last > 0}."""
 
     coords: np.ndarray
 
-    def __init__(self, coords):
-        v = as_vector(coords)
-        _check_points(v[None])
-        object.__setattr__(self, "coords", _frozen(v))
-
     @classmethod
-    def rows(cls, X: np.ndarray) -> list["HPoint"]:
-        """One point per row of a finite (k, n+1) array, checked in one pass;
-        the coordinates are row views of one read-only copy."""
-        _check_points(X)
-        return _views(cls, coords=_frozen(X))
-
-    @property
-    def n(self) -> int:
-        return self.coords.shape[0] - 1
+    def family(cls, points) -> np.ndarray:
+        """As _Vector.family; a raw coordinate vector stands for HPoint(vector)."""
+        return super().family([p if isinstance(p, HPoint) else HPoint(p) for p in points])
 
 
 @dataclass(frozen=True, eq=False)
-class Horosphere:
+class Horosphere(_Vector, check=_check_reps):
     """Horosphere encoded by its forward lightlike representative.
 
     The surface is {x on the hyperboloid : <x, rep> = -1/sqrt(2)}.  Scaling
@@ -156,44 +191,12 @@ class Horosphere:
 
     rep: np.ndarray
 
-    def __init__(self, rep):
-        v = as_vector(rep)
-        _check_reps(v[None])
-        object.__setattr__(self, "rep", _frozen(v))
-
-    @classmethod
-    def rows(cls, R: np.ndarray) -> list["Horosphere"]:
-        """One horosphere per row of a finite (k, n+1) array of representatives,
-        checked in one pass; the representatives are row views of one copy."""
-        _check_reps(R)
-        return _views(cls, rep=_frozen(R))
-
-    @property
-    def n(self) -> int:
-        return self.rep.shape[0] - 1
-
 
 @dataclass(frozen=True, eq=False)
-class CoHyperplane:
+class CoHyperplane(_Vector, check=_check_normals):
     """Cooriented hyperplane {x : <x, normal> = 0} with unit spacelike normal."""
 
     normal: np.ndarray
-
-    def __init__(self, normal):
-        v = as_vector(normal)
-        _check_normals(v[None])
-        object.__setattr__(self, "normal", _frozen(v))
-
-    @classmethod
-    def rows(cls, N: np.ndarray) -> list["CoHyperplane"]:
-        """One hyperplane per row of a finite (k, n+1) array of normals,
-        checked in one pass; the normals are row views of one copy."""
-        _check_normals(N)
-        return _views(cls, normal=_frozen(N))
-
-    @property
-    def n(self) -> int:
-        return self.normal.shape[0] - 1
 
     def flipped(self) -> "CoHyperplane":
         return CoHyperplane(-self.normal)
@@ -264,6 +267,13 @@ class CoSphereE:
             cls, centre=_frozen(C), radius=[float(r) for r in radii], eps=[int(e) for e in eps]
         )
 
+    @classmethod
+    def family(cls, spheres) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The (k, n) array of the centres of a family of spheres, one row
+        each, with their k radii and k signs as float arrays."""
+        ss, centres = _gather(cls, spheres, "centre")
+        return centres, np.array([s.radius for s in ss]), np.array([s.eps for s in ss], dtype=float)
+
     @property
     def n(self) -> int:
         return self.centre.shape[0]
@@ -318,7 +328,7 @@ def _concentric(reps: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
 
 def same_centre(a: Horosphere, b: Horosphere, tol: float = DEFAULT_TOL) -> bool:
     """Do two horospheres share their ideal centre (parallel representatives)?"""
-    return bool(_concentric(np.stack([a.rep, b.rep]), tol)[0, 1])
+    return bool(_concentric(Horosphere.family([a, b]), tol)[0, 1])
 
 
 def _lambda_sq(reps, concentric: Optional[np.ndarray] = None) -> np.ndarray:
@@ -330,7 +340,7 @@ def _lambda_sq(reps, concentric: Optional[np.ndarray] = None) -> np.ndarray:
     the first one in row-major order raises InvalidInput.
     """
     A = -gram(reps)
-    R = np.stack(reps)
+    R = np.asarray(reps, dtype=float)
     A[_concentric(R) if concentric is None else concentric] = 0.0
     rmax = np.max(np.abs(R), axis=1)
     bad = A < -_DOMAIN_SLACK * np.maximum(np.outer(rmax, rmax), 1.0)
@@ -341,7 +351,7 @@ def _lambda_sq(reps, concentric: Optional[np.ndarray] = None) -> np.ndarray:
 
 def lambda_length(a: Horosphere, b: Horosphere) -> float:
     """Penner lambda length sqrt(-<rep_a, rep_b>); zero for concentric pairs."""
-    return math.sqrt(_lambda_sq([a.rep, b.rep])[0, 1])
+    return math.sqrt(_lambda_sq(Horosphere.family([a, b]))[0, 1])
 
 
 def sigma(a: CoHyperplane, b: CoHyperplane) -> float:

@@ -87,12 +87,12 @@ _ON_SURFACE = 1e-7  # largest relative distance of a ptolemy1 point from its sur
 def lambda_sq_matrix(horospheres: Sequence[Horosphere]) -> np.ndarray:
     """Matrix of squared lambda lengths -<rep_i, rep_j>, zero on the diagonal
     and on concentric pairs."""
-    return _lambda_sq([h.rep for h in horospheres])
+    return _lambda_sq(Horosphere.family(horospheres))
 
 
 def half_dist_matrix(points: Sequence[HPoint]) -> np.ndarray:
     """Matrix of sinh^2(rho_ij / 2) = max(0, -(<p_i, p_j> + 1)/2), zero diagonal."""
-    B = -(gram([p.coords for p in points]) + 1.0) / 2.0
+    B = -(gram(HPoint.family(points)) + 1.0) / 2.0
     np.fill_diagonal(B, 0.0)
     return np.where(B > 0.0, B, 0.0)
 
@@ -100,7 +100,7 @@ def half_dist_matrix(points: Sequence[HPoint]) -> np.ndarray:
 def sigma_matrix(hyperplanes: Sequence[CoHyperplane]) -> np.ndarray:
     """Matrix of sigma invariants (<n_i, n_j> - 1)/2 of cooriented hyperplanes,
     zero diagonal."""
-    C = (gram([h.normal for h in hyperplanes]) - 1.0) / 2.0
+    C = (gram(CoHyperplane.family(hyperplanes)) - 1.0) / 2.0
     np.fill_diagonal(C, 0.0)
     return C
 
@@ -115,10 +115,7 @@ def _tau_parts(spheres: Sequence[CoSphereE]) -> tuple[np.ndarray, np.ndarray]:
     so every entry equals objects.tau bit for bit (x * x differs from pow in
     the last bit for about one input in 1300).
     """
-    if any(s.centre.shape != spheres[0].centre.shape for s in spheres):
-        raise DimensionMismatch("spheres live in different dimensions")
-    c = np.array([s.centre for s in spheres])
-    r = np.array([s.radius for s in spheres])
+    c, r, _ = CoSphereE.family(spheres)
     # far or huge spheres overflow to inf here; casey_e rejects that before its search
     with np.errstate(over="ignore", invalid="ignore"):
         d2 = np.sum((c[:, None, :] - c[None, :, :]) ** 2, axis=-1)
@@ -140,8 +137,7 @@ def _signed_tau(parts: tuple[np.ndarray, np.ndarray], eps: np.ndarray) -> np.nda
 
 def tau_matrix(spheres: Sequence[CoSphereE]) -> np.ndarray:
     """Matrix of tau invariants of cooriented Euclidean spheres, zero diagonal."""
-    ss = list(spheres)
-    return _signed_tau(_tau_parts(ss), np.array([s.eps for s in ss], dtype=float))
+    return _signed_tau(_tau_parts(spheres), CoSphereE.family(spheres)[2])
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +200,7 @@ def relation_tangents(spheres: Sequence[CoSphereE], tol: float = DEFAULT_TOL, se
     lengths e_i e_j tau_ij, e = eps * signs, or None when one is negative."""
     parts = _tau_parts(spheres)
     _require_finite(*parts)  # before the search, whose stacked eigensolves need it
-    eps = np.array([s.eps for s in spheres], dtype=float)
+    eps = CoSphereE.family(spheres)[2]
 
     def squares(sg, verdict=None):
         t2 = np.where(np.outer(eps * sg, eps * sg) > 0, *parts)
@@ -245,10 +241,7 @@ def penner_test(horospheres: Sequence[Horosphere], tol: float = DEFAULT_TOL) -> 
     every representative.  Since det G = -det(reps)^2, the normal is the
     Lorentzian dual of the Euclidean null vector of the representatives.
     """
-    hs = list(horospheres)
-    if not all(isinstance(h, Horosphere) for h in hs):
-        raise InvalidInput("penner_test expects horospheres")
-    reps = np.stack([h.rep for h in hs])
+    reps = Horosphere.family(horospheres)
     _check_family(reps, reps.shape[1])
     concentric = _concentric(reps)
     all_same = bool(np.all(concentric[0]))
@@ -309,8 +302,7 @@ def ptolemy1_test(
     hyperplane is recovered by shifting the points by the umbilical datum,
     reading a normal off the shifted span, and correcting it back.
     """
-    ps = [p if isinstance(p, HPoint) else HPoint(p) for p in points]
-    coords = np.stack([p.coords for p in ps])
+    coords = HPoint.family(points)
     _check_family(coords, coords.shape[1])
     u = umbilical_datum(surface)
     if u.shape[0] != coords.shape[1]:
@@ -324,7 +316,7 @@ def ptolemy1_test(
         raise HypothesisViolated("a point is not on the supplied surface")
     if min(abs(q - 1.0), abs(q + 1.0)) <= 1e-9 * (1.0 + umax**2):
         raise DegenerateDatum("umbilical datum has square norm too close to +1 or -1")
-    verdict = degeneracy(half_dist_matrix(ps), tol)
+    verdict = degeneracy(half_dist_matrix(points), tol)
     if not verdict.is_degenerate:
         return Ptolemy1Result(verdict, None, None)
     shifted = coords - u
@@ -343,10 +335,9 @@ def ptolemy1_test(
 def ptolemy2_test(points: Sequence[HPoint], tol: float = DEFAULT_TOL) -> DegeneracyVerdict:
     """Do n+2 points lie on a common horosphere, hypersphere, hyperplane or
     equidistant branch?  Degeneracy of the sinh^2(rho/2) matrix decides."""
-    ps = [p if isinstance(p, HPoint) else HPoint(p) for p in points]
-    coords = np.stack([p.coords for p in ps])
+    coords = HPoint.family(points)
     _check_family(coords, coords.shape[1] + 1)
-    return degeneracy(half_dist_matrix(ps), tol)
+    return degeneracy(half_dist_matrix(points), tol)
 
 
 class SurfaceKind(Enum):
@@ -426,15 +417,14 @@ def ptolemy2_classify(points: Sequence[HPoint], tol: float = DEFAULT_TOL) -> Umb
     threshold of 1e-9: points degenerate at a looser tol alone may have no
     fit there, and raise NoReliableKernel or NormalSearchFailed.
     """
-    ps = [p if isinstance(p, HPoint) else HPoint(p) for p in points]
-    if not ptolemy2_test(ps, tol).is_degenerate:
+    if not ptolemy2_test(points, tol).is_degenerate:
         raise NotDegenerate("points are not degenerate at this tolerance")
-    return _ptolemy2_fit(ps)
+    return _ptolemy2_fit(points)
 
 
-def _ptolemy2_fit(ps: Sequence[HPoint]) -> UmbilicalFit:
-    """ptolemy2_classify of the points ps, already found degenerate."""
-    coords = np.stack([p.coords for p in ps])
+def _ptolemy2_fit(points: Sequence[HPoint]) -> UmbilicalFit:
+    """ptolemy2_classify of the points, already found degenerate."""
+    coords = HPoint.family(points)
     m, dim = coords.shape
     lifted = np.concatenate([np.ones((m, 1)), coords], axis=1)
     # one full SVD gives the nullity and the basis null_basis would give
@@ -460,8 +450,7 @@ def fit_umbilical(points: Sequence[HPoint]) -> UmbilicalFit:
     With generically placed points the fit is unique; when several
     hypersurfaces fit, one of them is returned.
     """
-    ps = [p if isinstance(p, HPoint) else HPoint(p) for p in points]
-    coords = np.stack([p.coords for p in ps])
+    coords = HPoint.family(points)
     _check_family(coords, coords.shape[1])
     diffs = coords[1:] - coords[0]
     h = null_basis(diffs * metric_diag(coords.shape[1]), nullity=1)[:, 0]
@@ -839,15 +828,19 @@ class _SignPencil:
         lies below its chord, so |rho| (Y/d - S/(d (G + d))) >= 1 with Y =
         sum y_i^2 and S = sum y_i^2 g_i: d is at most the positive root of
         d^2 + (G - P) d - Q = 0, Q = |rho| (Y G - S) >= 0, for any P >=
-        |rho| Y, such as |rho| mass.
+        |rho| Y, such as |rho| mass.  A row whose root overflows keeps
+        Weyl's bound.
         """
         _, g = self._outer_gaps()
         G, P = float(g.max()), abs(self.rho) * self.mass
-        Q = abs(self.rho) * np.maximum(np.einsum("ij,j->i", self.y2, G - g), 0.0)
-        disc = np.sqrt((G - P) ** 2 + 4.0 * Q)
-        # the form of the root without cancellation for the sign of P - G
-        d = (P - G + disc) / 2.0 if P >= G else 2.0 * Q / np.maximum(G - P + disc, _EPS)
-        return self._smax_from(d * (1.0 + 1e-9) + 2.0 * self.eta, self._inner)
+        # float_power is the C pow that Python's ** calls, but overflows to inf
+        with np.errstate(over="ignore", invalid="ignore"):
+            Q = abs(self.rho) * np.maximum(np.einsum("ij,j->i", self.y2, G - g), 0.0)
+            disc = np.sqrt(np.float_power(G - P, 2.0) + 4.0 * Q)
+            # the form of the root without cancellation for the sign of P - G
+            d = (P - G + disc) / 2.0 if P >= G else 2.0 * Q / np.maximum(G - P + disc, _EPS)
+            bound = self._smax_from(d * (1.0 + 1e-9) + 2.0 * self.eta, self._inner)
+        return np.where(np.isfinite(disc), bound, self.weyl)
 
     def _smax_bound(self, rows: np.ndarray, y2: np.ndarray) -> np.ndarray:
         """Per row, a certified bound on the largest computed |eigenvalue|,
@@ -856,7 +849,8 @@ class _SignPencil:
         Newton on the concave 1/sum(...) climbs to the outer root's
         distance d, from near Jensen's bound d >= |rho| Y - S/Y; the
         widened iterate is certified by one count, or the chord bound
-        stays.
+        stays, as it does where a division by zero or an overflow leaves the
+        iterate not finite.
         """
         todo = np.isnan(self.smax[rows])
         if todo.any():
@@ -864,14 +858,16 @@ class _SignPencil:
             end, g = self._outer_gaps()
             Y = self.mass
             d = np.maximum(r * Y - np.einsum("ij,j->i", y2, g) / Y, self.eta)
-            for _ in range(_NEWTON_STEPS):
-                q = 1.0 / (g + d[:, None])
-                psi = np.einsum("ij,ij->i", y2, q)
-                d = d + psi * (r * psi - 1.0) / np.einsum("ij,ij->i", y2, q * q)
-            d = d * (1.0 + 1e-6) + 2.0 * self.eta
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                for _ in range(_NEWTON_STEPS):
+                    q = 1.0 / (g + d[:, None])
+                    psi = np.einsum("ij,ij->i", y2, q)
+                    d = d + psi * (r * psi - 1.0) / np.einsum("ij,ij->i", y2, q * q)
+            formed = np.isfinite(d)
+            d = np.where(formed, d, 0.0) * (1.0 + 1e-6) + 2.0 * self.eta
             outer = lam[end] - d if self.rho < 0 else lam[end] + d
             count, untrusted = self._count(y2, outer[:, None])
-            certified = (count[:, 0] == (0 if self.rho < 0 else lam.size)) & ~untrusted[:, 0]
+            certified = formed & (count[:, 0] == (0 if self.rho < 0 else lam.size)) & ~untrusted[:, 0]
             bound = self._smax_from(d, self._inner[rows])
             self.smax[rows] = np.where(certified, np.minimum(bound, self._chord[rows]), self._chord[rows])
         return self.smax[rows]
@@ -1109,9 +1105,9 @@ def casey_classify(hyperplanes: Sequence[CoHyperplane], tol: float = DEFAULT_TOL
     construction reaches, and it is always checkable with
     casey_witness_check.
     """
-    ns = np.stack([h.normal for h in hyperplanes])
+    ns = CoHyperplane.family(hyperplanes)
     _check_family(ns, ns.shape[1])
-    C = sigma_matrix(list(hyperplanes))
+    C = sigma_matrix(hyperplanes)
     verdict = degeneracy(C, tol)
     if not verdict.is_degenerate:
         raise NotDegenerate("sigma matrix is not degenerate at this tolerance")
@@ -1137,10 +1133,7 @@ def casey_test(
     degenerate, the case classification runs on the flipped normals; case
     is None when it finds no structure (see _classify_from_kernel).
     """
-    hps = list(hyperplanes)
-    if not all(isinstance(h, CoHyperplane) for h in hps):
-        raise InvalidInput("casey_test expects cooriented hyperplanes")
-    ns = np.stack([h.normal for h in hps])
+    ns = CoHyperplane.family(hyperplanes)
     _check_family(ns, ns.shape[1])
     m = ns.shape[0]
     G = gram(ns)
@@ -1172,7 +1165,7 @@ def casey_witness_check(
     """
     ns = hyperplanes
     if not isinstance(ns, np.ndarray):
-        ns = np.array([h.normal for h in ns])
+        ns = CoHyperplane.family(ns)
     elif not np.isfinite(ns).all():
         raise InvalidInput("coordinates must be finite")
     # (witness vector, its square norm, its common value with the normals)
@@ -1288,30 +1281,24 @@ def corollary_d_test(
     for the search) and whose witness checks on the flipped lifts, else the
     flip of least ratio.
     """
-    ss = list(spheres)
-    if not all(isinstance(s, CoSphereE) for s in ss):
-        raise InvalidInput("corollary_d_test expects cooriented Euclidean spheres")
-    n = ss[0].n
-    if any(s.n != n for s in ss):
-        raise DimensionMismatch("spheres live in different dimensions")
-    if len(ss) != n + 2:
-        raise DimensionMismatch(f"need {n + 2} spheres in R^{n}, got {len(ss)}")
-    parts = _tau_parts(ss)
+    c, radii, eps = CoSphereE.family(spheres)
+    m, n = c.shape
+    if m != n + 2:
+        raise DimensionMismatch(f"need {n + 2} spheres in R^{n}, got {m}")
+    parts = _tau_parts(spheres)
     _require_finite(*parts)  # before the search, whose stacked eigensolves need it
-    eps = np.array([s.eps for s in ss], dtype=float)
-    radii = np.array([s.radius for s in ss])
 
     @functools.cache
     def lifts() -> np.ndarray:
         # only a degenerate tau matrix needs the lifts
-        return sphere_lifts(ss)
+        return sphere_lifts(spheres)
 
     def frame(sg: np.ndarray, verdict: DegeneracyVerdict):
         k = radii * verdict.kernel
         return lifts() * sg[:, None], k / np.linalg.norm(k)
 
     signs, verdict, case, report = _searched_case(
-        lambda sg: _signed_tau(parts, eps * sg), len(ss), tol, search,
+        lambda sg: _signed_tau(parts, eps * sg), m, tol, search,
         frame, _tau_rank_one(parts, eps, radii),
     )
     if case is None:

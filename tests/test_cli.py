@@ -1237,6 +1237,44 @@ class TestOverflow:
         assert reports["b_valid.json"]["verdict"]["degenerate"] is True
 
 
+def boosted_scene(capsys, tmp_path, kind: str, seed: int, rapidity: float) -> str:
+    """A generated casey family at n = 8 whose normals are boosted along the
+    last axis, to coordinates near 1e130 at rapidity 300."""
+    doc = json.loads(Path(generate_scene(capsys, tmp_path, "--kind", kind, "--n", "8",
+                                         "--seed", str(seed))).read_text())
+    c, s = math.cosh(rapidity), math.sinh(rapidity)
+    for rec in doc["objects"]:
+        x, t = rec["normal"][-2:]
+        rec["normal"][-2:] = [c * x + s * t, s * x + c * t]
+    return write_scene(tmp_path, doc, name="boosted.json")
+
+
+BOOSTED_KINDS = ["hyperplanes_tangent_at_infinity", "generic_hyperplanes", "hyperplanes_orth_equal"]
+
+
+class TestBoostedSignSearch:
+    # the sign certificate's chord bound raised OverflowError from (G - P)**2
+    # at rapidity 300 and 340, a traceback with the exit code 1 that means
+    # "not degenerate", and its Newton bound divided by zero at 100
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("rapidity", [100, 300, 340])
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("kind", BOOSTED_KINDS)
+    def test_one_report(self, capsys, tmp_path, kind, seed, rapidity):
+        path = boosted_scene(capsys, tmp_path, kind, seed, rapidity)
+        for command in ("verify", "classify"):
+            code, doc = run_doc(capsys, command, path)
+            # 2 only for the determinant that overflows (ROADMAP item 2)
+            assert code in (0, 1) or (code, doc) == (2, NON_FINITE), (command, doc)
+
+    def test_module_has_no_traceback(self, capsys, tmp_path):
+        path = boosted_scene(capsys, tmp_path, "generic_hyperplanes", 0, 300)
+        out = python("-W", "error::RuntimeWarning", "-m", "lorentzgram.cli", "verify", path,
+                     capture_output=True, text=True)
+        assert out.returncode in (0, 1, 2) and out.stderr == ""
+        assert out.stdout.count("\n") == 1 and json.loads(out.stdout)
+
+
 class TestConsoleScript:
     def test_module_entry_point(self, tmp_path):
         out = subprocess.run(

@@ -115,15 +115,33 @@ class TestMatrixBuilders:
             lg.tau_matrix([a, a, b, a])
 
     def test_builders_reject_mixed_dimensions(self):
+        # and so does every theorem function; an empty family, or one of
+        # another type, raises InvalidInput
         h2, h3 = lg.Horosphere([1.0, 0.0, 1.0]), lg.Horosphere([1.0, 0.0, 0.0, 1.0])
         p2, p3 = lg.HPoint([0.0, 0.0, 1.0]), lg.HPoint([0.0, 0.0, 0.0, 1.0])
         n2, n3 = lg.CoHyperplane([1.0, 0.0, 0.0]), lg.CoHyperplane([1.0, 0.0, 0.0, 0.0])
-        for build, family in ((lg.gram, [h2.rep, h2.rep, h3.rep]),
-                              (lg.lambda_sq_matrix, [h2, h2, h3]),
-                              (lg.half_dist_matrix, [p2, p3, p2]),
-                              (lg.sigma_matrix, [n3, n2, n2])):
-            with pytest.raises(lg.DimensionMismatch):
-                build(family)
+        s1, s2 = lg.CoSphereE([0.0], 1.0), lg.CoSphereE([0.0, 0.0], 1.0)
+        with pytest.raises(lg.DimensionMismatch):
+            lg.gram([h2.rep, h2.rep, h3.rep])
+        tangent = lg.CaseyCase(lg.CaseyCaseKind.TANGENT_HYPERPLANE_AT_INFINITY,
+                               tangent_normal=np.array([1.0, 0.0, 0.0]))
+        families = {
+            (h2, h2, h3): (lg.lambda_sq_matrix, lg.penner_test),
+            (p2, p3, p2): (lg.half_dist_matrix, lg.ptolemy2_test, lg.ptolemy2_classify,
+                           lg.fit_umbilical, lambda ps: lg.ptolemy1_test(ps, h2)),
+            (n3, n2, n2): (lg.sigma_matrix, lg.casey_test, lg.casey_classify,
+                           lambda hs: lg.casey_witness_check(tangent, hs)),
+            (s2, s1, s2): (lg.tau_matrix, lg.corollary_d_test, lg.sphere_lifts,
+                           theorems.relation_tangents),
+        }
+        for mixed, functions in families.items():
+            other = [s1] if mixed[0] is not s2 else [h2]
+            for f in functions:
+                with pytest.raises(lg.DimensionMismatch):
+                    f(list(mixed))
+                for family in ([], other):
+                    with pytest.raises(lg.InvalidInput):
+                        f(family)
 
     def test_lambda_sq_guard_reports_the_first_negative_pair(self):
         # forward lightlike representatives never reach the guard, so the
@@ -891,6 +909,26 @@ class TestPrunedSignSearch:
                 assert_pruned_matches_reference(
                     hs, lambda s: theorems._signed_sigma(G, s), theorems._sigma_rank_one(G),
                     (kind, seed))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("rapidity", [100, 300, 340])
+    def test_boosted_families(self, rapidity):
+        # boosted along the last axis until the chord bound's (G - P)^2
+        # overflows (300, 340) and the Newton step divides by zero (100 and
+        # up): every row keeps a certified bound on its largest |eigenvalue|,
+        # and the signs are still the reference's
+        c, s = math.cosh(rapidity), math.sinh(rapidity)
+        for kind in ("hyperplanes_tangent_at_infinity", "generic_hyperplanes",
+                     "hyperplanes_orth_equal"):
+            N = lg.CoHyperplane.family(lg.generate(lg.GenSpec(kind, 8, seed=0)).objects)
+            N[:, -2:] = N[:, -2:] @ np.array([[c, s], [s, c]])
+            hs, G = lg.CoHyperplane.rows(N), lg.gram(N)
+            matrices_of = lambda signs: theorems._signed_sigma(G, signs)
+            pencil = theorems._SignPencil(*theorems._sigma_rank_one(G))
+            smax = np.concatenate([np.max(np.abs(np.linalg.eigvalsh(matrices_of(signs))), axis=1)
+                                   for signs in theorems._sign_blocks(len(hs))])
+            assert np.all(pencil._smax_bound(np.arange(smax.size), pencil.y2) >= smax), kind
+            assert_pruned_matches_reference(hs, matrices_of, theorems._sigma_rank_one(G), kind)
 
     def test_smax_bounds_are_certified_and_tight(self):
         # the per-row bounds on the largest |eigenvalue| must hold for every
