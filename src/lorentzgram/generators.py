@@ -40,10 +40,10 @@ from .objects import (
 from .rng import SplitMix64
 from .theorems import (
     MAX_FAMILY,
+    _candidates,
     _sigma_rank_one,
-    _sign_candidates,
-    _sign_spectra,
     _signed_sigma,
+    _solved,
     half_dist_matrix,
     lambda_sq_matrix,
     sigma_matrix,
@@ -393,9 +393,9 @@ def _robust_under_every_sign(G: np.ndarray) -> bool:
     might try?  Only the assignments the rank-one certificate cannot place
     above the margin are solved."""
     m = G.shape[0]
-    rows = _sign_candidates(_sigma_rank_one(G), m, ROBUST_MARGIN)
-    spectra = _sign_spectra(lambda signs: _signed_sigma(G, signs), m, rows)
-    return not any(np.any(smin < ROBUST_MARGIN * smax) for _, smin, smax in spectra)
+    rows, _ = _candidates(m, ROBUST_MARGIN, _sigma_rank_one(G))
+    solved = _solved(lambda signs: _signed_sigma(G, signs), m, rows)
+    return not any(np.any(ratios < ROBUST_MARGIN) for _, _, ratios in solved)
 
 
 def _spheres_ok(spheres, lifts: bool = False) -> bool:

@@ -174,11 +174,6 @@ class HPoint(_Vector, check=_check_points):
 
     coords: np.ndarray
 
-    @classmethod
-    def family(cls, points) -> np.ndarray:
-        """As _Vector.family; a raw coordinate vector stands for HPoint(vector)."""
-        return super().family([p if isinstance(p, HPoint) else HPoint(p) for p in points])
-
 
 @dataclass(frozen=True, eq=False)
 class Horosphere(_Vector, check=_check_reps):

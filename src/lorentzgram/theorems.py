@@ -515,27 +515,15 @@ def _signed_sigma(G: np.ndarray, signs: np.ndarray) -> np.ndarray:
 
 
 _SIGN_BLOCK = 128  # sign vectors per stacked eigensolve; larger blocks only cost memory
-_GIVEN = np.zeros(1, dtype=np.int64)  # row 0 of _sign_blocks order: every sign +1
+_GIVEN = np.zeros(1, dtype=np.int64)  # sign vector 0: every sign +1
 _EPS = float(np.finfo(float).eps)
-
-
-def _sign_blocks(m: int, rows: Optional[np.ndarray] = None):
-    """The sign vectors with leading +1, lexicographic with +1 before -1,
-    as (k, m) blocks of at most _SIGN_BLOCK rows: all of them, or those
-    whose positions in that order are listed (ascending) in rows."""
-    if rows is None:
-        rows = np.arange(1 << (m - 1))
-    for start in range(0, rows.size, _SIGN_BLOCK):
-        # every k is below 2^(m-1), so its leading sign is +1
-        yield _signs_of(rows[start : start + _SIGN_BLOCK], m)
-
-
 _PLUS_MINUS = np.array([1.0, -1.0])
 
 
 def _signs_of(k: np.ndarray, length: int) -> np.ndarray:
     """The sign vectors of the given length numbered k: entry i is -1 when
-    bit length - 1 - i of k is set."""
+    bit length - 1 - i of k is set.  Numbered from 0 up, the vectors below
+    2^(length-1) have a leading +1 and run lexicographically, +1 before -1."""
     return _PLUS_MINUS[(k[:, None] >> np.arange(length - 1, -1, -1)) & 1]
 
 
@@ -547,18 +535,16 @@ def _sign_table(length: int) -> np.ndarray:
     return table
 
 
-def _spectrum_ends(matrices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """For each matrix of a (k, m, m) stack, the smallest |eigenvalue| and
-    the largest floored at 1, from one stacked eigensolve."""
-    sigmas = np.abs(np.linalg.eigvalsh(matrices))
-    return sigmas.min(axis=1), np.maximum(sigmas.max(axis=1), 1.0)
-
-
-def _sign_spectra(matrices_of, m: int, rows: Optional[np.ndarray] = None):
-    """Per block of _sign_blocks(m, rows): the signs and the _spectrum_ends
-    of matrices_of(signs)."""
-    for signs in _sign_blocks(m, rows):
-        yield (signs, *_spectrum_ends(matrices_of(signs)))
+def _solved(matrices_of, m: int, rows: np.ndarray):
+    """Per block of at most _SIGN_BLOCK of the sign vectors numbered rows
+    (each below 2^(m-1)), in order: the signs, their matrices_of stack,
+    and per matrix the ratio of its smallest |eigenvalue| to its largest
+    floored at 1, from one stacked eigvalsh."""
+    for start in range(0, rows.size, _SIGN_BLOCK):
+        signs = _signs_of(rows[start : start + _SIGN_BLOCK], m)
+        matrices = matrices_of(signs)
+        sigmas = np.abs(np.linalg.eigvalsh(matrices))
+        yield signs, matrices, sigmas.min(axis=1) / np.maximum(sigmas.max(axis=1), 1.0)
 
 
 def _screen(tol: float, m: int) -> float:
@@ -569,18 +555,15 @@ def _screen(tol: float, m: int) -> float:
 
 
 def _scan_signs(matrices_of, m: int, tol: float, certify, rows: np.ndarray):
-    """(signs, ratio, verdict, witness) over the sign vectors at the
-    positions rows (ascending, at most _SIGN_BLOCK of them), solved in one
+    """(signs, ratio, verdict, witness) over the sign vectors numbered
+    rows (ascending, at most _SIGN_BLOCK of them), solved in one
     stacked eigvalsh.  The first vector whose matrix degeneracy(., tol)
     calls degenerate and that certify qualifies (see _sign_search) wins;
     the matrices are finite and exactly symmetric by construction, so its
     _verdict is taken without degeneracy's checks.  Otherwise the vector
     of least ratio wins with verdict and witness None, the earliest on
     ties, as argmin takes it."""
-    signs = _signs_of(rows, m)
-    matrices = matrices_of(signs)
-    smin, smax = _spectrum_ends(matrices)
-    ratios = smin / smax
+    signs, matrices, ratios = next(_solved(matrices_of, m, rows))
     for i in np.flatnonzero(ratios <= _screen(tol, m)):
         verdict = _verdict(matrices[i], tol)
         if verdict.is_degenerate:
@@ -600,18 +583,22 @@ def _growing(rows: np.ndarray):
         size = min(4 * size, _SIGN_BLOCK)
 
 
-def _stacked(m: int) -> bool:
-    """Whether a search over m objects solves every sign vector instead of
-    pruning them with the _SignPencil certificate.  Below 7 objects the
-    certificate's fixed cost (one eigh, the table of y, its counts) is at
-    least that of the 32 solves it would save."""
-    return m < 7
+def _candidates(m: int, ratio: float, rank_one):
+    """(rows, pencil): the numbers of the sign vectors of m objects whose
+    ratio the _SignPencil of rank_one cannot place above ratio, and that
+    pencil; or every number and None without rank_one or below 7 objects,
+    where the certificate's fixed cost (one eigh, the table of y, its
+    counts) is at least that of the 32 solves it would save."""
+    if m < 7 or rank_one is None:
+        return np.arange(1 << (m - 1)), None
+    pencil = _SignPencil(*rank_one)
+    return pencil.uncertain(ratio), pencil
 
 
 def _sign_search(matrices_of, m: int, tol: float, certify, rank_one=None):
     """The coorientation casey_test and corollary_d_test report.
 
-    The first sign vector in _sign_blocks(m) order whose matrix
+    The first sign vector in _signs_of order whose matrix
     degeneracy(., min(tol, DEFAULT_TOL)) calls degenerate, and for which
     certify(signs, verdict) returns a witness, wins: one certified
     degenerate coorientation is all the converse needs.  When no vector
@@ -628,29 +615,24 @@ def _sign_search(matrices_of, m: int, tol: float, certify, rank_one=None):
     is as degenerate as any of them.
 
     matrices_of maps a (k, m) block of sign vectors to the (k, m, m) stack
-    of their matrices.  The given coorientation (row 0, every sign +1) is
-    solved first, and ends the search when it qualifies.  The other rows
+    of their matrices.  The given coorientation (vector 0, every sign +1)
+    is solved first, and ends the search when it qualifies.  The other
+    _candidates of the screen, the largest ratio that can be degenerate,
     follow in order, in growing chunks, so that a hit early in the order
-    ends the search: every row when _stacked(m) or no rank_one is given,
-    else the rows the _SignPencil certificate cannot place above the
-    screen, the largest ratio that can be degenerate.  rank_one = (M, rho,
-    b) states that the matrix of s has the spectrum of M + rho (s*b)(s*b)^T.
-    The least solved ratio wins when every row was solved or it is at most
-    the screen, since each unsolved row is then certified above it;
-    otherwise _SignPencil.least finds the least ratio.  Row 0 is solved
-    once.  The answer is that of solving every vector in order.
+    ends the search.  rank_one = (M, rho, b) states that the matrix of s
+    has the spectrum of M + rho (s*b)(s*b)^T.  The least solved ratio wins
+    when every vector was solved or it is at most the screen, since each
+    unsolved vector is then certified above it; otherwise
+    _SignPencil.least finds the least ratio.  Vector 0 is solved once.
+    The answer is that of solving every vector in order.
     """
     tol = min(tol, DEFAULT_TOL)
     best = given = _scan_signs(matrices_of, m, tol, certify, _GIVEN)
     if given[2] is not None:
         return given
     screen = _screen(tol, m)
-    rows, pencil = np.arange(1, 1 << (m - 1)), None
-    if rank_one is not None and not _stacked(m):
-        pencil = _SignPencil(*rank_one)
-        rows = pencil.uncertain(screen)
-        rows = rows[rows > 0]
-    for chunk in _growing(rows):
+    rows, pencil = _candidates(m, screen, rank_one)
+    for chunk in _growing(rows[rows > 0]):
         found = _scan_signs(matrices_of, m, tol, certify, chunk)
         if found[2] is not None:
             return found
@@ -660,19 +642,10 @@ def _sign_search(matrices_of, m: int, tol: float, certify, rank_one=None):
         return best
 
     def ratios(rows):
-        return np.concatenate([lo / hi for _, lo, hi in _sign_spectra(matrices_of, m, rows)])
+        return np.concatenate([block for _, _, block in _solved(matrices_of, m, rows)])
 
     row, ratio = pencil.least(best[1], ratios, given[1])
     return _signs_of(np.array([row]), m)[0], ratio, None, None
-
-
-def _sign_candidates(rank_one, m: int, ratio: float) -> Optional[np.ndarray]:
-    """Positions in _sign_blocks(m) order of the sign vectors whose ratio
-    the _SignPencil certificate cannot place above ratio, or None (all of
-    them) when _stacked(m)."""
-    if _stacked(m):
-        return None
-    return _SignPencil(*rank_one).uncertain(ratio)
 
 
 def _sigma_rank_one(G: np.ndarray):
@@ -698,7 +671,7 @@ _NEWTON_STEPS = 4  # for the outer secular root; an unconverged row keeps the ch
 
 class _SignPencil:
     """Certified spectral bounds for the matrices K_s = M + rho z z^T,
-    z = s*b, over every sign vector s of _sign_blocks order.
+    z = s*b, over the sign vectors s numbered below 2^(m-1) (see _signs_of).
 
     With M = Q diag(lam) Q^T, K_s has the spectrum of diag(lam) + rho y y^T
     with y = Q^T z.  Sylvester's law of inertia on the bordered matrix

@@ -90,7 +90,7 @@ class TestMatrixBuilders:
                     continue
                 objs = list(lg.generate(lg.GenSpec(kind, n, seed=n)).objects)
                 m = len(objs)
-                signs = np.concatenate(list(theorems._sign_blocks(m)))
+                signs = theorems._signs_of(np.arange(1 << (m - 1)), m)
                 signs = signs[rng.choice(len(signs), size=min(8, len(signs)), replace=False)]
                 if kind in spheres:
                     parts = theorems._tau_parts(objs)
@@ -116,7 +116,7 @@ class TestMatrixBuilders:
 
     def test_builders_reject_mixed_dimensions(self):
         # and so does every theorem function; an empty family, or one of
-        # another type, raises InvalidInput
+        # another type or of raw coordinate vectors, raises InvalidInput
         h2, h3 = lg.Horosphere([1.0, 0.0, 1.0]), lg.Horosphere([1.0, 0.0, 0.0, 1.0])
         p2, p3 = lg.HPoint([0.0, 0.0, 1.0]), lg.HPoint([0.0, 0.0, 0.0, 1.0])
         n2, n3 = lg.CoHyperplane([1.0, 0.0, 0.0]), lg.CoHyperplane([1.0, 0.0, 0.0, 0.0])
@@ -134,12 +134,13 @@ class TestMatrixBuilders:
             (s2, s1, s2): (lg.tau_matrix, lg.corollary_d_test, lg.sphere_lifts,
                            theorems.relation_tangents),
         }
+        raw = [[0.0, 0.0, 1.0]] * 3  # coordinate vectors, not objects
         for mixed, functions in families.items():
             other = [s1] if mixed[0] is not s2 else [h2]
             for f in functions:
                 with pytest.raises(lg.DimensionMismatch):
                     f(list(mixed))
-                for family in ([], other):
+                for family in ([], other, raw):
                     with pytest.raises(lg.InvalidInput):
                         f(family)
 
@@ -602,6 +603,32 @@ class TestCasey:
         res = lg.casey_test(gs, tol)
         assert res.verdict.is_degenerate and res.case is None
 
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_cones_and_common_height_families(self, n):
+        # n+1 hyperplanes through the point e_last, equally inclined to the
+        # axis e_(n-1), have normals (sin a d_i, cos a, 0); normals (d_i, t,
+        # t) share the ideal point (0, ..., 0, 1, 1).  Their weighted sum of
+        # normals vanishes, and the rest of the kernel construction finds a
+        # timelike direction for the cones and a lightlike one for the others
+        rng = np.random.default_rng(n)
+        tangent = lg.CaseyCaseKind.TANGENT_HYPERPLANE_AT_INFINITY
+        for _ in range(3):
+            d = rng.standard_normal((n + 1, n - 1))
+            d /= np.linalg.norm(d, axis=1, keepdims=True)
+            a, t = rng.uniform(0.3, 1.2), rng.uniform(-2.0, 2.0)
+            cone = np.hstack([np.sin(a) * d, np.full((n + 1, 1), np.cos(a)), np.zeros((n + 1, 1))])
+            ideal = np.hstack([d, np.full((n + 1, 2), t)])
+            for normals, kind in ((cone, tangent), (ideal, lg.CaseyCaseKind.COMMON_IDEAL_POINT)):
+                res = lg.casey_test(lg.CoHyperplane.rows(normals))
+                assert res.signs == (1,) * (n + 1)
+                assert res.verdict.is_degenerate
+                assert res.case.kind is kind, (n, a, t)
+                assert res.witness_report.passed, (n, a, t)
+            # the last res is the common-height family's, at its ideal point
+            point = np.zeros(n + 1)
+            point[-2:] = math.sqrt(0.5)
+            assert np.allclose(res.case.ideal_point, point, atol=1e-9)
+
     def test_witness_check_rejects_bad_cases(self):
         bad = lg.CaseyCase(lg.CaseyCaseKind.COMMON_IDEAL_POINT,
                            ideal_point=np.zeros(4))
@@ -762,9 +789,10 @@ class TestSignSearch:
 
     def test_minimum_in_a_later_block_is_found(self):
         m = 10
-        blocks = list(theorems._sign_blocks(m))
-        assert len(blocks) > 2
-        later, tied = blocks[2][5], blocks[3][0]
+        rows = theorems._signs_of(np.arange(1 << (m - 1)), m)
+        block = theorems._SIGN_BLOCK
+        assert len(rows) > 3 * block
+        later, tied = rows[2 * block + 5], rows[3 * block]
 
         def matrices_of(signs):
             out = np.tile(np.eye(m), (len(signs), 1, 1))
@@ -779,11 +807,16 @@ class TestSignSearch:
 
     def test_blocks_enumerate_in_order(self):
         m = 9
-        rows = np.concatenate(list(theorems._sign_blocks(m)))
+        rows = theorems._signs_of(np.arange(1 << (m - 1)), m)
         assert rows.shape == (1 << (m - 1), m)
         for k in (0, 1, 130, 255):
             expect = [1.0] + [-1.0 if (k >> (m - 1 - i)) & 1 else 1.0 for i in range(1, m)]
             assert np.array_equal(rows[k], expect)
+        # the solver takes them in blocks of at most _SIGN_BLOCK, in order
+        blocks = list(theorems._solved(lambda s: np.tile(np.eye(m), (len(s), 1, 1)),
+                                       m, np.arange(1 << (m - 1))))
+        assert [len(signs) for signs, _, _ in blocks] == [theorems._SIGN_BLOCK] * 2
+        assert np.array_equal(np.concatenate([signs for signs, _, _ in blocks]), rows)
 
     def test_largest_family_crosses_block_boundaries(self):
         cfg = lg.generate(lg.GenSpec("hyperplanes_common_ideal_point", lg.MAX_FAMILY - 1, seed=3))
@@ -925,8 +958,8 @@ class TestPrunedSignSearch:
             hs, G = lg.CoHyperplane.rows(N), lg.gram(N)
             matrices_of = lambda signs: theorems._signed_sigma(G, signs)
             pencil = theorems._SignPencil(*theorems._sigma_rank_one(G))
-            smax = np.concatenate([np.max(np.abs(np.linalg.eigvalsh(matrices_of(signs))), axis=1)
-                                   for signs in theorems._sign_blocks(len(hs))])
+            signs = theorems._signs_of(np.arange(1 << (len(hs) - 1)), len(hs))
+            smax = np.max(np.abs(np.linalg.eigvalsh(matrices_of(signs))), axis=1)
             assert np.all(pencil._smax_bound(np.arange(smax.size), pencil.y2) >= smax), kind
             assert_pruned_matches_reference(hs, matrices_of, theorems._sigma_rank_one(G), kind)
 
@@ -940,8 +973,8 @@ class TestPrunedSignSearch:
             pencil = theorems._SignPencil(*rank_one)
             rows = np.arange(1 << (m - 1))
             bound = pencil._smax_bound(rows, pencil.y2)
-            smax = np.concatenate([np.max(np.abs(np.linalg.eigvalsh(matrices_of(s))), axis=1)
-                                   for s in theorems._sign_blocks(m)])
+            signs = theorems._signs_of(rows, m)
+            smax = np.max(np.abs(np.linalg.eigvalsh(matrices_of(signs))), axis=1)
             assert np.all(bound >= smax), kind
             assert np.all(pencil._chord >= smax), kind
             assert np.median(bound / smax) <= 1.0 + 1e-5, kind
@@ -1077,8 +1110,8 @@ class TestDegenerateSignContract:
 
     def test_first_degenerate_beats_a_smaller_ratio(self):
         m = 10
-        blocks = list(theorems._sign_blocks(m))
-        first, smaller = blocks[0][7], blocks[3][2]
+        rows = theorems._signs_of(np.arange(1 << (m - 1)), m)
+        first, smaller = rows[7], rows[3 * theorems._SIGN_BLOCK + 2]
 
         def matrices_of(signs):
             out = np.tile(np.eye(m), (len(signs), 1, 1))
@@ -1100,9 +1133,9 @@ class TestDegenerateSignContract:
         for seed in range(4):
             hs = lg.generate(lg.GenSpec("hyperplanes_orth_equal", 11, seed=seed)).objects
             G = lg.gram([h.normal for h in hs])
-            rows = np.concatenate(list(theorems._sign_blocks(12)))
-            ratios = np.concatenate([smin / smax for _, smin, smax in theorems._sign_spectra(
-                lambda s: theorems._signed_sigma(G, s), 12)])
+            rows = theorems._signs_of(np.arange(1 << 11), 12)
+            sigmas = np.abs(np.linalg.eigvalsh(theorems._signed_sigma(G, rows)))
+            ratios = sigmas.min(axis=1) / np.maximum(sigmas.max(axis=1), 1.0)
             spurious = [rows[k] for k in np.flatnonzero(ratios <= lg.DEFAULT_TOL) if k]
             for t in spurious[:2]:
                 flipped = apply_signs(hs, t)
