@@ -12,15 +12,13 @@ A scene is a JSON object with fields:
 * "meta": optional free-form map, carried along but never interpreted
   beyond an integer "seed" echoed into reports
 
-Records on the hyperboloid: {"type": "point", "coords": [...]},
-{"type": "horosphere", "rep": [...]}, {"type": "hyperplane",
-"normal": [...]}, {"type": "hypersphere", "centre": [...], "radius": r}
-(surface only), and the Euclidean {"type": "sphere_e", "centre": [...],
-"radius": r, "eps": +-1}.  Ball-model spellings are accepted
-interchangeably: points as {"ball": [...]}, horospheres as
-{"centre_dir": [...], "scale": s}, hyperplanes as {"pole": [...],
-"orientation": +-1} or {"direction": [...]}, hyperspheres as
-{"ball_centre": [...], "radius": r}.
+A record is {"type": ...} and the fields of its object under their own
+names: a "point" holds "coords", a "horosphere" "rep", a "hyperplane"
+"normal", a "hypersphere" (surface only) "centre" (its coordinates) and
+"radius", and the Euclidean "sphere_e" "centre", "radius" and "eps".
+Ball-model forms of the vector are accepted interchangeably: {"ball"},
+{"centre_dir", "scale"}, {"pole", "orientation"} or {"direction"}, and
+{"ball_centre"} with the hypersphere's "radius".
 
 Reports are emitted as canonical JSON (sorted keys, minimal separators)
 on stdout.  Every report carries "command", "input_digest" (sha256 of
@@ -54,14 +52,14 @@ import math
 import os
 import sys
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, NamedTuple, NoReturn, Optional
+from typing import TYPE_CHECKING, Callable, NamedTuple, NoReturn, Optional, get_type_hints
 
 import numpy as np
 
 from .errors import GeometryError, NoReliableKernel, NormalSearchFailed, SchemaViolation
 from .genkind import PARAM_KEYS, GenKind
 from .lorentz import DEFAULT_TOL, degeneracy
-from .models import ball_normals, ball_points, ball_reps, hyperboloid_to_ball
+from .models import ball_normals, ball_points, ball_reps
 from .objects import (
     CoHyperplane,
     CoSphereE,
@@ -177,14 +175,27 @@ def _scalars(recs: list, key: str, where: str, unit: bool = False) -> list:
     return [float(x) for x in xs]
 
 
-# record type -> the keys that select its ball-model forms, first match wins
-_FORMS = {
-    "point": ("ball",),
-    "horosphere": ("centre_dir",),
-    "hyperplane": ("pole", "direction"),
-    "hypersphere": ("ball_centre",),
-    "sphere_e": (),
+# record type -> its class and the keys that select its ball-model forms,
+# first match wins; None for a record that reports write and scenes refuse.
+# A flat record holds its object's fields under their own names, a
+# hypersphere's centre as its coordinates, and a ball form stands in for the
+# object's vector.  Only objects of hyperbolic space have one; a sphere_e
+# centre lies in R^n.
+_RECORDS = {
+    "point": (HPoint, ("ball",)),
+    "horosphere": (Horosphere, ("centre_dir",)),
+    "hyperplane": (CoHyperplane, ("pole", "direction")),
+    "hypersphere": (Hypersphere, ("ball_centre",)),
+    "sphere_e": (CoSphereE, ()),
+    "equidistant": (EquidistantBranch, None),
+    "plane_e": (EuclideanPlane, None),
 }
+# class -> its record type and its (field, type) pairs
+_CLASSES = {cls: (kind, tuple(get_type_hints(cls).items())) for kind, (cls, _) in _RECORDS.items()}
+# class -> its (position, (field, type)) pairs in the order _build reads them: a
+# point field (a hypersphere's centre) after the numbers, so a radius is checked first
+_READ = {cls: sorted(enumerate(f), key=lambda p: p[1][1] is HPoint)
+         for cls, (_, f) in _CLASSES.items()}
 
 
 def _form(rec, where: str) -> tuple[str, Optional[str]]:
@@ -194,46 +205,56 @@ def _form(rec, where: str) -> tuple[str, Optional[str]]:
     if "type" not in rec:
         raise SchemaViolation(f"{where}: missing field 'type'")
     kind = rec["type"]
-    keys = _FORMS.get(kind) if isinstance(kind, str) else None
-    if keys is None:
+    row = _RECORDS.get(kind) if isinstance(kind, str) else None
+    if row is None or row[1] is None:
         raise SchemaViolation(f"{where}: unknown record type {kind!r}")
-    for key in keys:
+    for key in row[1]:
         if key in rec:
             return kind, key
     return kind, None
 
 
+def _from_ball(key: str, recs: list, n: int, where: str) -> np.ndarray:
+    """The hyperboloid vectors of records in the ball-model form key."""
+    B = _floats(_fields(recs, key, where), n, where)
+    if key == "centre_dir":
+        scale = _scalars(recs, "scale", where)
+        if min(scale) <= 0:
+            raise SchemaViolation(f"{where}: scale must be positive")
+        return ball_reps(B, scale)
+    if key == "pole":
+        return ball_normals(B, _scalars(recs, "orientation", where, unit=True))
+    if key == "direction":
+        return ball_normals(B)
+    return ball_points(B)  # "ball", "ball_centre"
+
+
+def _to_ball(key: str, v: np.ndarray) -> dict:
+    """The ball-model form of the vector v of a record whose first ball key is key."""
+    if key == "centre_dir":
+        return {"centre_dir": v[:-1] / v[-1], "scale": float(v[-1])}
+    if key == "pole":
+        vt = float(v[-1])
+        if abs(vt) > 1e-9:
+            return {"pole": v[:-1] / vt, "orientation": 1 if vt > 0 else -1}
+        return {"direction": v[:-1]}
+    return {key: v[:-1] / (1.0 + v[-1])}  # "ball", "ball_centre"
+
+
 def _build(kind: str, key: Optional[str], recs: list, n: int, where: str) -> list:
-    """The objects of records of one form: their numbers gathered into one
-    array, converted to hyperboloid coordinates and checked in one pass."""
-    if kind == "point":
-        if key:
-            return HPoint.rows(ball_points(_floats(_fields(recs, key, where), n, where)))
-        return HPoint.rows(_floats(_fields(recs, "coords", where), n + 1, where))
-    if kind == "horosphere":
-        if key:
-            D = _floats(_fields(recs, key, where), n, where)
-            scale = _scalars(recs, "scale", where)
-            if min(scale) <= 0:
-                raise SchemaViolation(f"{where}: scale must be positive")
-            return Horosphere.rows(ball_reps(D, scale))
-        return Horosphere.rows(_floats(_fields(recs, "rep", where), n + 1, where))
-    if kind == "hyperplane":
-        if key:
-            P = _floats(_fields(recs, key, where), n, where)
-            orientation = _scalars(recs, "orientation", where, unit=True) if key == "pole" else None
-            return CoHyperplane.rows(ball_normals(P, orientation))
-        return CoHyperplane.rows(_floats(_fields(recs, "normal", where), n + 1, where))
-    if kind == "hypersphere":
-        radii = _scalars(recs, "radius", where)
-        if key:
-            X = ball_points(_floats(_fields(recs, key, where), n, where))
+    """The objects of records of one form: each field's numbers gathered
+    into one array or list, the vector converted to hyperboloid coordinates,
+    and every object checked in one pass."""
+    cls, keys = _RECORDS[kind]
+    columns = [None] * len(_READ[cls])
+    for i, (name, hint) in _READ[cls]:
+        if hint in (float, int):
+            columns[i] = _scalars(recs, name, where, unit=hint is int)
+        elif key:
+            columns[i] = _from_ball(key, recs, n, where)
         else:
-            X = _floats(_fields(recs, "centre", where), n + 1, where)
-        return [Hypersphere(c, r) for c, r in zip(HPoint.rows(X), radii)]
-    C = _floats(_fields(recs, "centre", where), n, where)
-    radii = _scalars(recs, "radius", where)
-    return CoSphereE.rows(C, radii, _scalars(recs, "eps", where, unit=True))
+            columns[i] = _floats(_fields(recs, name, where), n + bool(keys), where)
+    return cls.rows(*columns)
 
 
 def _record_to_object(rec, n: int, where: str):
@@ -268,44 +289,18 @@ def _objects(records: list, n: int) -> list:
 
 
 def object_to_record(obj, disk: bool = False) -> dict:
-    if isinstance(obj, HPoint):
-        if disk:
-            return {"type": "point", "ball": hyperboloid_to_ball(obj.coords)}
-        return {"type": "point", "coords": obj.coords}
-    if isinstance(obj, Horosphere):
-        if disk:
-            return {
-                "type": "horosphere",
-                "centre_dir": obj.rep[:-1] / obj.rep[-1],
-                "scale": float(obj.rep[-1]),
-            }
-        return {"type": "horosphere", "rep": obj.rep}
-    if isinstance(obj, CoHyperplane):
-        if disk:
-            vt = float(obj.normal[-1])
-            if abs(vt) > 1e-9:
-                return {
-                    "type": "hyperplane",
-                    "pole": obj.normal[:-1] / vt,
-                    "orientation": 1 if vt > 0 else -1,
-                }
-            return {"type": "hyperplane", "direction": obj.normal[:-1]}
-        return {"type": "hyperplane", "normal": obj.normal}
-    if isinstance(obj, Hypersphere):
-        if disk:
-            return {
-                "type": "hypersphere",
-                "ball_centre": hyperboloid_to_ball(obj.centre.coords),
-                "radius": obj.radius,
-            }
-        return {"type": "hypersphere", "centre": obj.centre.coords, "radius": obj.radius}
-    if isinstance(obj, CoSphereE):
-        return {"type": "sphere_e", "centre": obj.centre, "radius": obj.radius, "eps": obj.eps}
-    if isinstance(obj, EquidistantBranch):
-        return {"type": "equidistant", "normal": obj.normal, "offset": obj.offset}
-    if isinstance(obj, EuclideanPlane):
-        return {"type": "plane_e", "normal": obj.normal, "offset": obj.offset}
-    raise GeometryError(f"cannot emit {type(obj).__name__}")
+    """The scene record of an object; with disk, in its ball-model form."""
+    if type(obj) not in _CLASSES:
+        raise GeometryError(f"cannot emit {type(obj).__name__}")
+    kind, fields = _CLASSES[type(obj)]
+    rec = {"type": kind}
+    for name, hint in fields:
+        value = getattr(obj, name)
+        rec[name] = value.coords if hint is HPoint else value
+    keys = _RECORDS[kind][1]
+    if disk and keys:  # the ball form stands in for the first field, the vector
+        rec.update(_to_ball(keys[0], rec.pop(fields[0][0])))
+    return rec
 
 
 class Scene:
@@ -378,11 +373,6 @@ def load_scene(path: str, theorem: Optional[str] = None) -> tuple[Scene, str]:
 # report assembly
 
 
-def _ball_boundary(vec: np.ndarray) -> list:
-    # a lightlike class meets the ball boundary at its spatial direction
-    return list(np.asarray(vec, dtype=float)[:-1] / float(vec[-1]))
-
-
 def _case_doc(
     case: Optional[CaseyCase], residual: Optional[float], disk: bool
 ) -> Optional[dict]:
@@ -400,29 +390,26 @@ def _case_doc(
     if case.inclination is not None:
         doc["inclination"] = case.inclination
     if disk:
-        ball = {}
-        for key in ("tangent_normal", "orthogonal_normal", "inclined_normal"):
-            vec = witnesses.get(key)
-            if vec is not None:
-                ball[key] = object_to_record(CoHyperplane(vec), disk=True)
+        doc["ball"] = {key: {"type": "hyperplane", **_to_ball("pole", vec)}
+                       for key, vec in witnesses.items() if key != "ideal_point"}
         if case.ideal_point is not None:
-            ball["ideal_point"] = _ball_boundary(case.ideal_point)
-        doc["ball"] = ball
+            # a lightlike vector meets the ball boundary at a horosphere's ideal centre
+            doc["ball"]["ideal_point"] = _to_ball("centre_dir", case.ideal_point)["centre_dir"]
     return doc
 
 
-def _euclidean_doc(euc, disk: bool = False) -> Optional[dict]:
+def _euclidean_doc(euc) -> Optional[dict]:
     if euc is None:
         return None
     doc = {"kind": euc.kind.value}
     if euc.tangent_surface is not None:
-        doc["tangent_surface"] = object_to_record(euc.tangent_surface, disk=disk)
+        doc["tangent_surface"] = object_to_record(euc.tangent_surface)
     if euc.kind.value == "common_intersection_point":
         doc["meeting_point"] = euc.meeting_point
         doc["at_infinity"] = euc.meeting_point_at_infinity
     if euc.orthogonal_surface is not None:
-        doc["orthogonal_surface"] = object_to_record(euc.orthogonal_surface, disk=disk)
-        doc["inclined_surface"] = object_to_record(euc.inclined_surface, disk=disk)
+        doc["orthogonal_surface"] = object_to_record(euc.orthogonal_surface)
+        doc["inclined_surface"] = object_to_record(euc.inclined_surface)
         doc["inclination"] = euc.inclination
     return doc
 
@@ -514,7 +501,7 @@ def _run_casey_e(scene: Scene, tol: float, search: bool, disk: bool, classify: b
     # the witnesses certify the hyperplane lifts of the spheres
     fields = _casey_fields(res, lambda: res.lifts, disk, classify)
     if classify:
-        fields["euclidean"] = _euclidean_doc(res.euclidean, disk)
+        fields["euclidean"] = _euclidean_doc(res.euclidean)
     return res.verdict, fields
 
 

@@ -220,14 +220,16 @@ def _horosphere(rng: SplitMix64, dim: int, params: dict) -> Horosphere:
 
 
 def _hypersphere(rng: SplitMix64, dim: int, params: dict) -> Hypersphere:
-    radius = float(params.get("radius", 0.0)) or rng.uniform_in(0.3, 1.5)
+    radius = params.get("radius")
+    radius = float(radius) if radius is not None else rng.uniform_in(0.3, 1.5)
     if radius <= 0:
         raise InfeasibleParams("hypersphere radius must be positive")
     return Hypersphere(HPoint(_random_point(rng, dim, 0.6)), radius)
 
 
 def _equidistant(rng: SplitMix64, dim: int, params: dict) -> EquidistantBranch:
-    offset = float(params.get("offset", 0.0)) or rng.uniform_in(0.2, 1.2)
+    offset = params.get("offset")
+    offset = float(offset) if offset is not None else rng.uniform_in(0.2, 1.2)
     if offset == 0:
         raise InfeasibleParams("equidistant offset must be nonzero")
     return EquidistantBranch(_random_spacelike_unit(rng, dim), offset)

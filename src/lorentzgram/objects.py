@@ -211,6 +211,11 @@ class Hypersphere:
         object.__setattr__(self, "centre", centre)
         object.__setattr__(self, "radius", float(radius))
 
+    @classmethod
+    def rows(cls, X: np.ndarray, radii) -> list["Hypersphere"]:
+        """One hypersphere per row of a (k, n+1) array of centres and k radii."""
+        return [cls(c, r) for c, r in zip(HPoint.rows(X), radii)]
+
     @property
     def n(self) -> int:
         return self.centre.n

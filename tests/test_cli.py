@@ -770,6 +770,30 @@ class TestSearchFlag:
                 "error": "InvalidInput", "message": "family too large for sign search (max 16)"})
 
 
+class TestOrthogonalEquallyInclinedSpheres:
+    """The third alternative of the planar Casey theorem: spheres whose
+    lifts are a generated orthogonal/equally-inclined hyperplane family."""
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_classify_reads_the_third_alternative(self, capsys, tmp_path, n):
+        for seed in range(6):
+            planes = generate(GenSpec("hyperplanes_orth_equal", n + 1, seed=seed)).objects
+            spheres = [lg.normal_to_sphere_or_plane(h.normal) for h in planes]
+            assert all(isinstance(s, lg.CoSphereE) for s in spheres), seed
+            records = [{"type": "sphere_e", "centre": s.centre.tolist(), "radius": s.radius,
+                        "eps": s.eps} for s in spheres]
+            scene = write_scene(tmp_path, {"schema": "lorentz-gram/1", "dimension": n,
+                                           "theorem": "casey_e", "objects": records})
+            for flags in ((), ("--emit-disk",)):
+                code, rep = run_doc(capsys, "classify", scene, *flags)
+                assert code == 0, (seed, flags)
+                assert rep["witness_check"]["passed"] is True, (seed, flags)
+                euc = rep["euclidean"]
+                assert euc["kind"] == "orthogonal_equally_inclined", (seed, flags)
+                assert euc["orthogonal_surface"] and euc["inclined_surface"], (seed, flags)
+                assert 0 <= euc["inclination"] < 1, (seed, flags)
+
+
 class TestEuclideanReading:
     """verify drops a casey_e report's euclidean block, so it never builds
     it; classify builds it once and reports it unchanged."""
@@ -846,7 +870,72 @@ class TestLooseTolerance:
                             assert_null_case_has_reason(code, rep, command)
 
 
+def refused_scene(case: str):
+    """The scene document of one SCHEMA_REFUSALS case."""
+    points = [{"type": "point", "coords": [0.0, 0.0, 1.0]},
+              {"type": "point", "ball": [0.5, 0.0]},
+              {"type": "point", "ball": [0.0, 0.5]}]
+    horospheres = [{"type": "horosphere", "rep": [1.0, 0.0, 1.0]},
+                   {"type": "horosphere", "rep": [0.0, 1.0, 1.0]}]
+    valid = casey_scene({"type": "hyperplane", "normal": [0.6, 0.8, 0.0]})
+    records = {
+        "record": 7,
+        "type": {"normal": [1.0, 0.0, 0.0]},
+        "type_3": {"type": 3, "normal": [1.0, 0.0, 0.0]},
+        "equidistant": {"type": "equidistant", "normal": [1.0, 0.0, 0.0], "offset": 0.5},
+        "plane_e": {"type": "plane_e", "normal": [1.0, 0.0], "offset": 0.5},
+        "normal": {"type": "hyperplane"},
+        "scale": {"type": "horosphere", "centre_dir": [0.6, 0.8]},
+        "orientation": {"type": "hyperplane", "pole": [2.0, 0.0]},
+        "radius": {"type": "sphere_e", "centre": [0.0, 1.0], "eps": 1},
+        "eps": {"type": "sphere_e", "centre": [0.0, 1.0], "radius": 0.5},
+        "scale_0": {"type": "horosphere", "centre_dir": [0.6, 0.8], "scale": 0},
+    }
+    if case in records:
+        return casey_scene(records[case])
+    ptolemy1 = {"schema": "lorentz-gram/1", "dimension": 2, "theorem": "ptolemy1",
+                "objects": points}
+    return {
+        "scene": ["penner"],
+        "empty": {**valid, "objects": []},
+        "meta": {**valid, "meta": [1]},
+        "two_types": {**valid, "theorem": "relation", "objects": points[:2] + horospheres},
+        "casey_surface": {**valid, "surface": horospheres[0]},
+        "no_surface": ptolemy1,
+        "point_surface": {**ptolemy1, "surface": points[0]},
+    }[case]
+
+
+# scene-schema refusals, each with its exact message
+SCHEMA_REFUSALS = [
+    ("scene", "scene must be a JSON object"),
+    ("empty", "objects must be a non-empty list"),
+    ("record", "objects[0]: record must be an object"),
+    ("type", "objects[0]: missing field 'type'"),
+    ("type_3", "objects[0]: unknown record type 3"),
+    ("equidistant", "objects[0]: unknown record type 'equidistant'"),
+    ("plane_e", "objects[0]: unknown record type 'plane_e'"),
+    ("normal", "objects[0]: missing field 'normal'"),
+    ("scale", "objects[0]: missing field 'scale'"),
+    ("orientation", "objects[0]: missing field 'orientation'"),
+    ("radius", "objects[0]: missing field 'radius'"),
+    ("eps", "objects[0]: missing field 'eps'"),
+    ("scale_0", "objects[0]: scale must be positive"),
+    ("meta", "meta must be a JSON object"),
+    ("two_types", "relation objects must all be of one type"),
+    ("casey_surface", "only ptolemy1 and relation scenes take a surface record"),
+    ("no_surface", "ptolemy1 scenes need a surface record"),
+    ("point_surface", "ptolemy1 surface must be a horosphere or hypersphere"),
+]
+
+
 class TestErrors:
+    @pytest.mark.parametrize("case, message", SCHEMA_REFUSALS)
+    def test_schema_refusal_messages(self, capsys, tmp_path, case, message):
+        code, doc = run_doc(capsys, "verify", write_scene(tmp_path, refused_scene(case)))
+        assert code == 2
+        assert doc == {"error": "SchemaViolation", "message": message}
+
     def test_missing_file(self, capsys):
         code, doc = run_doc(capsys, "verify", "/nonexistent/scene.json")
         assert code == 2
@@ -1024,6 +1113,21 @@ class TestErrors:
         assert code == 2
         assert doc["error"] == "InfeasibleParams"
         assert "overflow" in doc["message"]
+
+    ZERO_REFUSALS = {
+        "radius": ("points_on_hypersphere", "hypersphere radius must be positive"),
+        "offset": ("points_on_equidistant", "equidistant offset must be nonzero"),
+    }
+
+    @pytest.mark.parametrize("value", ["0", "0.0", "-0.0"])
+    @pytest.mark.parametrize("key", ZERO_REFUSALS)
+    def test_explicit_zero_params_exit_two(self, capsys, key, value):
+        # only an absent key draws at random; a given zero is refused
+        kind, message = self.ZERO_REFUSALS[key]
+        for argv in ([f"--{key}={value}"], ["--params", f"{key}={value}"]):
+            code, doc = run_doc(capsys, "generate", "--kind", kind, "--n", "3", *argv)
+            assert code == 2
+            assert doc == {"error": "InfeasibleParams", "message": message}
 
     @pytest.mark.parametrize("kind,n,count", [
         ("horospheres_on_hyperplane_boundary", 3, 3),

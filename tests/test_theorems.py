@@ -963,6 +963,28 @@ class TestPrunedSignSearch:
             assert np.all(pencil._smax_bound(np.arange(smax.size), pencil.y2) >= smax), kind
             assert_pruned_matches_reference(hs, matrices_of, theorems._sigma_rank_one(G), kind)
 
+    def test_off_spectrum_widens_past_every_eigenvalue(self):
+        # a T on some |lam_i|, or within 2 eta of one, comes back larger and
+        # 2 eta off every |lam_i|; a chain of eigenvalues spaced closer than
+        # 2 eta is cleared in one call
+        hs = lg.generate(lg.GenSpec("generic_hyperplanes", 8, seed=0)).objects
+        pencil = theorems._SignPencil(*theorems._sigma_rank_one(lg.gram(
+            lg.CoHyperplane.family(hs))))
+        eta = pencil.eta
+
+        def off_spectrum(T):
+            return bool(np.all(np.abs(np.abs(pencil.lam) - T) >= 2.0 * eta))
+
+        for lam in np.abs(pencil.lam):
+            for T in (lam, lam - 1.5 * eta, lam + 1.5 * eta):
+                got = pencil._off_spectrum(T)
+                assert got > T and off_spectrum(got), (lam, T)
+        start = float(np.max(np.abs(pencil.lam))) + 1.0
+        chain = -(start + 1.5 * eta * np.arange(8))
+        pencil.lam = np.sort(np.concatenate([pencil.lam, chain]))
+        got = pencil._off_spectrum(start)
+        assert got >= -chain[-1] + 2.0 * eta and off_spectrum(got)
+
     def test_smax_bounds_are_certified_and_tight(self):
         # the per-row bounds on the largest |eigenvalue| must hold for every
         # vector, and the Newton one sit near the truth once converged
