@@ -378,23 +378,19 @@ def _case_doc(
 ) -> Optional[dict]:
     if case is None:
         return None
-    witnesses = {}
-    if case.tangent_normal is not None:
-        witnesses["tangent_normal"] = case.tangent_normal
-    if case.ideal_point is not None:
-        witnesses["ideal_point"] = case.ideal_point
-    if case.orthogonal_normal is not None:
-        witnesses["orthogonal_normal"] = case.orthogonal_normal
-        witnesses["inclined_normal"] = case.inclined_normal
+    # the populated vector fields, in field order; a case's kind populates
+    # either the ideal point or normals, never both
+    witnesses = {key: vec for key, vec in vars(case).items() if isinstance(vec, np.ndarray)}
     doc = {"name": case.kind.value, "witnesses": witnesses, "residual": residual}
     if case.inclination is not None:
         doc["inclination"] = case.inclination
     if disk:
-        doc["ball"] = {key: {"type": "hyperplane", **_to_ball("pole", vec)}
-                       for key, vec in witnesses.items() if key != "ideal_point"}
-        if case.ideal_point is not None:
-            # a lightlike vector meets the ball boundary at a horosphere's ideal centre
-            doc["ball"]["ideal_point"] = _to_ball("centre_dir", case.ideal_point)["centre_dir"]
+        # a lightlike vector meets the ball boundary at a horosphere's ideal centre
+        doc["ball"] = {
+            key: _to_ball("centre_dir", vec)["centre_dir"] if key == "ideal_point"
+            else {"type": "hyperplane", **_to_ball("pole", vec)}
+            for key, vec in witnesses.items()
+        }
     return doc
 
 

@@ -37,9 +37,11 @@ def ball_points(B: np.ndarray) -> np.ndarray:
     hyperboloid coordinates; raises OutsideBall within 1e-12 of the boundary.
 
     |b|^2 is each row's own dot product (vecdot sums a row as b @ b does),
-    so a row converts to the same bits alone as in a family.
+    so a row converts to the same bits alone as in a family.  A row too
+    large to square overflows to inf without a warning and is refused.
     """
-    r2 = np.vecdot(B, B)
+    with np.errstate(over="ignore", invalid="ignore"):
+        r2 = np.vecdot(B, B)
     if (r2 >= (1.0 - 1e-12) ** 2).any():
         raise OutsideBall("point is not strictly inside the unit ball")
     return np.concatenate([2.0 * B, (1.0 + r2)[:, None]], axis=1) / (1.0 - r2)[:, None]
@@ -59,11 +61,13 @@ def ball_normals(P: np.ndarray, orientation=None) -> np.ndarray:
     Without orientation the rows are directions d of hyperplanes through the
     origin, with normal (d, 0).  With orientation (k signs +-1) they are the
     poles p, |p| > 1, of hyperplanes off the origin, with normal
-    o (p, 1) / sqrt(|p|^2 - 1).
+    o (p, 1) / sqrt(|p|^2 - 1).  A pole too large to square overflows
+    without a warning to a zero normal, which CoHyperplane refuses.
     """
     if orientation is None:
         return np.concatenate([P, np.zeros((P.shape[0], 1))], axis=1)
-    r2 = np.vecdot(P, P)  # as in ball_points
+    with np.errstate(over="ignore", invalid="ignore"):
+        r2 = np.vecdot(P, P)  # as in ball_points
     if (r2 <= 1.0).any():
         raise InvalidInput("bad pole form")
     vt = np.asarray(orientation) / np.sqrt(r2 - 1.0)
@@ -72,10 +76,12 @@ def ball_normals(P: np.ndarray, orientation=None) -> np.ndarray:
 
 def ball_reps(D: np.ndarray, scale) -> np.ndarray:
     """Horosphere representatives s (d, 1) from ideal centres d on the unit
-    sphere (rows) and k scales s."""
-    return np.asarray(scale, dtype=float)[:, None] * np.concatenate(
-        [D, np.ones((D.shape[0], 1))], axis=1
-    )
+    sphere (rows) and k scales s.  A product too large overflows to inf
+    without a warning, and Horosphere refuses it."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.asarray(scale, dtype=float)[:, None] * np.concatenate(
+            [D, np.ones((D.shape[0], 1))], axis=1
+        )
 
 
 def ball_distance(b1, b2) -> float:

@@ -55,6 +55,7 @@ from .lorentz import (
     norm_sq,
     null_basis,
     _dot,
+    _finite_dot,
     _lightlike,
     _products,
     _require_finite,
@@ -100,8 +101,19 @@ def half_dist_matrix(points: Sequence[HPoint]) -> np.ndarray:
 def sigma_matrix(hyperplanes: Sequence[CoHyperplane]) -> np.ndarray:
     """Matrix of sigma invariants (<n_i, n_j> - 1)/2 of cooriented hyperplanes,
     zero diagonal."""
-    C = (gram(CoHyperplane.family(hyperplanes)) - 1.0) / 2.0
-    np.fill_diagonal(C, 0.0)
+    G = gram(CoHyperplane.family(hyperplanes))
+    return _signed_sigma(G, np.ones(G.shape[0]))
+
+
+def _signed_sigma(G: np.ndarray, signs: np.ndarray) -> np.ndarray:
+    """Sigma matrices of the normals with Gram matrix G flipped by signs.
+
+    signs is one (m,) vector or a (k, m) stack; the result has shape
+    signs.shape + (m,), and is exactly symmetric because gram's G is.
+    """
+    C = (signs[..., :, None] * signs[..., None, :] * G - 1.0) / 2.0
+    diag = np.arange(G.shape[0])
+    C[..., diag, diag] = 0.0
     return C
 
 
@@ -232,6 +244,16 @@ def _check_family(vectors: np.ndarray, expected: int) -> None:
         )
 
 
+def _hyperplane_witness(w: np.ndarray, X: np.ndarray) -> tuple[CoHyperplane, float]:
+    """The hyperplane of the recovered normal w, scaled to unit length, and
+    its residual: the largest |<x, normal>| over the rows x of X."""
+    q = norm_sq(w)
+    if q <= 0:
+        raise NormalSearchFailed("recovered normal is not spacelike")
+    witness = CoHyperplane(first_nonzero_positive(w / math.sqrt(q)))
+    return witness, float(np.max(np.abs(X @ (witness.normal * metric_diag(X.shape[1])))))
+
+
 def penner_test(horospheres: Sequence[Horosphere], tol: float = DEFAULT_TOL) -> PennerResult:
     """Do the ideal centres of n+1 horospheres bound a common hyperplane?
 
@@ -248,14 +270,8 @@ def penner_test(horospheres: Sequence[Horosphere], tol: float = DEFAULT_TOL) -> 
     verdict = degeneracy(_lambda_sq(reps, concentric), tol)
     if not verdict.is_degenerate or all_same:
         return PennerResult(verdict, None, all_same, None)
-    D = metric_diag(reps.shape[1])
-    w = null_basis(reps, nullity=1)[:, 0] * D
-    w = first_nonzero_positive(w / np.linalg.norm(w))
-    q = norm_sq(w)
-    if q <= 0:
-        raise NormalSearchFailed("recovered normal is not spacelike")
-    witness = CoHyperplane(first_nonzero_positive(w / math.sqrt(q)))
-    residual = float(np.max(np.abs(reps @ (witness.normal * D))))
+    w = null_basis(reps, nullity=1)[:, 0] * metric_diag(reps.shape[1])
+    witness, residual = _hyperplane_witness(first_nonzero_positive(w / np.linalg.norm(w)), reps)
     return PennerResult(verdict, witness, False, residual)
 
 
@@ -319,17 +335,9 @@ def ptolemy1_test(
     verdict = degeneracy(half_dist_matrix(points), tol)
     if not verdict.is_degenerate:
         return Ptolemy1Result(verdict, None, None)
-    shifted = coords - u
-    h = null_basis(shifted, nullity=1)[:, 0]
-    w_shift = h * D
+    w_shift = null_basis(coords - u, nullity=1)[:, 0] * D
     mu = 2.0 * inner(u, w_shift) / (q - 1.0)
-    w = w_shift - mu * u
-    qw = norm_sq(w)
-    if qw <= 0:
-        raise NormalSearchFailed("recovered normal is not spacelike")
-    witness = CoHyperplane(first_nonzero_positive(w / math.sqrt(qw)))
-    residual = float(np.max(np.abs(coords @ (witness.normal * D))))
-    return Ptolemy1Result(verdict, witness, residual)
+    return Ptolemy1Result(verdict, *_hyperplane_witness(w_shift - mu * u, coords))
 
 
 def ptolemy2_test(points: Sequence[HPoint], tol: float = DEFAULT_TOL) -> DegeneracyVerdict:
@@ -422,15 +430,20 @@ def ptolemy2_classify(points: Sequence[HPoint], tol: float = DEFAULT_TOL) -> Umb
     return _ptolemy2_fit(points)
 
 
+def _kernel(rows: np.ndarray, least: int) -> np.ndarray:
+    """Orthonormal columns spanning the null space of rows, no fewer than
+    least of them, from one full SVD: the rank counts the singular values
+    above _STRUCTURE times the largest, floored at 1."""
+    _, svals, vt = np.linalg.svd(rows)
+    rank = int(np.sum(svals > _STRUCTURE * svals.max(initial=1.0)))
+    return vt[min(rank, rows.shape[1] - least) :].T
+
+
 def _ptolemy2_fit(points: Sequence[HPoint]) -> UmbilicalFit:
     """ptolemy2_classify of the points, already found degenerate."""
     coords = HPoint.family(points)
     m, dim = coords.shape
-    lifted = np.concatenate([np.ones((m, 1)), coords], axis=1)
-    # one full SVD gives the nullity and the basis null_basis would give
-    _, svals, vt = np.linalg.svd(lifted)
-    nullity = max(1, int(np.sum(svals <= _STRUCTURE * max(svals[0], 1.0))))
-    basis = vt[dim + 1 - nullity :].T
+    basis = _kernel(np.concatenate([np.ones((m, 1)), coords], axis=1), 1)
     candidates = basis * metric_diag(dim + 1)[:, None]
     eigvals, eigvecs = np.linalg.eigh(gram(candidates.T))
     if eigvals[-1] <= _STRUCTURE:
@@ -502,18 +515,6 @@ class CaseyResult:
     witness_report: Optional[WitnessReport] = None
 
 
-def _signed_sigma(G: np.ndarray, signs: np.ndarray) -> np.ndarray:
-    """Sigma matrices of the normals with Gram matrix G flipped by signs.
-
-    signs is one (m,) vector or a (k, m) stack; the result has shape
-    signs.shape + (m,), and is exactly symmetric because gram's G is.
-    """
-    C = (signs[..., :, None] * signs[..., None, :] * G - 1.0) / 2.0
-    diag = np.arange(G.shape[0])
-    C[..., diag, diag] = 0.0
-    return C
-
-
 _SIGN_BLOCK = 128  # sign vectors per stacked eigensolve; larger blocks only cost memory
 _GIVEN = np.zeros(1, dtype=np.int64)  # sign vector 0: every sign +1
 _EPS = float(np.finfo(float).eps)
@@ -554,35 +555,6 @@ def _screen(tol: float, m: int) -> float:
     return tol + 64.0 * m * _EPS
 
 
-def _scan_signs(matrices_of, m: int, tol: float, certify, rows: np.ndarray):
-    """(signs, ratio, verdict, witness) over the sign vectors numbered
-    rows (ascending, at most _SIGN_BLOCK of them), solved in one
-    stacked eigvalsh.  The first vector whose matrix degeneracy(., tol)
-    calls degenerate and that certify qualifies (see _sign_search) wins;
-    the matrices are finite and exactly symmetric by construction, so its
-    _verdict is taken without degeneracy's checks.  Otherwise the vector
-    of least ratio wins with verdict and witness None, the earliest on
-    ties, as argmin takes it."""
-    signs, matrices, ratios = next(_solved(matrices_of, m, rows))
-    for i in np.flatnonzero(ratios <= _screen(tol, m)):
-        verdict = _verdict(matrices[i], tol)
-        if verdict.is_degenerate:
-            witness = certify(signs[i], verdict)
-            if witness is not None:
-                return signs[i], float(ratios[i]), verdict, witness
-    i = int(ratios.argmin())
-    return signs[i], float(ratios[i]), None, None
-
-
-def _growing(rows: np.ndarray):
-    """rows in order, as chunks of 1, 4, 16, ... up to _SIGN_BLOCK rows."""
-    start, size = 0, 1
-    while start < rows.size:
-        yield rows[start : start + size]
-        start += size
-        size = min(4 * size, _SIGN_BLOCK)
-
-
 def _candidates(m: int, ratio: float, rank_one):
     """(rows, pencil): the numbers of the sign vectors of m objects whose
     ratio the _SignPencil of rank_one cannot place above ratio, and that
@@ -618,33 +590,43 @@ def _sign_search(matrices_of, m: int, tol: float, certify, rank_one=None):
     of their matrices.  The given coorientation (vector 0, every sign +1)
     is solved first, and ends the search when it qualifies.  The other
     _candidates of the screen, the largest ratio that can be degenerate,
-    follow in order, in growing chunks, so that a hit early in the order
-    ends the search.  rank_one = (M, rho, b) states that the matrix of s
-    has the spectrum of M + rho (s*b)(s*b)^T.  The least solved ratio wins
-    when every vector was solved or it is at most the screen, since each
-    unsolved vector is then certified above it; otherwise
+    follow in order, in chunks of 1, 4, 16, ... up to _SIGN_BLOCK vectors,
+    so that a hit early in the order ends the search.  Each chunk is
+    solved in one stacked eigvalsh; only a vector whose ratio is at most
+    the screen gets a verdict, and since the matrices are finite and
+    exactly symmetric by construction, its _verdict is taken without
+    degeneracy's checks.  rank_one = (M, rho, b) states that the matrix of
+    s has the spectrum of M + rho (s*b)(s*b)^T.  The least solved ratio
+    wins when every vector was solved or it is at most the screen, since
+    each unsolved vector is then certified above it; otherwise
     _SignPencil.least finds the least ratio.  Vector 0 is solved once.
     The answer is that of solving every vector in order.
     """
     tol = min(tol, DEFAULT_TOL)
-    best = given = _scan_signs(matrices_of, m, tol, certify, _GIVEN)
-    if given[2] is not None:
-        return given
     screen = _screen(tol, m)
-    rows, pencil = _candidates(m, screen, rank_one)
-    for chunk in _growing(rows[rows > 0]):
-        found = _scan_signs(matrices_of, m, tol, certify, chunk)
-        if found[2] is not None:
-            return found
-        if found[1] < best[1]:
-            best = found
+    rows, pencil, best, given = _GIVEN, None, None, None
+    start, size = 0, 1
+    while start < rows.size:
+        signs, matrices, ratios = next(_solved(matrices_of, m, rows[start : start + size]))
+        for i in np.flatnonzero(ratios <= screen):
+            verdict = _verdict(matrices[i], tol)
+            if verdict.is_degenerate:
+                witness = certify(signs[i], verdict)
+                if witness is not None:
+                    return signs[i], float(ratios[i]), verdict, witness
+        i = int(ratios.argmin())  # the earliest on ties
+        if best is None or ratios[i] < best[1]:
+            best = signs[i], float(ratios[i])
+        start, size = start + size, min(4 * size, _SIGN_BLOCK)
+        if given is None:  # vector 0 does not qualify: the other candidates follow
+            given = best[1]
+            rows, pencil = _candidates(m, screen, rank_one)
+            rows, start, size = rows[rows > 0], 0, 1
     if pencil is None or best[1] <= screen:
-        return best
-
-    def ratios(rows):
-        return np.concatenate([block for _, _, block in _solved(matrices_of, m, rows)])
-
-    row, ratio = pencil.least(best[1], ratios, given[1])
+        return (*best, None, None)
+    row, ratio = pencil.least(
+        best[1], lambda rows: np.concatenate([r for _, _, r in _solved(matrices_of, m, rows)]), given
+    )
     return _signs_of(np.array([row]), m)[0], ratio, None, None
 
 
@@ -957,7 +939,6 @@ def _classify_from_kernel(ns: np.ndarray, kernel: np.ndarray) -> CaseyCase:
     zero.  A kernel with none of the structures there raises
     NoReliableKernel.  ns is a validated family: every product is _dot.
     """
-    dim = ns.shape[1]
     v = ns.T @ kernel
     big = float(np.abs(ns).max())
     if float(np.abs(v).max()) > _STRUCTURE * (1.0 + float(np.abs(kernel).sum()) * big):
@@ -972,13 +953,8 @@ def _classify_from_kernel(ns: np.ndarray, kernel: np.ndarray) -> CaseyCase:
         )
     # v ~ 0: the differences n_i - n_last span at most n-1 dimensions, so
     # their orthogonal complement holds at least a plane to choose from
-    diffs = ns[:-1] - ns[-1]
-    D = metric_diag(dim)
-    # one full SVD gives the nullity and the basis null_basis would give
-    _, svals, vt = np.linalg.svd(diffs * D)
-    smax = max(float(svals[0]), 1.0) if svals.size else 1.0
-    nullity = max(2, dim - int(np.sum(svals > _STRUCTURE * smax)))
-    B = vt[dim - nullity :].T
+    D = metric_diag(ns.shape[1])
+    B = _kernel((ns[:-1] - ns[-1]) * D, 2)
     c = B.T @ (D * ns[-1])
     cnorm = float(np.linalg.norm(c))
     if cnorm <= _STRUCTURE * (1.0 + big):
@@ -1146,9 +1122,12 @@ def casey_witness_check(
         terms = [(case.tangent_normal, 1.0, 1.0)]
     elif case.kind is CaseyCaseKind.COMMON_IDEAL_POINT:
         w = as_vector(case.ideal_point)
-        wnorm = float(np.linalg.norm(w))
+        with np.errstate(over="ignore"):
+            wnorm = float(np.linalg.norm(w))
         if wnorm == 0.0:
             return WitnessReport(math.inf, False, ("zero witness",))
+        if wnorm == math.inf:  # w / wnorm would be a zero witness that passes
+            raise InvalidInput("inner product is not representable")
         terms = [(w / wnorm, 0.0, 0.0)]
     elif case.kind is CaseyCaseKind.ORTHOGONAL_EQUALLY_INCLINED:
         lam = float(case.inclination)
@@ -1159,9 +1138,7 @@ def casey_witness_check(
     for w, (_, norm, value) in zip(witnesses, terms):
         if ns.ndim != 2 or ns.shape[1] != w.shape[0]:
             raise DimensionMismatch(f"rows of shape {ns.shape} and length {w.shape[0]} differ")
-        q = _dot(w, w)
-        if not math.isfinite(q):
-            raise InvalidInput("inner product is not representable")
+        q = _finite_dot(w, w)
         products = _products(ns, w)  # all of them in one batch
         c = value if float(products.sum()) / products.size >= 0 else -value  # signed like the mean
         gaps.append(float(np.abs(products - c).max()))

@@ -678,6 +678,16 @@ class TestDiskModel:
         assert "normal" in flat["witness"]
         assert "pole" in disk["witness"] or "direction" in disk["witness"]
 
+    def test_direction_form_round_trip(self):
+        # a normal with no time part is a hyperplane through the origin,
+        # written as its direction, and read back to the same bits
+        h = lg.CoHyperplane([0.6, 0.8, 0.0])
+        rec = cli.object_to_record(h, disk=True)
+        text = cli.canonical_json(rec)
+        assert json.loads(text) == {"type": "hyperplane", "direction": [0.6, 0.8]}
+        back = cli.parse_scene(casey_scene(json.loads(text))).objects[0]
+        assert back.normal.tobytes() == h.normal.tobytes()
+
 
 class TestTheoremFlag:
     def test_flag_supplies_missing_theorem(self, capsys, tmp_path):
@@ -1306,6 +1316,16 @@ def overflow_scene(kind: str) -> dict:
                         for c, r in spheres]}
 
 
+BALL_OVERFLOWS = [
+    ("ptolemy2", {"type": "point", "ball": [1e200, 0.0]},
+     "point is not strictly inside the unit ball"),
+    ("casey", {"type": "hyperplane", "pole": [1e200, 0.0], "orientation": 1},
+     "normal must be unit spacelike"),
+    ("penner", {"type": "horosphere", "centre_dir": [2.0, 0.0], "scale": 1e308},
+     "representative must be lightlike"),
+]
+
+
 class TestOverflow:
     # finite input whose numbers overflow exits 2 with an error report, never
     # with a traceback and the exit code 1 that means "not degenerate"
@@ -1328,6 +1348,17 @@ class TestOverflow:
         code, doc = run_doc(capsys, "verify", write_scene(tmp_path, huge_points_scene()))
         assert code == 2
         assert doc == NON_FINITE
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("theorem, record, message", BALL_OVERFLOWS)
+    def test_ball_form_overflow_exits_two(self, capsys, tmp_path, theorem, record, message):
+        # the ball-model conversion overflows to inf without a warning, and
+        # the object's own check refuses the record
+        scene = {"schema": "lorentz-gram/1", "dimension": 2, "theorem": theorem,
+                 "objects": [record] * THEOREMS[theorem].count(2)}
+        code, doc = run_doc(capsys, "verify", write_scene(tmp_path, scene))
+        assert code == 2
+        assert doc == {"error": "SchemaViolation", "message": f"objects[0]: {message}"}
 
     @pytest.mark.parametrize("kind", ["tiny", "far"])
     def test_batch_reports_both(self, capsys, tmp_path, kind):

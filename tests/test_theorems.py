@@ -645,6 +645,23 @@ class TestCasey:
         assert any("inclination" in f for f in report.failures)
         assert any("independent" in f for f in report.failures)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("case", [
+        lg.CaseyCase(lg.CaseyCaseKind.TANGENT_HYPERPLANE_AT_INFINITY,
+                     tangent_normal=np.array([1e200, 0.0, 0.0])),
+        # its Euclidean norm overflows; dividing by it would leave a zero witness that passes
+        lg.CaseyCase(lg.CaseyCaseKind.COMMON_IDEAL_POINT,
+                     ideal_point=np.array([1e200, 0.0, 1e200])),
+    ], ids=["tangent", "ideal"])
+    def test_witness_check_refuses_overflowing_witness(self, case):
+        # a witness whose square overflows raises InvalidInput, with no
+        # numpy overflow warning before it
+        family = [lg.CoHyperplane([1.0, 0.0, 0.0]), lg.CoHyperplane([0.0, 1.0, 0.0]),
+                  lg.CoHyperplane([-1.0, 0.0, 0.0])]
+        for hyperplanes in (family, np.array([h.normal for h in family])):
+            with pytest.raises(lg.InvalidInput, match="^inner product is not representable$"):
+                lg.casey_witness_check(case, hyperplanes)
+
 
 def oversized_families():
     """MAX_FAMILY + 1 random cooriented hyperplanes of R^{16,1} and
