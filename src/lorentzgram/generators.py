@@ -178,75 +178,67 @@ def _orthocomplement_frame(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return time, space
 
 
-def _surface_frame(surface) -> tuple[np.ndarray, np.ndarray]:
-    """The frame _surface_point places points of the surface in: the chart
-    frame of a horosphere, else the orthocomplement frame of the centre or
-    normal.  It draws no random numbers, so a family computes it once."""
-    if isinstance(surface, Horosphere):
-        return _horosphere_frame(surface)
-    if isinstance(surface, Hypersphere):
-        return _orthocomplement_frame(surface.centre.coords)
-    return _orthocomplement_frame(surface.normal)
-
-
-def _surface_point(rng: SplitMix64, surface, frame, spread: float) -> np.ndarray:
-    """Coordinates of a random point of the surface, whose _surface_frame
-    is frame."""
-    if isinstance(surface, Horosphere):
-        k = surface.rep.shape[0] - 2
-        return _chart_inverse(surface, frame, spread * rng.normals(k))
-    f_time, F = frame
-    if isinstance(surface, Hypersphere):
-        u = rng.unit_vector(F.shape[1])
-        return math.cosh(surface.radius) * surface.centre.coords + math.sinh(
-            surface.radius
-        ) * (F @ u)
-    y = spread * rng.normals(F.shape[1])
-    h = math.sqrt(1.0 + float(y @ y)) * f_time[:, 0] + F @ y
-    if isinstance(surface, CoHyperplane):
-        return h
-    lam = surface.offset
-    return lam * surface.normal + math.hypot(lam, 1.0) * h
-
-
 # ---------------------------------------------------------------------------
 # kind builders: (rng, n, count, params) -> (objects, surface, witness,
 # extra params), or None for a draw to throw away.  Points are placed on a
-# surface drawn first by one of the (rng, dim, params) -> surface below.
+# surface drawn first by one of the (rng, dim, params) -> (surface, place)
+# below, where place(rng, spread) draws the coordinates of one point of the
+# surface in a frame the draw computes once.
 
 
-def _horosphere(rng: SplitMix64, dim: int, params: dict) -> Horosphere:
-    return Horosphere(_random_lightlike(rng, dim))
+def _horosphere(rng: SplitMix64, dim: int, params: dict):
+    h = Horosphere(_random_lightlike(rng, dim))
+    frame = _horosphere_frame(h)
+    return h, lambda rng, spread: _chart_inverse(h, frame, spread * rng.normals(dim - 2))
 
 
-def _hypersphere(rng: SplitMix64, dim: int, params: dict) -> Hypersphere:
+def _hypersphere(rng: SplitMix64, dim: int, params: dict):
     radius = params.get("radius")
     radius = float(radius) if radius is not None else rng.uniform_in(0.3, 1.5)
     if radius <= 0:
         raise InfeasibleParams("hypersphere radius must be positive")
-    return Hypersphere(HPoint(_random_point(rng, dim, 0.6)), radius)
+    sphere = Hypersphere(HPoint(_random_point(rng, dim, 0.6)), radius)
+    centre = sphere.centre.coords
+    _, F = _orthocomplement_frame(centre)
+    c, s = math.cosh(sphere.radius), math.sinh(sphere.radius)
+    return sphere, lambda rng, spread: c * centre + s * (F @ rng.unit_vector(F.shape[1]))
 
 
-def _equidistant(rng: SplitMix64, dim: int, params: dict) -> EquidistantBranch:
+def _on_hyperplane(normal: np.ndarray) -> Callable:
+    """place(rng, spread) on the hyperplane orthogonal to normal."""
+    f_time, F = _orthocomplement_frame(normal)
+
+    def place(rng, spread):
+        y = spread * rng.normals(F.shape[1])
+        return math.sqrt(1.0 + float(y @ y)) * f_time[:, 0] + F @ y
+
+    return place
+
+
+def _equidistant(rng: SplitMix64, dim: int, params: dict):
     offset = params.get("offset")
     offset = float(offset) if offset is not None else rng.uniform_in(0.2, 1.2)
     if offset == 0:
         raise InfeasibleParams("equidistant offset must be nonzero")
-    return EquidistantBranch(_random_spacelike_unit(rng, dim), offset)
+    branch = EquidistantBranch(_random_spacelike_unit(rng, dim), offset)
+    on_plane, lam = _on_hyperplane(branch.normal), branch.offset
+    return branch, lambda rng, spread: (
+        math.hypot(lam, 1.0) * on_plane(rng, spread) + lam * branch.normal
+    )
 
 
-def _hyperplane(rng: SplitMix64, dim: int, params: dict) -> CoHyperplane:
-    return CoHyperplane(_random_spacelike_unit(rng, dim))
+def _hyperplane(rng: SplitMix64, dim: int, params: dict):
+    plane = CoHyperplane(_random_spacelike_unit(rng, dim))
+    return plane, _on_hyperplane(plane.normal)
 
 
 def _points_on(surface):
     """The builder of points on the random surface surface() draws."""
 
     def build(rng, n, count, params):
-        where = surface(rng, n + 1, params)
-        frame, spread = _surface_frame(where), float(params.get("spread", 1.0))
-        points = [_surface_point(rng, where, frame, spread) for _ in range(count)]
-        return _family(HPoint, points), where, None, {}
+        where, place = surface(rng, n + 1, params)
+        spread = float(params.get("spread", 1.0))
+        return _family(HPoint, [place(rng, spread) for _ in range(count)]), where, None, {}
 
     return build
 
@@ -345,48 +337,55 @@ def _spheres_through_point(rng, n, count, params):
 
 
 # ---------------------------------------------------------------------------
-# checks: the separation of the objects and the spectrum of their matrix
+# checks: (objects, kernel, n) -> is the draw admissible?  The rule admits
+# objects that are apart and whose matrix has exactly kernel eigenvalues
+# near zero, the rest well clear of it.
+
+_MATRIX = {Horosphere: lambda_sq_matrix, CoHyperplane: sigma_matrix, CoSphereE: tau_matrix}
 
 
-def _apart(keys) -> bool:
-    return _min_pairwise(keys) >= 1e-3
+def _apart(objects) -> bool:
+    """Are the vectors of the horospheres or hyperplanes, or the centre,
+    radius and sign of each sphere, 1e-3 apart?"""
+    if isinstance(objects[0], CoSphereE):
+        return _min_pairwise(np.column_stack(CoSphereE.family(objects))) >= 1e-3
+    return _min_pairwise(type(objects[0]).family(objects)) >= 1e-3
 
 
-def _points_ok(points, deficiency: int) -> bool:
-    B = half_dist_matrix(points)
-    off = B[~np.eye(len(points), dtype=bool)]
-    return float(np.min(off)) >= 1e-4 and _spectrum_ok(B, deficiency)
+def _admit(objects, kernel: int, n: int = 0) -> bool:
+    """The rule, which needs no n; points are apart when every
+    sinh^2(rho/2) is at least 1e-4."""
+    if isinstance(objects[0], HPoint):
+        M = half_dist_matrix(objects)
+        apart = float(np.min(M[~np.eye(len(objects), dtype=bool)])) >= 1e-4
+        return apart and _spectrum_ok(M, kernel)
+    return _apart(objects) and _spectrum_ok(_MATRIX[type(objects[0])](objects), kernel)
 
 
-def _surface_points_ok(points, n: int) -> bool:
-    # count - (n + 1) kernel vectors: the points lie on one surface
-    return _points_ok(points, max(0, len(points) - (n + 1)))
-
-
-def _horospheres_ok(horos, deficiency: int) -> bool:
-    return _apart(Horosphere.family(horos)) and _spectrum_ok(lambda_sq_matrix(horos), deficiency)
-
-
-def _on_boundary_ok(horos, n: int) -> bool:
+def _on_boundary_ok(horos, kernel: int, n: int) -> bool:
     # centres in at least two directions
     directions = {tuple(np.round(h.rep / h.rep[-1], 6)) for h in horos}
-    return len(directions) >= 2 and _horospheres_ok(horos, max(1, len(horos) - n))
+    return len(directions) >= 2 and _admit(horos, kernel)
 
 
-def _hyperplanes_ok(planes, n: int) -> bool:
-    return _apart(CoHyperplane.family(planes)) and _spectrum_ok(sigma_matrix(planes), 1)
-
-
-def _orth_equal_ok(planes, n: int) -> bool:
+def _orth_equal_ok(planes, kernel: int, n: int) -> bool:
     if n > 2:
-        return _hyperplanes_ok(planes, n)
+        return _admit(planes, kernel)
     distinct = {tuple(np.round(h.normal, 9)) for h in planes}
-    return len(distinct) >= 2 and _spectrum_ok(sigma_matrix(planes), 1)
+    return len(distinct) >= 2 and _spectrum_ok(sigma_matrix(planes), kernel)
 
 
-def _generic_hyperplanes_ok(planes, n: int) -> bool:
-    ns = CoHyperplane.family(planes)
-    return _apart(ns) and _robust_under_every_sign(gram(ns))
+def _spheres_tangent_ok(spheres, kernel: int, n: int) -> bool:
+    # apart, then the sigma matrix of the lifts, then tau: the last two can
+    # raise, and this order decides which error a draw ends with
+    if not _apart(spheres):
+        return False
+    lifts = CoHyperplane.rows(sphere_lifts(spheres))
+    return _spectrum_ok(sigma_matrix(lifts), kernel) and _spectrum_ok(tau_matrix(spheres), kernel)
+
+
+def _robust_ok(planes, kernel: int, n: int) -> bool:
+    return _apart(planes) and _robust_under_every_sign(gram(CoHyperplane.family(planes)))
 
 
 def _robust_under_every_sign(G: np.ndarray) -> bool:
@@ -400,16 +399,6 @@ def _robust_under_every_sign(G: np.ndarray) -> bool:
     return not any(np.any(ratios < ROBUST_MARGIN) for _, _, ratios in solved)
 
 
-def _spheres_ok(spheres, lifts: bool = False) -> bool:
-    """Are the spheres apart, with one kernel vector of their tau matrix
-    and, when lifts is set, of the sigma matrix of their lifts?"""
-    if not _apart([np.concatenate([s.centre, [s.radius, s.eps]]) for s in spheres]):
-        return False
-    if lifts and not _spectrum_ok(sigma_matrix(CoHyperplane.rows(sphere_lifts(spheres))), 1):
-        return False
-    return _spectrum_ok(tau_matrix(spheres), 1)
-
-
 # ---------------------------------------------------------------------------
 # the kind table and the entry points
 
@@ -418,10 +407,12 @@ class _Kind(NamedTuple):
     extra: int  # the default count is n + extra
     fewest: float  # the counts the kind can build run from n + fewest
     most: float  # to n + most (and from 2 to MAX_FAMILY whatever the kind)
+    rank: int  # the kind's matrix has rank at most n + rank
     build: Callable  # see "kind builders" above
-    check: Callable  # (objects, n) -> is the draw admissible?
+    check: Callable = _admit  # see "checks" above
 
 
+# An admitted draw shows exactly max(0, count - n - rank) kernel vectors.
 # Counts outside a kind's range are refused before the first draw.  A kind
 # with one count is built for that count; the other limits are ranks that
 # no draw could pass: up to n horospheres centred on a hyperplane's boundary
@@ -429,33 +420,21 @@ class _Kind(NamedTuple):
 # (rank <= n + 2), horospheres (n + 1) or hyperplanes (n + 2) is singular
 # beyond its rank, so no generic family of that count exists.
 _KINDS = {
-    GenKind.POINTS_ON_HOROSPHERE: _Kind(2, -INF, INF, _points_on(_horosphere), _surface_points_ok),
-    GenKind.POINTS_ON_HYPERSPHERE: _Kind(
-        2, -INF, INF, _points_on(_hypersphere), _surface_points_ok
-    ),
-    GenKind.POINTS_ON_HYPERPLANE: _Kind(2, -INF, INF, _points_on(_hyperplane), _surface_points_ok),
-    GenKind.POINTS_ON_EQUIDISTANT: _Kind(
-        2, -INF, INF, _points_on(_equidistant), _surface_points_ok
-    ),
+    GenKind.POINTS_ON_HOROSPHERE: _Kind(2, -INF, INF, 1, _points_on(_horosphere)),
+    GenKind.POINTS_ON_HYPERSPHERE: _Kind(2, -INF, INF, 1, _points_on(_hypersphere)),
+    GenKind.POINTS_ON_HYPERPLANE: _Kind(2, -INF, INF, 1, _points_on(_hyperplane)),
+    GenKind.POINTS_ON_EQUIDISTANT: _Kind(2, -INF, INF, 1, _points_on(_equidistant)),
     GenKind.HOROSPHERES_ON_HYPERPLANE_BOUNDARY: _Kind(
-        1, 1, INF, _horospheres_on_boundary, _on_boundary_ok
+        1, 1, INF, 0, _horospheres_on_boundary, _on_boundary_ok
     ),
-    GenKind.HYPERPLANES_TANGENT_AT_INFINITY: _Kind(1, 1, 1, _hyperplanes_tangent, _hyperplanes_ok),
-    GenKind.HYPERPLANES_COMMON_IDEAL_POINT: _Kind(
-        1, 1, 1, _hyperplanes_ideal_point, _hyperplanes_ok
-    ),
-    GenKind.HYPERPLANES_ORTH_EQUAL: _Kind(1, 1, 1, _hyperplanes_orth_equal, _orth_equal_ok),
-    GenKind.GENERIC_POINTS: _Kind(2, -INF, 2, _generic_points, lambda pts, n: _points_ok(pts, 0)),
-    GenKind.GENERIC_HOROSPHERES: _Kind(
-        1, -INF, 1, _generic_horospheres, lambda horos, n: _horospheres_ok(horos, 0)
-    ),
-    GenKind.GENERIC_HYPERPLANES: _Kind(1, -INF, 2, _generic_hyperplanes, _generic_hyperplanes_ok),
-    GenKind.SPHERES_TANGENT_TO_CIRCLE: _Kind(
-        2, 2, 2, _spheres_tangent, lambda spheres, n: _spheres_ok(spheres, lifts=True)
-    ),
-    GenKind.SPHERES_THROUGH_POINT: _Kind(
-        2, 2, 2, _spheres_through_point, lambda spheres, n: _spheres_ok(spheres)
-    ),
+    GenKind.HYPERPLANES_TANGENT_AT_INFINITY: _Kind(1, 1, 1, 0, _hyperplanes_tangent),
+    GenKind.HYPERPLANES_COMMON_IDEAL_POINT: _Kind(1, 1, 1, 0, _hyperplanes_ideal_point),
+    GenKind.HYPERPLANES_ORTH_EQUAL: _Kind(1, 1, 1, 0, _hyperplanes_orth_equal, _orth_equal_ok),
+    GenKind.GENERIC_POINTS: _Kind(2, -INF, 2, 2, _generic_points),
+    GenKind.GENERIC_HOROSPHERES: _Kind(1, -INF, 1, 1, _generic_horospheres),
+    GenKind.GENERIC_HYPERPLANES: _Kind(1, -INF, 2, 2, _generic_hyperplanes, _robust_ok),
+    GenKind.SPHERES_TANGENT_TO_CIRCLE: _Kind(2, 2, 2, 1, _spheres_tangent, _spheres_tangent_ok),
+    GenKind.SPHERES_THROUGH_POINT: _Kind(2, 2, 2, 1, _spheres_through_point),
 }
 
 
@@ -491,6 +470,7 @@ def generate(spec: GenSpec) -> Configuration:
             raise InfeasibleParams(f"{key} must be finite, got {params[key]}")
     seed = int(spec.seed)
     rng = SplitMix64(seed)
+    kernel = max(0, count - n - row.rank)
     for _ in range(MAX_ATTEMPTS):
         # parameters too large for a double: math.cosh of a radius of 800,
         # numpy's square of a spread of 1e200, or a point of radius 700
@@ -498,7 +478,7 @@ def generate(spec: GenSpec) -> Configuration:
         try:
             with np.errstate(over="raise", invalid="raise"):
                 built = row.build(rng, n, count, params)
-                admitted = built is not None and row.check(built[0], n)
+                admitted = built is not None and row.check(built[0], kernel, n)
         except (OverflowError, FloatingPointError, InvalidInput) as exc:
             raise InfeasibleParams(f"parameters overflow the {kind.value} family: {exc}") from exc
         if admitted:
@@ -506,6 +486,29 @@ def generate(spec: GenSpec) -> Configuration:
             params.update(seed=seed, **extra)
             return Configuration(kind, n, objects, surface, witness, params)
     raise GeometryError(f"no admissible configuration after {MAX_ATTEMPTS} attempts")
+
+
+def _moved(obj, magnitude: float, rng: SplitMix64):
+    """obj jittered by magnitude with draws from rng, as perturb moves it."""
+    if isinstance(obj, HPoint):
+        spatial = obj.coords[:-1] + magnitude * rng.normals(obj.coords.shape[0] - 1)
+        return HPoint(np.concatenate([spatial, [math.sqrt(1.0 + float(spatial @ spatial))]]))
+    if isinstance(obj, Horosphere):
+        t = obj.rep[-1]
+        spatial = obj.rep[:-1] + magnitude * t * rng.normals(obj.rep.shape[0] - 1)
+        r = float(np.linalg.norm(spatial))
+        scale = math.exp(magnitude * rng.normal())
+        return Horosphere(scale * np.concatenate([spatial * (t / r), [t]]))
+    if isinstance(obj, CoHyperplane):
+        cand = obj.normal + magnitude * rng.normals(obj.normal.shape[0])
+        q = norm_sq(cand)
+        if q <= 0:
+            raise GeometryError("perturbation pushed a normal off the spacelike cone")
+        return CoHyperplane(cand / math.sqrt(q))
+    if isinstance(obj, CoSphereE):
+        centre = obj.centre + magnitude * rng.normals(obj.centre.shape[0])
+        return CoSphereE(centre, obj.radius * math.exp(magnitude * rng.normal()), obj.eps)
+    raise InvalidInput(f"cannot perturb {type(obj).__name__}")
 
 
 def perturb(config: Configuration, magnitude: float, seed: int = 0) -> Configuration:
@@ -517,34 +520,20 @@ def perturb(config: Configuration, magnitude: float, seed: int = 0) -> Configura
     unchanged.  The surface and witness fields are carried over as the
     reference the jitter started from.
     """
+    if not math.isfinite(magnitude):
+        raise InvalidInput(f"perturbation magnitude must be finite, got {magnitude}")
     if magnitude < 0:
         raise InvalidInput("perturbation magnitude must be nonnegative")
     if magnitude == 0:
         return config
     rng = SplitMix64(seed)
-    moved = []
-    for obj in config.objects:
-        if isinstance(obj, HPoint):
-            spatial = obj.coords[:-1] + magnitude * rng.normals(obj.coords.shape[0] - 1)
-            last = math.sqrt(1.0 + float(spatial @ spatial))
-            moved.append(HPoint(np.concatenate([spatial, [last]])))
-        elif isinstance(obj, Horosphere):
-            spatial = obj.rep[:-1] + magnitude * obj.rep[-1] * rng.normals(obj.rep.shape[0] - 1)
-            r = float(np.linalg.norm(spatial))
-            scale = math.exp(magnitude * rng.normal())
-            moved.append(Horosphere(scale * np.concatenate([spatial * (obj.rep[-1] / r), [obj.rep[-1]]])))
-        elif isinstance(obj, CoHyperplane):
-            cand = obj.normal + magnitude * rng.normals(obj.normal.shape[0])
-            q = norm_sq(cand)
-            if q <= 0:
-                raise GeometryError("perturbation pushed a normal off the spacelike cone")
-            moved.append(CoHyperplane(cand / math.sqrt(q)))
-        elif isinstance(obj, CoSphereE):
-            centre = obj.centre + magnitude * rng.normals(obj.centre.shape[0])
-            radius = obj.radius * math.exp(magnitude * rng.normal())
-            moved.append(CoSphereE(centre, radius, obj.eps))
-        else:
-            raise InvalidInput(f"cannot perturb {type(obj).__name__}")
+    # moves that overflow a double, or that scale a representative or a
+    # radius down to zero, are refused as one InvalidInput
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            moved = [_moved(obj, magnitude, rng) for obj in config.objects]
+    except (OverflowError, FloatingPointError, InvalidInput) as exc:
+        raise InvalidInput(f"perturbation of magnitude {magnitude} fails: {exc}") from exc
     return Configuration(
         config.kind, config.n, tuple(moved), config.surface, config.witness, dict(config.params)
     )

@@ -302,6 +302,18 @@ class TestPerturb:
         moved = lg.perturb(cfg, 1e-2, seed=2)
         assert not lg.penner_test(moved.objects).verdict.is_degenerate
 
+    @pytest.mark.parametrize("kind", ["generic_horospheres", "spheres_through_point"])
+    def test_magnitudes_that_overflow_raise_invalid_input(self, kind):
+        # a scale that overflows (3e3, 1e300) or underflows to zero (1e3), or
+        # a magnitude that is not finite, raises one error naming the
+        # perturbation, with no OverflowError or RuntimeWarning on the way
+        cfg = lg.generate(lg.GenSpec(kind, 3, seed=1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for magnitude in (1e3, 3e3, 1e300, math.inf, math.nan):
+                with pytest.raises(lg.InvalidInput, match="perturbation"):
+                    lg.perturb(cfg, magnitude)
+
     def test_small_perturbation_moves_points_slightly(self):
         cfg = lg.generate(lg.GenSpec("generic_points", 3, seed=39))
         moved = lg.perturb(cfg, 1e-6, seed=3)
@@ -312,7 +324,7 @@ class TestPerturb:
 
 # sha256 per kind over golden_grid: generation must reproduce these bytes
 # exactly, whatever the order of its array operations.  They were taken with
-# numpy 2.4.6 on OpenBLAS 0.3.31 (x86-64, Haswell kernels); a BLAS or LAPACK
+# numpy 2.4.6 on OpenBLAS 0.3.31 (x86-64, SkylakeX kernels); a BLAS or LAPACK
 # build that rounds a frame's SVD or eigh differently gives other bytes.
 GOLDEN_DIGESTS = {
     "points_on_horosphere": "26352cdf280950c101c010fcc876bc2fa320beb92a40b3a82cbce3fb0eac9662",
@@ -471,6 +483,28 @@ def grid_digest(texts) -> str:
     for text in texts:
         digest.update(text.encode())
     return digest.hexdigest()
+
+
+# the matrix of each variable-count kind but generic_hyperplanes has rank at
+# most n + r, so an admitted family of count objects has exactly
+# max(0, count - n - r) kernel vectors
+RANK_OFFSETS = {
+    "points_on_horosphere": 1, "points_on_hypersphere": 1, "points_on_hyperplane": 1,
+    "points_on_equidistant": 1, "horospheres_on_hyperplane_boundary": 0,
+    "generic_points": 2, "generic_horospheres": 1,
+}
+
+
+@pytest.mark.parametrize("kind", list(RANK_OFFSETS))
+def test_every_admitted_count_has_the_kernel_of_its_rank(kind):
+    for n, count, admitted in grid_counts(kind):
+        for seed in (0, 1) if admitted else ():
+            cfg = lg.generate(lg.GenSpec(kind, n, seed=seed, count=count))
+            s = np.sort(np.abs(np.linalg.eigvalsh(family_matrix(cfg))))
+            scale = max(float(s[-1]), 1.0)
+            kernel = max(0, count - n - RANK_OFFSETS[kind])
+            assert np.all(s[:kernel] <= 1e-10 * scale), (n, count, seed)
+            assert np.all(s[kernel:] >= 1e-5 * scale), (n, count, seed)
 
 
 class TestPinnedBytes:
