@@ -30,7 +30,9 @@ their quantities under "relation".  Passing --emit-disk to verify or
 classify re-renders every object and witness in the report in
 ball-model coordinates.  Exit status, for every command: 0 when the
 tested family is degenerate, 1 when it is not, 2 on invalid input or
-when no verdict is possible, 120 when stdout cannot be written.  --tol
+when no verdict is possible, 3 when the program fails with any other
+exception (its report is the same {"error", "message"} document, its
+traceback goes to stderr), 120 when stdout cannot be written.  --tol
 decides the verdict alone; witnesses are read off at a fixed threshold
 of 1e-9.  A degenerate family with no witness structure there reports a
 null case ("case_kind", or "case" and ptolemy2's "fit") and NO_STRUCTURE
@@ -125,10 +127,6 @@ def canonical_json(doc: dict) -> str:
         raise
     except ValueError as exc:  # allow_nan=False: a NaN or infinity
         raise GeometryError("report contains a non-finite number") from exc
-
-
-def _error_doc(exc: Exception) -> dict:
-    return {"error": type(exc).__name__, "message": str(exc)}
 
 
 # ---------------------------------------------------------------------------
@@ -632,31 +630,11 @@ def config_to_scene_doc(
     return doc
 
 
-def _parse_params(pairs) -> dict:
-    params = {}
-    for pair in pairs or ():
-        key, sep, value = pair.partition("=")
-        if not sep or key not in PARAM_KEYS:
-            raise SchemaViolation(
-                f"--params takes key=value with key in {', '.join(PARAM_KEYS)}"
-            )
-        try:
-            params[key] = float(value)
-        except ValueError as exc:
-            raise SchemaViolation(f"--params {key} needs a number, got {value!r}") from exc
-    return params
-
-
 def cmd_generate(args) -> dict:
     # the generators load only for this command
     from .generators import GenSpec, generate
 
-    params = _parse_params(args.params)
-    for key in PARAM_KEYS:
-        # a dedicated flag wins over the same key given through --params
-        value = getattr(args, key)
-        if value is not None:
-            params[key] = value
+    params = {key: getattr(args, key) for key in PARAM_KEYS if getattr(args, key) is not None}
     spec = GenSpec(kind=args.kind, n=args.n, seed=args.seed, count=args.count, params=params)
     config = generate(spec)
     meta = {"kind": args.kind, "seed": args.seed}
@@ -712,31 +690,35 @@ def _build_parser() -> argparse.ArgumentParser:
     pg.add_argument("--n", required=True, type=int)
     pg.add_argument("--count", type=int, default=None)
     pg.add_argument("--seed", type=int, default=0)
-    pg.add_argument("--spread", type=float, default=None)
-    pg.add_argument("--radius", type=float, default=None)
-    pg.add_argument("--offset", type=float, default=None)
-    pg.add_argument("--inclination", type=float, default=None)
-    pg.add_argument(
-        "--params",
-        action="append",
-        metavar="KEY=VALUE",
-        help="generator parameter; repeatable, dedicated flags take precedence",
-    )
+    for key in PARAM_KEYS:  # spread, radius, offset, inclination
+        pg.add_argument(f"--{key}", type=float, default=None)
     pg.add_argument("--emit-disk", action="store_true", help="emit ball-model records")
     return parser
 
 
+def _failed(exc: Exception) -> tuple[str, int]:
+    """The error report of exc and its exit code: 2 for invalid input or no
+    verdict, 3 for any other failure, so that a crash never exits 1."""
+    doc = {"error": type(exc).__name__, "message": str(exc)}
+    if isinstance(exc, (GeometryError, OSError)):
+        return canonical_json(doc), 2
+    import traceback  # a crash is a bug: say where on stderr
+
+    traceback.print_exception(exc)
+    return canonical_json(doc), 3
+
+
 def _scene_report(path: str, theorem: Optional[str], args) -> tuple[str, int]:
     """The command's canonical JSON report on one scene file and its exit
-    code, or the scene's error report and 2, a non-finite number included."""
+    code, or the scene's error report and 2 or 3, a non-finite number included."""
     try:
         scene, digest = load_scene(path, theorem)
         doc, code = _run_theorem(
             args.command, scene, digest, args.tol, args.search_signs, args.emit_disk
         )
         return canonical_json(doc), code
-    except (GeometryError, OSError) as exc:
-        return canonical_json(_error_doc(exc)), 2
+    except Exception as exc:
+        return _failed(exc)
 
 
 def _run_batch(args, theorem: Optional[str]) -> tuple[str, int]:
@@ -779,8 +761,8 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 2
     try:
         text, code = _run_command(args)
-    except (GeometryError, OSError) as exc:
-        text, code = canonical_json(_error_doc(exc)), 2
+    except Exception as exc:
+        text, code = _failed(exc)
     try:
         sys.stdout.write(text + "\n")
     except OSError:
@@ -795,8 +777,9 @@ def entry() -> NoReturn:
     ends the process with main's exit code through os._exit, without the
     interpreter's teardown, which costs a short command more than its
     work.  atexit hooks therefore do not run.  A flush that fails exits
-    120, as the interpreter's own shutdown does; an exception that escapes
-    main() propagates and ends the process the usual way.
+    120, as the interpreter's own shutdown does.  main() reports every
+    Exception itself; a KeyboardInterrupt or other BaseException that
+    escapes it propagates and ends the process the usual way.
     """
     code = main()
     for stream in (sys.stdout, sys.stderr):

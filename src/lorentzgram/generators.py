@@ -182,14 +182,23 @@ def _orthocomplement_frame(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 # kind builders: (rng, n, count, params) -> (objects, surface, witness,
 # extra params), or None for a draw to throw away.  Points are placed on a
 # surface drawn first by one of the (rng, dim, params) -> (surface, place)
-# below, where place(rng, spread) draws the coordinates of one point of the
-# surface in a frame the draw computes once.
+# below, where place(rng) draws the coordinates of one point of the surface
+# in a frame the draw computes once.  A kind that reads the spread reads it
+# before its first draw.
+
+
+def _spread(params: dict) -> float:
+    spread = float(params.get("spread", 1.0))
+    if spread == 0:  # every point would land on one spot
+        raise InfeasibleParams("spread must be nonzero")
+    return spread
 
 
 def _horosphere(rng: SplitMix64, dim: int, params: dict):
+    spread = _spread(params)
     h = Horosphere(_random_lightlike(rng, dim))
     frame = _horosphere_frame(h)
-    return h, lambda rng, spread: _chart_inverse(h, frame, spread * rng.normals(dim - 2))
+    return h, lambda rng: _chart_inverse(h, frame, spread * rng.normals(dim - 2))
 
 
 def _hypersphere(rng: SplitMix64, dim: int, params: dict):
@@ -201,14 +210,14 @@ def _hypersphere(rng: SplitMix64, dim: int, params: dict):
     centre = sphere.centre.coords
     _, F = _orthocomplement_frame(centre)
     c, s = math.cosh(sphere.radius), math.sinh(sphere.radius)
-    return sphere, lambda rng, spread: c * centre + s * (F @ rng.unit_vector(F.shape[1]))
+    return sphere, lambda rng: c * centre + s * (F @ rng.unit_vector(F.shape[1]))
 
 
-def _on_hyperplane(normal: np.ndarray) -> Callable:
-    """place(rng, spread) on the hyperplane orthogonal to normal."""
+def _on_hyperplane(normal: np.ndarray, spread: float) -> Callable:
+    """place(rng) on the hyperplane orthogonal to normal."""
     f_time, F = _orthocomplement_frame(normal)
 
-    def place(rng, spread):
+    def place(rng):
         y = spread * rng.normals(F.shape[1])
         return math.sqrt(1.0 + float(y @ y)) * f_time[:, 0] + F @ y
 
@@ -216,20 +225,20 @@ def _on_hyperplane(normal: np.ndarray) -> Callable:
 
 
 def _equidistant(rng: SplitMix64, dim: int, params: dict):
+    spread = _spread(params)
     offset = params.get("offset")
     offset = float(offset) if offset is not None else rng.uniform_in(0.2, 1.2)
     if offset == 0:
         raise InfeasibleParams("equidistant offset must be nonzero")
     branch = EquidistantBranch(_random_spacelike_unit(rng, dim), offset)
-    on_plane, lam = _on_hyperplane(branch.normal), branch.offset
-    return branch, lambda rng, spread: (
-        math.hypot(lam, 1.0) * on_plane(rng, spread) + lam * branch.normal
-    )
+    on_plane, lam = _on_hyperplane(branch.normal, spread), branch.offset
+    return branch, lambda rng: math.hypot(lam, 1.0) * on_plane(rng) + lam * branch.normal
 
 
 def _hyperplane(rng: SplitMix64, dim: int, params: dict):
+    spread = _spread(params)
     plane = CoHyperplane(_random_spacelike_unit(rng, dim))
-    return plane, _on_hyperplane(plane.normal)
+    return plane, _on_hyperplane(plane.normal, spread)
 
 
 def _points_on(surface):
@@ -237,8 +246,7 @@ def _points_on(surface):
 
     def build(rng, n, count, params):
         where, place = surface(rng, n + 1, params)
-        spread = float(params.get("spread", 1.0))
-        return _family(HPoint, [place(rng, spread) for _ in range(count)]), where, None, {}
+        return _family(HPoint, [place(rng) for _ in range(count)]), where, None, {}
 
     return build
 
@@ -294,7 +302,7 @@ def _hyperplanes_orth_equal(rng, n, count, params):
 
 
 def _generic_points(rng, n, count, params):
-    spread = float(params.get("spread", 1.0))
+    spread = _spread(params)
     points = [_random_point(rng, n + 1, spread) for _ in range(count)]
     return _family(HPoint, points), None, None, {}
 

@@ -225,12 +225,8 @@ def lightlike_to_boundary(w, tol: float = 1e-12) -> Optional[np.ndarray]:
     Returns the point of R^n, or None for the point at infinity.  The
     vector (p, (|p|^2-1)/2, (|p|^2+1)/2) decodes to p.
     """
-    v = as_vector(w)
-    k = float(v[-1] - v[-2])
-    scale = float(np.max(np.abs(v)))
-    if abs(k) <= tol * max(scale, 1.0):
-        return None
-    return v[:-2] / k
+    parts = _sphere_parts(as_vector(w), tol)
+    return None if parts is None else parts[0]
 
 
 def boundary_to_lightlike(p) -> np.ndarray:

@@ -53,7 +53,6 @@ from .lorentz import (
     inner,
     metric_diag,
     norm_sq,
-    null_basis,
     _dot,
     _finite_dot,
     _lightlike,
@@ -270,7 +269,7 @@ def penner_test(horospheres: Sequence[Horosphere], tol: float = DEFAULT_TOL) -> 
     verdict = degeneracy(_lambda_sq(reps, concentric), tol)
     if not verdict.is_degenerate or all_same:
         return PennerResult(verdict, None, all_same, None)
-    w = null_basis(reps, nullity=1)[:, 0] * metric_diag(reps.shape[1])
+    w = _kernel(reps, 1)[:, -1] * metric_diag(reps.shape[1])
     witness, residual = _hyperplane_witness(first_nonzero_positive(w / np.linalg.norm(w)), reps)
     return PennerResult(verdict, witness, False, residual)
 
@@ -335,7 +334,7 @@ def ptolemy1_test(
     verdict = degeneracy(half_dist_matrix(points), tol)
     if not verdict.is_degenerate:
         return Ptolemy1Result(verdict, None, None)
-    w_shift = null_basis(coords - u, nullity=1)[:, 0] * D
+    w_shift = _kernel(coords - u, 1)[:, -1] * D
     mu = 2.0 * inner(u, w_shift) / (q - 1.0)
     return Ptolemy1Result(verdict, *_hyperplane_witness(w_shift - mu * u, coords))
 
@@ -466,7 +465,7 @@ def fit_umbilical(points: Sequence[HPoint]) -> UmbilicalFit:
     coords = HPoint.family(points)
     _check_family(coords, coords.shape[1])
     diffs = coords[1:] - coords[0]
-    h = null_basis(diffs * metric_diag(coords.shape[1]), nullity=1)[:, 0]
+    h = _kernel(diffs * metric_diag(coords.shape[1]), 1)[:, -1]
     return _fit_from_direction(coords, h)
 
 
@@ -960,7 +959,7 @@ def _classify_from_kernel(ns: np.ndarray, kernel: np.ndarray) -> CaseyCase:
     if cnorm <= _STRUCTURE * (1.0 + big):
         u, w, alpha = B[:, 0], B[:, 1], float(c[1])
     else:
-        coeff = null_basis(c[None, :], nullity=B.shape[1] - 1)[:, 0]
+        coeff = _kernel(c[None, :], B.shape[1] - 1)[:, 0]
         u = B @ coeff
         w = B @ (c / cnorm)
         alpha = cnorm

@@ -1104,18 +1104,13 @@ class TestErrors:
         assert code == 2
         assert doc["error"] == "InfeasibleParams"
 
-    def test_params_key_value_form(self, capsys):
-        # same request through --params, including the failure mode
-        code, doc = run_doc(capsys, "generate", "--kind", "hyperplanes_orth_equal",
-                            "--n", "3", "--params", "inclination=1.5")
+    def test_params_flag_is_an_unknown_argument(self, capsys):
+        # each parameter comes in through its own flag only
+        code = main(["generate", "--kind", "generic_points", "--n", "3", "--params", "spread=1"])
+        captured = capsys.readouterr()
         assert code == 2
-        assert doc["error"] == "InfeasibleParams"
-        code, good = run_doc(capsys, "generate", "--kind", "hyperplanes_orth_equal",
-                             "--n", "3", "--seed", "4", "--params", "inclination=0.5")
-        assert code == 0
-        code, same = run_doc(capsys, "generate", "--kind", "hyperplanes_orth_equal",
-                             "--n", "3", "--seed", "4", "--inclination", "0.5")
-        assert same == good
+        assert captured.out == ""
+        assert "unrecognized arguments: --params spread=1" in captured.err
 
     def test_overflowing_radius_exits_two(self, capsys):
         code, doc = run_doc(capsys, "generate", "--kind", "points_on_hypersphere",
@@ -1134,10 +1129,24 @@ class TestErrors:
     def test_explicit_zero_params_exit_two(self, capsys, key, value):
         # only an absent key draws at random; a given zero is refused
         kind, message = self.ZERO_REFUSALS[key]
-        for argv in ([f"--{key}={value}"], ["--params", f"{key}={value}"]):
-            code, doc = run_doc(capsys, "generate", "--kind", kind, "--n", "3", *argv)
-            assert code == 2
-            assert doc == {"error": "InfeasibleParams", "message": message}
+        code, doc = run_doc(capsys, "generate", "--kind", kind, "--n", "3", f"--{key}={value}")
+        assert code == 2
+        assert doc == {"error": "InfeasibleParams", "message": message}
+
+    @pytest.mark.parametrize("value", ["0", "0.0", "-0.0"])
+    @pytest.mark.parametrize("kind", ["points_on_horosphere", "points_on_hyperplane",
+                                      "points_on_equidistant", "generic_points"])
+    def test_zero_spread_is_refused_before_any_draw(self, capsys, monkeypatch, kind, value):
+        # every point would land on one spot, so no draw could be admitted
+        draws = []
+        next_u64 = lg.SplitMix64.next_u64
+        monkeypatch.setattr(lg.SplitMix64, "next_u64",
+                            lambda rng: draws.append(1) or next_u64(rng))
+        code, doc = run_doc(capsys, "generate", "--kind", kind, "--n", "3", "--seed", "1",
+                            f"--spread={value}")
+        assert code == 2
+        assert doc == {"error": "InfeasibleParams", "message": "spread must be nonzero"}
+        assert draws == []
 
     @pytest.mark.parametrize("kind,n,count", [
         ("horospheres_on_hyperplane_boundary", 3, 3),
@@ -1156,22 +1165,42 @@ class TestErrors:
     @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
     @pytest.mark.parametrize("key", ["spread", "radius", "offset", "inclination"])
     def test_non_finite_params_exit_two(self, capsys, key, value):
-        for argv in ([f"--{key}={value}"], ["--params", f"{key}={value}"]):
-            code, doc = run_doc(capsys, "generate", "--kind", "points_on_horosphere",
-                                "--n", "3", *argv)
-            assert code == 2
-            assert doc["error"] == "InfeasibleParams"
-            assert doc["message"].startswith(f"{key} must be finite")
+        code, doc = run_doc(capsys, "generate", "--kind", "points_on_horosphere",
+                            "--n", "3", f"--{key}={value}")
+        assert code == 2
+        assert doc["error"] == "InfeasibleParams"
+        assert doc["message"].startswith(f"{key} must be finite")
 
-    def test_params_rejects_malformed_pairs(self, capsys):
-        code, doc = run_doc(capsys, "generate", "--kind", "generic_points",
-                            "--n", "2", "--params", "spread")
-        assert code == 2
-        assert doc["error"] == "SchemaViolation"
-        code, doc = run_doc(capsys, "generate", "--kind", "generic_points",
-                            "--n", "2", "--params", "spread=wide")
-        assert code == 2
-        assert doc["error"] == "SchemaViolation"
+    @staticmethod
+    def crash_casey(monkeypatch):
+        """Make the casey row's runner raise RuntimeError."""
+        def boom(*args):
+            raise RuntimeError("runner failed")
+        monkeypatch.setitem(THEOREMS, "casey", THEOREMS["casey"]._replace(run=boom))
+
+    CRASH = {"error": "RuntimeError", "message": "runner failed"}
+
+    @pytest.mark.parametrize("command", ["verify", "classify"])
+    def test_a_crash_exits_three(self, capsys, monkeypatch, tmp_path, command):
+        # exit 1 means "not degenerate", so an unexpected exception must not end there
+        scene = generate_scene(capsys, tmp_path, "--kind", "generic_hyperplanes",
+                               "--n", "3", "--seed", "1")
+        self.crash_casey(monkeypatch)
+        assert main([command, scene]) == 3
+        out, err = capsys.readouterr()
+        assert json.loads(out) == self.CRASH
+        assert "RuntimeError: runner failed" in err  # with its traceback
+
+    def test_a_crash_fails_its_scene_alone_in_a_batch(self, capsys, monkeypatch, tmp_path):
+        generate_scene(capsys, tmp_path, "--kind", "generic_hyperplanes", "--n", "3",
+                       "--seed", "1", name="a_casey.json")
+        other = generate_scene(capsys, tmp_path, "--kind", "generic_points", "--n", "3",
+                               "--seed", "1", name="b_ptolemy2.json")
+        _, single = run_doc(capsys, "verify", other)
+        self.crash_casey(monkeypatch)
+        code, doc = run_doc(capsys, "verify", "--scenes-dir", str(tmp_path))
+        assert code == 3  # the worst of 1 and 3
+        assert doc["reports"] == {"a_casey.json": self.CRASH, "b_ptolemy2.json": single}
 
     def test_verify_and_classify_run_relation_scenes(self, capsys, tmp_path):
         # a relation scene is a row of the table: verify and classify give
